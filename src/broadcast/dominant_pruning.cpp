@@ -85,7 +85,7 @@ BroadcastStats dominant_pruning_broadcast(const graph::Graph& g,
     Packet p;
     p.sender = v;
     p.forward_list = greedy_cover(g, candidates, std::move(targets));
-    insert_sorted(stats.forward_nodes, v);
+    stats.forward_nodes.push_back(v);
     ++stats.transmissions;
     queue.push_back(std::move(p));
   };
@@ -111,6 +111,7 @@ BroadcastStats dominant_pruning_broadcast(const graph::Graph& g,
       }
     }
   }
+  normalize(stats.forward_nodes);
   finalize(stats, "dominant_pruning");
   return stats;
 }

@@ -19,7 +19,7 @@ BroadcastStats flood(const graph::Graph& g, NodeId source) {
   while (!queue.empty()) {
     const NodeId v = queue.front();
     queue.pop_front();
-    insert_sorted(stats.forward_nodes, v);
+    stats.forward_nodes.push_back(v);
     ++stats.transmissions;
     for (NodeId w : g.neighbors(v)) {
       if (!stats.received[w])
@@ -31,6 +31,7 @@ BroadcastStats flood(const graph::Graph& g, NodeId source) {
       }
     }
   }
+  normalize(stats.forward_nodes);
   finalize(stats, "flooding");
   return stats;
 }

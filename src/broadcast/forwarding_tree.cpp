@@ -132,7 +132,7 @@ BroadcastStats forwarding_tree_broadcast(const graph::Graph& g,
   while (!queue.empty()) {
     const NodeId v = queue.front();
     queue.pop_front();
-    insert_sorted(stats.forward_nodes, v);
+    stats.forward_nodes.push_back(v);
     ++stats.transmissions;
     for (NodeId w : g.neighbors(v)) {
       const bool first_copy = !stats.received[w];
@@ -145,6 +145,7 @@ BroadcastStats forwarding_tree_broadcast(const graph::Graph& g,
       }
     }
   }
+  normalize(stats.forward_nodes);
   finalize(stats, "forwarding_tree");
   return stats;
 }

@@ -27,7 +27,7 @@ BroadcastStats run_lossy(const graph::Graph& g, NodeId source,
   while (!queue.empty()) {
     const NodeId v = queue.front();
     queue.pop_front();
-    insert_sorted(stats.forward_nodes, v);
+    stats.forward_nodes.push_back(v);
     ++stats.transmissions;
     for (NodeId w : g.neighbors(v)) {
       if (rng.chance(model.loss)) continue;  // delivery failed
@@ -41,6 +41,7 @@ BroadcastStats run_lossy(const graph::Graph& g, NodeId source,
       }
     }
   }
+  normalize(stats.forward_nodes);
   finalize(stats, "lossy");
   return stats;
 }

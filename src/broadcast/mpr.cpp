@@ -105,7 +105,7 @@ BroadcastStats mpr_broadcast(const graph::Graph& g,
   while (!queue.empty()) {
     const NodeId v = queue.front();
     queue.pop_front();
-    insert_sorted(stats.forward_nodes, v);
+    stats.forward_nodes.push_back(v);
     ++stats.transmissions;
     for (NodeId w : g.neighbors(v)) {
       if (!stats.received[w])
@@ -118,6 +118,7 @@ BroadcastStats mpr_broadcast(const graph::Graph& g,
       }
     }
   }
+  normalize(stats.forward_nodes);
   finalize(stats, "mpr");
   return stats;
 }

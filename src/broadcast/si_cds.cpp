@@ -1,6 +1,6 @@
 #include "broadcast/si_cds.hpp"
 
-#include <deque>
+#include <algorithm>
 
 #include "common/assert.hpp"
 
@@ -12,27 +12,27 @@ BroadcastStats si_cds_broadcast(const graph::Graph& g, const NodeSet& cds,
   BroadcastStats stats;
   stats.received.assign(g.order(), 0);
   stats.first_copy_hops.assign(g.order(), kUnreachableHops);
-  std::vector<char> transmitted(g.order(), 0);
-  std::deque<NodeId> queue{source};
+  std::vector<char> in_cds(g.order(), 0);
+  for (NodeId v : cds)
+    if (v < g.order()) in_cds[v] = 1;
+  // forward_nodes doubles as the FIFO: a node is queued on its first copy
+  // (so at most once), transmits in queue order, and the set is sorted
+  // once at the end.
+  NodeSet& queue = stats.forward_nodes;
+  queue.push_back(source);
   stats.received[source] = 1;
   stats.first_copy_hops[source] = 0;
-  transmitted[source] = 1;
-  while (!queue.empty()) {
-    const NodeId v = queue.front();
-    queue.pop_front();
-    insert_sorted(stats.forward_nodes, v);
-    ++stats.transmissions;
+  for (std::size_t next = 0; next < queue.size(); ++next) {
+    const NodeId v = queue[next];
     for (NodeId w : g.neighbors(v)) {
-      const bool first_copy = !stats.received[w];
-      if (first_copy)
-        stats.first_copy_hops[w] = stats.first_copy_hops[v] + 1;
+      if (stats.received[w]) continue;
       stats.received[w] = 1;
-      if (first_copy && contains_sorted(cds, w) && !transmitted[w]) {
-        transmitted[w] = 1;
-        queue.push_back(w);
-      }
+      stats.first_copy_hops[w] = stats.first_copy_hops[v] + 1;
+      if (in_cds[w]) queue.push_back(w);
     }
   }
+  stats.transmissions = queue.size();
+  std::sort(queue.begin(), queue.end());
   finalize(stats, "si_cds");
   return stats;
 }

@@ -74,12 +74,13 @@ BroadcastStats suppression_flood(const graph::Graph& g, NodeId source,
     }
     for (NodeId v : firing) {
       transmitted[v] = 1;
-      insert_sorted(stats.forward_nodes, v);
+      stats.forward_nodes.push_back(v);
       ++stats.transmissions;
     }
     for (NodeId v : firing)
       for (NodeId w : g.neighbors(v)) hear(w, v, slot);
   }
+  normalize(stats.forward_nodes);
   finalize(stats, "suppression");
   return stats;
 }

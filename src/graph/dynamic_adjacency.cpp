@@ -56,12 +56,16 @@ bool DynamicAdjacency::remove_edge(NodeId u, NodeId v) {
 }
 
 Graph DynamicAdjacency::freeze() const {
-  GraphBuilder builder(order());
-  builder.reserve(edges_);
+  // Every row is sorted and mirrored by invariant, so the CSR arrays are
+  // just the prefix sum of the row lengths and the rows laid end to end.
+  std::vector<std::size_t> offsets(order() + 1, 0);
   for (NodeId v = 0; v < adjacency_.size(); ++v)
-    for (NodeId w : adjacency_[v])
-      if (v < w) builder.edge(v, w);
-  return builder.build_and_clear();
+    offsets[v + 1] = offsets[v] + adjacency_[v].size();
+  std::vector<NodeId> adjacency;
+  adjacency.reserve(offsets.back());
+  for (const auto& row : adjacency_)
+    adjacency.insert(adjacency.end(), row.begin(), row.end());
+  return Graph::from_csr(std::move(offsets), std::move(adjacency));
 }
 
 }  // namespace manet::graph

@@ -304,7 +304,7 @@ DistributedBroadcast run_distributed_broadcast(const graph::Graph& g,
   for (NodeId v = 0; v < g.order(); ++v) {
     const auto& node = dynamic_cast<const BackboneNode&>(sim.process(v));
     result.received[v] = node.data_received() ? 1 : 0;
-    if (node.data_forwarded()) insert_sorted(result.forward_nodes, v);
+    if (node.data_forwarded()) result.forward_nodes.push_back(v);
   }
   result.delivered_all =
       std::all_of(result.received.begin(), result.received.end(),

@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "cluster/lcc.hpp"
@@ -62,6 +64,66 @@ TEST(DynamicAdjacencyTest, RoundTripsAnExistingGraph) {
   const graph::DynamicAdjacency adj(net->graph);
   EXPECT_EQ(adj.edge_count(), net->graph.edge_count());
   EXPECT_EQ(adj.freeze().edges(), net->graph.edges());
+}
+
+/// freeze() concatenates the per-vertex rows as they stand, so it is only
+/// right while every row stays sorted and symmetric: compare it, row by
+/// row, with a GraphBuilder build of the edge set the test tracked itself.
+void expect_freeze_matches(const graph::DynamicAdjacency& adj,
+                           const std::set<std::pair<NodeId, NodeId>>& edges) {
+  graph::GraphBuilder builder(adj.order());
+  for (const auto& [u, v] : edges) builder.edge(u, v);
+  const graph::Graph want = builder.build();
+  const graph::Graph got = adj.freeze();
+  ASSERT_EQ(got.order(), want.order());
+  EXPECT_EQ(got.edge_count(), want.edge_count());
+  EXPECT_EQ(got.edge_count(), adj.edge_count());
+  for (NodeId v = 0; v < want.order(); ++v) {
+    const auto g_row = got.neighbors(v);
+    const auto w_row = want.neighbors(v);
+    EXPECT_TRUE(std::equal(g_row.begin(), g_row.end(), w_row.begin(),
+                           w_row.end()))
+        << "row " << v;
+  }
+}
+
+TEST(DynamicAdjacencyTest, FreezeOfEmptyAndIsolatedVertices) {
+  expect_freeze_matches(graph::DynamicAdjacency(0), {});
+  expect_freeze_matches(graph::DynamicAdjacency(6), {});
+  graph::DynamicAdjacency adj(7);
+  adj.add_edge(5, 2);
+  expect_freeze_matches(adj, {{2, 5}});
+  adj.remove_edge(2, 5);
+  expect_freeze_matches(adj, {});
+}
+
+TEST(DynamicAdjacencyTest, FreezeMatchesBuilderUnderRandomEdits) {
+  constexpr std::size_t kOrder = 500;
+  Rng rng(2024);
+  graph::DynamicAdjacency adj(kOrder);
+  std::set<std::pair<NodeId, NodeId>> edges;
+  std::vector<std::pair<NodeId, NodeId>> live;  // for picking removals
+  for (int op = 1; op <= 2000; ++op) {
+    if (!live.empty() && rng.chance(0.35)) {
+      const std::size_t k = rng.index(live.size());
+      const auto [u, v] = live[k];
+      live[k] = live.back();
+      live.pop_back();
+      EXPECT_TRUE(rng.chance(0.5) ? adj.remove_edge(u, v)
+                                  : adj.remove_edge(v, u));
+      edges.erase({u, v});
+    } else {
+      const auto a = static_cast<NodeId>(rng.below(kOrder));
+      const auto b = static_cast<NodeId>(rng.below(kOrder));
+      if (a == b) continue;
+      const std::pair e{std::min(a, b), std::max(a, b)};
+      const bool fresh = edges.insert(e).second;
+      EXPECT_EQ(adj.add_edge(a, b), fresh);
+      if (fresh) live.push_back(e);
+    }
+    if (op % 250 == 0) expect_freeze_matches(adj, edges);
+  }
+  EXPECT_GT(edges.size(), 500u);
 }
 
 TEST(EdgeDeltaTest, DiffGraphsFindsExactChanges) {
