@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
+#include <utility>
 
 #include "common/assert.hpp"
 
@@ -28,6 +30,8 @@ struct Session {
   std::vector<std::size_t> first_slot;
   std::vector<char> relayed;
   std::vector<char> head_processed;
+  /// sent[v]: v transmitted at least once (the forward-node set).
+  std::vector<char> sent;
   /// pruned_by[v] == h: the packet head h processed proves v covered.
   std::vector<NodeId> pruned_by;
   Coverage remaining;        ///< what the head being processed must cover
@@ -41,6 +45,7 @@ struct Session {
                                   std::numeric_limits<std::uint32_t>::max());
     first_slot.assign(g.order(), 0);
     head_processed.assign(g.order(), 0);
+    sent.assign(g.order(), 0);
     pruned_by.assign(g.order(), kInvalidNode);
   }
 
@@ -48,6 +53,7 @@ struct Session {
   /// simulates the entries in the order they are appended here.
   void transmit(NodeId sender, NodeId origin_head, NodeSet forward_set) {
     result.received[sender] = 1;  // the sender trivially holds the packet
+    sent[sender] = 1;
     result.trace.push_back({sender, origin_head, std::move(forward_set)});
   }
 
@@ -59,7 +65,7 @@ struct Session {
 
     // C(h) - C(u) - {u} - N(r): mark what the packet proves covered, then
     // keep the rest of C(h) in order.
-    const auto prune = [&](const NodeSet& covered) {
+    const auto prune = [&](std::span<const NodeId> covered) {
       for (NodeId v : covered) pruned_by[v] = h;
     };
     if (options.piggyback_pruning && upstream != kInvalidNode) {
@@ -127,10 +133,10 @@ struct Session {
     }
     for (std::size_t i = 0; i < result.trace.size(); ++i)
       for (NodeId nb : g.neighbors(result.trace[i].sender)) deliver(i, nb);
-    // The forward-node set: every node that transmitted at least once.
-    for (const Transmission& t : result.trace)
-      result.forward_nodes.push_back(t.sender);
-    normalize(result.forward_nodes);
+    // The forward-node set: every node that transmitted at least once,
+    // gathered in ascending order from the per-node marks.
+    for (NodeId v = 0; v < g.order(); ++v)
+      if (sent[v]) result.forward_nodes.push_back(v);
     result.delivered_all =
         std::all_of(result.received.begin(), result.received.end(),
                     [](char c) { return c != 0; });
@@ -172,7 +178,7 @@ BroadcastResult dynamic_broadcast(const graph::Graph& g,
                 "backbone does not match graph");
   Session session(g, backbone, options);
   session.run(source);
-  return session.result;
+  return std::move(session.result);  // a member: no implicit move
 }
 
 }  // namespace manet::core

@@ -13,7 +13,7 @@ namespace {
 using graph::NodeBitset;
 
 /// Distinct heads among `entries` that appear in `remaining`.
-std::size_t distinct_covered_heads(const std::vector<Hop2Entry>& entries,
+std::size_t distinct_covered_heads(std::span<const Hop2Entry> entries,
                                    const NodeBitset& remaining) {
   std::size_t count = 0;
   NodeId last = kInvalidNode;
@@ -26,45 +26,21 @@ std::size_t distinct_covered_heads(const std::vector<Hop2Entry>& entries,
   return count;
 }
 
-/// |s ∩ remaining| for a sorted NodeSet against a bitset.
-std::size_t covered_count(const NodeSet& s, const NodeBitset& remaining) {
+/// |s ∩ remaining| for a sorted row against a bitset.
+std::size_t covered_count(std::span<const NodeId> s,
+                          const NodeBitset& remaining) {
   std::size_t count = 0;
   for (NodeId v : s)
     if (remaining.test(v)) ++count;
   return count;
 }
 
-/// Adapts the centralized graph + tables to the local-view interface.
-class TablesView final : public LocalSelectionView {
- public:
-  TablesView(const graph::Graph& g, const NeighborTables& tables,
-             NodeId head)
-      : tables_(tables) {
-    const auto nb = g.neighbors(head);
-    neighbors_.assign(nb.begin(), nb.end());
-  }
-  const NodeSet& neighbors() const override { return neighbors_; }
-  const NodeSet& hop1(NodeId v) const override { return tables_.ch_hop1[v]; }
-  const std::vector<Hop2Entry>& hop2(NodeId v) const override {
-    return tables_.ch_hop2[v];
-  }
-
- private:
-  const NeighborTables& tables_;
-  NodeSet neighbors_;
-};
-
-}  // namespace
-
-GatewaySelection select_gateways_local(const LocalSelectionView& view,
-                                       const Coverage& targets) {
-  SelectionScratch scratch;
-  return select_gateways_local(view, targets, scratch);
-}
-
-GatewaySelection select_gateways_local(const LocalSelectionView& view,
-                                       const Coverage& targets,
-                                       SelectionScratch& scratch) {
+/// The greedy itself, the one kernel behind every selection. With
+/// `explain` null (every production caller) it records nothing but the
+/// gateways; explain_gateways passes a trace to fill.
+GatewaySelection greedy(const LocalSelectionView& view,
+                        const Coverage& targets, SelectionScratch& scratch,
+                        SelectionExplanation* explain) {
   GatewaySelection sel;
   // Remaining-target membership and the accumulating gateway set live in
   // bitsets during the greedy loops (O(1) test/insert/erase). Everything
@@ -85,7 +61,7 @@ GatewaySelection select_gateways_local(const LocalSelectionView& view,
   // counts start as the list sizes and decrement on each reset below.
   std::size_t left2 = targets.two_hop.size();
   std::size_t left3 = targets.three_hop.size();
-  const NodeSet& neighbors = view.neighbors();
+  const std::span<const NodeId> neighbors = view.neighbors();
 
   // Phase 1: greedy max-direct-cover over the 2-hop targets.
   while (left2 > 0) {
@@ -107,11 +83,14 @@ GatewaySelection select_gateways_local(const LocalSelectionView& view,
     MANET_ASSERT(best != kInvalidNode,
                  "every 2-hop coverage target has a witness neighbor");
 
-    SelectionStep step;
-    step.gateway = best;
+    SelectionStep* step = nullptr;
+    if (explain != nullptr) {
+      step = &explain->steps.emplace_back();
+      step->gateway = best;
+    }
     for (NodeId w : view.hop1(best))  // sorted input -> sorted output
       if (remaining2.test(w)) {
-        step.direct_covered.push_back(w);
+        if (step != nullptr) step->direct_covered.push_back(w);
         remaining2.reset(w);
         --left2;
       }
@@ -126,12 +105,11 @@ GatewaySelection select_gateways_local(const LocalSelectionView& view,
       if (e.head == last_head) continue;
       if (!remaining3.test(e.head)) continue;
       last_head = e.head;
-      step.indirect_covered.push_back(e);
+      if (step != nullptr) step->indirect_covered.push_back(e);
       remaining3.reset(e.head);
       --left3;
       if (gateways.set(e.via)) sel.gateways.push_back(e.via);
     }
-    sel.steps.push_back(std::move(step));
   }
 
   // Phase 2: leftover 3-hop targets get an explicit connector pair
@@ -161,7 +139,7 @@ GatewaySelection select_gateways_local(const LocalSelectionView& view,
     }
     MANET_ASSERT(best_score >= 0,
                  "every 3-hop coverage target has a witness pair");
-    sel.leftover_pairs.push_back(best_pair);
+    if (explain != nullptr) explain->leftover_pairs.push_back(best_pair);
     if (gateways.set(best_pair.first_hop))
       sel.gateways.push_back(best_pair.first_hop);
     if (gateways.set(best_pair.second_hop))
@@ -177,6 +155,26 @@ GatewaySelection select_gateways_local(const LocalSelectionView& view,
   return sel;
 }
 
+void require_head(const graph::Graph& g, const cluster::Clustering& c,
+                  NodeId head) {
+  MANET_REQUIRE(head < g.order(), "node id out of range");
+  MANET_REQUIRE(c.is_head(head), "selection runs on clusterheads");
+}
+
+}  // namespace
+
+GatewaySelection select_gateways_local(const LocalSelectionView& view,
+                                       const Coverage& targets) {
+  SelectionScratch scratch;
+  return select_gateways_local(view, targets, scratch);
+}
+
+GatewaySelection select_gateways_local(const LocalSelectionView& view,
+                                       const Coverage& targets,
+                                       SelectionScratch& scratch) {
+  return greedy(view, targets, scratch, nullptr);
+}
+
 GatewaySelection select_gateways(const graph::Graph& g,
                                  const cluster::Clustering& c,
                                  const NeighborTables& tables, NodeId head,
@@ -190,10 +188,21 @@ GatewaySelection select_gateways(const graph::Graph& g,
                                  const NeighborTables& tables, NodeId head,
                                  const Coverage& targets,
                                  SelectionScratch& scratch) {
-  MANET_REQUIRE(head < g.order(), "node id out of range");
-  MANET_REQUIRE(c.is_head(head), "selection runs on clusterheads");
-  return select_gateways_local(TablesView(g, tables, head), targets,
-                               scratch);
+  require_head(g, c, head);
+  return greedy(TablesSelectionView(g.neighbors(head), tables), targets,
+                scratch, nullptr);
+}
+
+SelectionExplanation explain_gateways(const graph::Graph& g,
+                                      const cluster::Clustering& c,
+                                      const NeighborTables& tables,
+                                      NodeId head, const Coverage& targets) {
+  require_head(g, c, head);
+  SelectionScratch scratch;
+  SelectionExplanation out;
+  out.selection = greedy(TablesSelectionView(g.neighbors(head), tables),
+                         targets, scratch, &out);
+  return out;
 }
 
 std::string validate_selection(const graph::Graph& g,

@@ -17,6 +17,7 @@
 //     DESIGN.md "unspecified details".
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -29,8 +30,18 @@
 
 namespace manet::core {
 
-/// Why a node ended up in the gateway set (selection trace for tests,
-/// examples and the distributed-protocol cross-check).
+/// Result of one clusterhead's selection process.
+struct GatewaySelection {
+  /// All selected nodes: first-hop gateways plus second-hop via-nodes.
+  /// Sorted-unique. This is the GATEWAY message payload (static backbone)
+  /// or the forward-node set F(u) (dynamic backbone).
+  NodeSet gateways;
+
+  friend bool operator==(const GatewaySelection&, const GatewaySelection&) =
+      default;
+};
+
+/// Why a node ended up in the gateway set: one greedy pick.
 struct SelectionStep {
   NodeId gateway;            ///< first-hop neighbor picked by the greedy
   NodeSet direct_covered;    ///< 2-hop targets v was adjacent to
@@ -50,19 +61,14 @@ struct ConnectorPair {
       default;
 };
 
-/// Result of one clusterhead's selection process.
-struct GatewaySelection {
-  /// All selected nodes: first-hop gateways plus second-hop via-nodes.
-  /// Sorted-unique. This is the GATEWAY message payload (static backbone)
-  /// or the forward-node set F(u) (dynamic backbone).
-  NodeSet gateways;
+/// A selection together with its pick trace (explain_gateways; no
+/// production path records it).
+struct SelectionExplanation {
+  GatewaySelection selection;
   /// Greedy trace, in pick order.
   std::vector<SelectionStep> steps;
   /// Pairs appended by phase 2 for leftover 3-hop targets.
   std::vector<ConnectorPair> leftover_pairs;
-
-  friend bool operator==(const GatewaySelection&, const GatewaySelection&) =
-      default;
 };
 
 /// Reusable bitset scratch for the selection greedy, mirroring
@@ -94,20 +100,47 @@ GatewaySelection select_gateways(const graph::Graph& g,
                                  const Coverage& targets,
                                  SelectionScratch& scratch);
 
+/// Same selection plus the greedy's pick trace, from the same kernel.
+SelectionExplanation explain_gateways(const graph::Graph& g,
+                                      const cluster::Clustering& c,
+                                      const NeighborTables& tables,
+                                      NodeId head, const Coverage& targets);
+
 /// Read-only view of the information a clusterhead actually possesses
 /// when it selects: its neighbor list and the CH_HOP1/CH_HOP2 messages
-/// those neighbors sent. The distributed protocol (net module) runs the
-/// greedy through this interface so the selection logic exists exactly
-/// once.
+/// those neighbors sent. Every engine (batch, incremental, protocol,
+/// message-level) runs the greedy through this interface so the
+/// selection logic exists exactly once. Returned spans must stay valid
+/// for the duration of the selection call.
 class LocalSelectionView {
  public:
   virtual ~LocalSelectionView() = default;
   /// Sorted neighbor ids of the selecting head.
-  virtual const NodeSet& neighbors() const = 0;
+  virtual std::span<const NodeId> neighbors() const = 0;
   /// CH_HOP1 payload received from neighbor `v`.
-  virtual const NodeSet& hop1(NodeId v) const = 0;
+  virtual std::span<const NodeId> hop1(NodeId v) const = 0;
   /// CH_HOP2 payload received from neighbor `v` (sorted by (head, via)).
-  virtual const std::vector<Hop2Entry>& hop2(NodeId v) const = 0;
+  virtual std::span<const Hop2Entry> hop2(NodeId v) const = 0;
+};
+
+/// LocalSelectionView over a head's adjacency row and the shared
+/// NeighborTables (batch build, SD-CDS, incremental repair).
+class TablesSelectionView final : public LocalSelectionView {
+ public:
+  TablesSelectionView(std::span<const NodeId> neighbors,
+                      const NeighborTables& tables)
+      : neighbors_(neighbors), tables_(tables) {}
+  std::span<const NodeId> neighbors() const override { return neighbors_; }
+  std::span<const NodeId> hop1(NodeId v) const override {
+    return tables_.ch_hop1[v];
+  }
+  std::span<const Hop2Entry> hop2(NodeId v) const override {
+    return tables_.ch_hop2[v];
+  }
+
+ private:
+  std::span<const NodeId> neighbors_;
+  const NeighborTables& tables_;
 };
 
 /// The greedy selection on a local view (shared by centralized and

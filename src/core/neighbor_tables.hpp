@@ -21,10 +21,10 @@
 #pragma once
 
 #include <compare>
-#include <vector>
 
 #include "cluster/lowest_id.hpp"
 #include "common/ids.hpp"
+#include "core/row_table.hpp"
 #include "graph/graph.hpp"
 
 namespace manet::core {
@@ -46,15 +46,17 @@ struct Hop2Entry {
   friend auto operator<=>(const Hop2Entry&, const Hop2Entry&) = default;
 };
 
-/// The per-node tables a clusterhead's selection process consumes.
+/// The per-node tables a clusterhead's selection process consumes, one
+/// packed row per node (row_table.hpp: rows are spans, valid until the
+/// next assign() to the same table).
 struct NeighborTables {
   CoverageMode mode;
   /// ch_hop1[v]: sorted clusterheads adjacent to v. Populated for every
   /// node (a head's row lists nothing — heads do not send CH_HOP1 — and
   /// is kept empty).
-  std::vector<NodeSet> ch_hop1;
+  RowTable<NodeId> ch_hop1;
   /// ch_hop2[v]: entries sorted by (head, via); empty for clusterheads.
-  std::vector<std::vector<Hop2Entry>> ch_hop2;
+  RowTable<Hop2Entry> ch_hop2;
 
   /// Heads reported by `v`'s CH_HOP2 entries, deduplicated.
   NodeSet hop2_heads(NodeId v) const;

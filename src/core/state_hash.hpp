@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "cluster/lowest_id.hpp"
@@ -31,9 +32,10 @@ inline std::uint64_t state_hash_mix(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
-/// Length-prefixed fold of a sorted node set (distinct shapes cannot
-/// collide by concatenation).
-inline std::uint64_t state_hash_nodes(std::uint64_t h, const NodeSet& nodes) {
+/// Length-prefixed fold of a sorted node set or table row (distinct
+/// shapes cannot collide by concatenation).
+inline std::uint64_t state_hash_nodes(std::uint64_t h,
+                                      std::span<const NodeId> nodes) {
   h = state_hash_mix(h, nodes.size());
   for (const NodeId v : nodes) h = state_hash_mix(h, v);
   return h;
@@ -53,8 +55,10 @@ inline std::uint64_t backbone_state_hash(
   for (const NodeId v : clustering.head_of) h = state_hash_mix(h, v);
   for (const auto role : clustering.roles)
     h = state_hash_mix(h, static_cast<std::uint64_t>(role));
-  for (const NodeSet& row : tables.ch_hop1) h = state_hash_nodes(h, row);
-  for (const auto& row : tables.ch_hop2) {
+  for (std::size_t v = 0; v < tables.ch_hop1.size(); ++v)
+    h = state_hash_nodes(h, tables.ch_hop1[v]);
+  for (std::size_t v = 0; v < tables.ch_hop2.size(); ++v) {
+    const auto row = tables.ch_hop2[v];
     h = state_hash_mix(h, row.size());
     for (const auto& e : row)
       h = state_hash_mix(h, (std::uint64_t{e.head} << 32) | e.via);

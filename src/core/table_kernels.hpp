@@ -32,29 +32,30 @@
 
 namespace manet::core {
 
-/// CH_HOP1 row of `v`: sorted clusterheads adjacent to v. Heads do not
-/// broadcast CH_HOP1, so their rows stay empty.
+/// CH_HOP1 row of `v` into `out` (cleared first; its capacity is
+/// reused, so a loop over rows allocates once): sorted clusterheads
+/// adjacent to v. Heads do not broadcast CH_HOP1, so their rows stay
+/// empty.
 template <typename Adj, typename Clust = cluster::Clustering>
-NodeSet hop1_row(const Adj& g, const Clust& c, NodeId v) {
-  NodeSet out;
-  if (c.is_head(v)) return out;
+void hop1_row(const Adj& g, const Clust& c, NodeId v, NodeSet& out) {
+  out.clear();
+  if (c.is_head(v)) return;
   for (NodeId w : g.neighbors(v))
     if (c.is_head(w)) out.push_back(w);  // sorted adjacency -> sorted row
-  return out;
 }
 
-/// CH_HOP2 row of `v`, built from the CH_HOP1 rows of v's
-/// non-clusterhead neighbors (`hop1` must be current for all of them).
-/// A head reported by neighbor x is recorded unless it is already v's
-/// own neighbor ("If the clusterhead of x is a neighbor of v, v ignores
-/// the message").
+/// CH_HOP2 row of `v` into `entries` (cleared first), built from the
+/// CH_HOP1 rows of v's non-clusterhead neighbors (`hop1` must be current
+/// for all of them). A head reported by neighbor x is recorded unless it
+/// is already v's own neighbor ("If the clusterhead of x is a neighbor of
+/// v, v ignores the message").
 template <typename Adj, typename Clust = cluster::Clustering,
-          typename Hop1Rows = std::vector<NodeSet>>
-std::vector<Hop2Entry> hop2_row(const Adj& g, const Clust& c,
-                                CoverageMode mode, const Hop1Rows& hop1,
-                                NodeId v) {
-  std::vector<Hop2Entry> entries;
-  if (c.is_head(v)) return entries;
+          typename Hop1Rows = RowTable<NodeId>>
+void hop2_row(const Adj& g, const Clust& c, CoverageMode mode,
+              const Hop1Rows& hop1, NodeId v,
+              std::vector<Hop2Entry>& entries) {
+  entries.clear();
+  if (c.is_head(v)) return;
   for (NodeId x : g.neighbors(v)) {
     if (c.is_head(x)) continue;  // heads send no CH_HOP1
     if (mode == CoverageMode::kTwoPointFiveHop) {
@@ -67,7 +68,6 @@ std::vector<Hop2Entry> hop2_row(const Adj& g, const Clust& c,
   }
   std::sort(entries.begin(), entries.end());
   entries.erase(std::unique(entries.begin(), entries.end()), entries.end());
-  return entries;
 }
 
 /// Reusable bitset scratch for coverage_row. Hot loops (the batch build

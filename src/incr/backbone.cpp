@@ -1,5 +1,6 @@
 #include "incr/backbone.hpp"
 
+#include <algorithm>
 #include <span>
 #include <sstream>
 #include <utility>
@@ -13,26 +14,31 @@
 namespace manet::incr {
 namespace {
 
-/// LocalSelectionView over the mutable adjacency and the maintained
-/// table rows — the same interface the batch TablesView adapts, so
-/// core::select_gateways_local runs the identical greedy either way.
-class OverlayView final : public core::LocalSelectionView {
- public:
-  OverlayView(const graph::DynamicAdjacency& g,
-              const core::NeighborTables& tables, NodeId head)
-      : tables_(tables) {
-    const auto nb = g.neighbors(head);
-    neighbors_.assign(nb.begin(), nb.end());
-  }
-  const NodeSet& neighbors() const override { return neighbors_; }
-  const NodeSet& hop1(NodeId v) const override { return tables_.ch_hop1[v]; }
-  const std::vector<core::Hop2Entry>& hop2(NodeId v) const override {
-    return tables_.ch_hop2[v];
-  }
+/// Table rows a lane recomputed and found changed, packed end to end.
+/// A RowTable takes no concurrent writes, so lanes hand their rows back
+/// and the caller commits them in chunk order — ascending node order, the
+/// same assign() sequence as the sequential path.
+template <typename T>
+struct ChangedRows {
+  NodeSet nodes;
+  std::vector<T> data;
+  std::vector<std::size_t> ends;
 
- private:
-  const core::NeighborTables& tables_;
-  NodeSet neighbors_;
+  void add(NodeId v, std::span<const T> row) {
+    nodes.push_back(v);
+    data.insert(data.end(), row.begin(), row.end());
+    ends.push_back(data.size());
+  }
+  /// Assigns every row into `table`, appending the ids to `changed`.
+  void commit(core::RowTable<T>& table, NodeSet& changed) const {
+    std::size_t begin = 0;
+    for (std::size_t k = 0; k < nodes.size(); ++k) {
+      table.assign(nodes[k], std::span<const T>(data).subspan(
+                                 begin, ends[k] - begin));
+      begin = ends[k];
+      changed.push_back(nodes[k]);
+    }
+  }
 };
 
 /// Accumulates a sorted-unique dirty set via closed neighborhoods.
@@ -176,8 +182,7 @@ void IncrementalBackbone::apply_selection_refs(const NodeSet& old_gateways,
 }
 
 void IncrementalBackbone::clear_head_rows(NodeId v, NodeSet& cds_candidates) {
-  if (!selection_[v].gateways.empty() || !selection_[v].steps.empty() ||
-      !selection_[v].leftover_pairs.empty()) {
+  if (!selection_[v].gateways.empty()) {
     apply_selection_refs(selection_[v].gateways, {}, cds_candidates);
     selection_[v] = core::GatewaySelection{};
   }
@@ -192,8 +197,9 @@ IncrementalBackbone::HeadRow IncrementalBackbone::compute_head_row(
   // for distinct heads concurrently with per-lane scratches.
   HeadRow row;
   row.cov = core::coverage_row(g, tables_, h, g.order(), scratch);
-  row.sel = core::select_gateways_local(OverlayView(g, tables_, h), row.cov,
-                                        sel_scratch);
+  row.sel = core::select_gateways_local(
+      core::TablesSelectionView(g.neighbors(h), tables_), row.cov,
+      sel_scratch);
   return row;
 }
 
@@ -252,10 +258,11 @@ TickStats IncrementalBackbone::apply(const graph::DynamicAdjacency& g,
     StageSpan span(tr, defer_trace_ ? &trace_buf_ : nullptr, "hop1_scan",
                    ticks_applied_, "rows");
     span.set_arg(hop1_dirty.size());
+    NodeSet row;
     for (const NodeId v : hop1_dirty) {
-      auto row = core::hop1_row(g, clustering_, v);
-      if (row != tables_.ch_hop1[v]) {
-        tables_.ch_hop1[v] = std::move(row);
+      core::hop1_row(g, clustering_, v, row);
+      if (!std::ranges::equal(row, tables_.ch_hop1[v])) {
+        tables_.ch_hop1.assign(v, row);
         hop1_changed.push_back(v);
       }
     }
@@ -279,11 +286,11 @@ TickStats IncrementalBackbone::apply(const graph::DynamicAdjacency& g,
     StageSpan span(tr, defer_trace_ ? &trace_buf_ : nullptr, "hop2_scan",
                    ticks_applied_, "rows");
     span.set_arg(hop2_dirty.size());
+    std::vector<core::Hop2Entry> row;
     for (const NodeId v : hop2_dirty) {
-      auto row =
-          core::hop2_row(g, clustering_, tables_.mode, tables_.ch_hop1, v);
-      if (row != tables_.ch_hop2[v]) {
-        tables_.ch_hop2[v] = std::move(row);
+      core::hop2_row(g, clustering_, tables_.mode, tables_.ch_hop1, v, row);
+      if (!std::ranges::equal(row, tables_.ch_hop2[v])) {
+        tables_.ch_hop2.assign(v, row);
         changed_rows.push_back(v);
       }
     }
@@ -482,8 +489,9 @@ TickStats IncrementalBackbone::apply_parallel(const graph::DynamicAdjacency& g,
   obs_handles_.heads_declared.add(rep.declared.size());
   obs_handles_.heads_resigned.add(rep.resigned.size());
 
-  // --- CH_HOP1, chunked over the sorted dirty set. Chunk c writes rows
-  // of its own slice against frozen inputs (clustering, adjacency).
+  // --- CH_HOP1, chunked over the sorted dirty set. Chunk c recomputes
+  // the rows of its own slice against frozen inputs (clustering,
+  // adjacency, the table itself) and hands back the changed ones.
   const NodeSet status_flips = set_union(rep.declared, rep.resigned);
   DirtySet hop1_mark(g.order());
   for (const NodeId v : delta.touched) hop1_mark.add(v);
@@ -496,22 +504,20 @@ TickStats IncrementalBackbone::apply_parallel(const graph::DynamicAdjacency& g,
                    ticks_applied_, "rows");
     span.set_arg(hop1_dirty.size());
     const auto chunks = plan_chunks(hop1_dirty.size(), lanes);
-    std::vector<NodeSet> changed(chunks.size());
+    std::vector<ChangedRows<NodeId>> changed(chunks.size());
     pool.run(chunks.size(), [&](std::size_t ci, std::size_t lane) {
       timed(lane, "hop1_chunk", chunks[ci].second, [&] {
         const auto [begin, count] = chunks[ci];
+        NodeSet row;
         for (std::size_t i = begin; i < begin + count; ++i) {
           const NodeId v = hop1_dirty[i];
-          auto row = core::hop1_row(g, clustering_, v);
-          if (row != tables_.ch_hop1[v]) {
-            tables_.ch_hop1[v] = std::move(row);
-            changed[ci].push_back(v);
-          }
+          core::hop1_row(g, clustering_, v, row);
+          if (!std::ranges::equal(row, tables_.ch_hop1[v]))
+            changed[ci].add(v, row);
         }
       });
     });
-    for (const NodeSet& part : changed)
-      hop1_changed.insert(hop1_changed.end(), part.begin(), part.end());
+    for (const auto& part : changed) part.commit(tables_.ch_hop1, hop1_changed);
     flush_spans();
   }
   obs_handles_.hop1_rows_scanned.add(hop1_dirty.size());
@@ -531,23 +537,21 @@ TickStats IncrementalBackbone::apply_parallel(const graph::DynamicAdjacency& g,
                    ticks_applied_, "rows");
     span.set_arg(hop2_dirty.size());
     const auto chunks = plan_chunks(hop2_dirty.size(), lanes);
-    std::vector<NodeSet> changed(chunks.size());
+    std::vector<ChangedRows<core::Hop2Entry>> changed(chunks.size());
     pool.run(chunks.size(), [&](std::size_t ci, std::size_t lane) {
       timed(lane, "hop2_chunk", chunks[ci].second, [&] {
         const auto [begin, count] = chunks[ci];
+        std::vector<core::Hop2Entry> row;
         for (std::size_t i = begin; i < begin + count; ++i) {
           const NodeId v = hop2_dirty[i];
-          auto row = core::hop2_row(g, clustering_, tables_.mode,
-                                    tables_.ch_hop1, v);
-          if (row != tables_.ch_hop2[v]) {
-            tables_.ch_hop2[v] = std::move(row);
-            changed[ci].push_back(v);
-          }
+          core::hop2_row(g, clustering_, tables_.mode, tables_.ch_hop1, v,
+                         row);
+          if (!std::ranges::equal(row, tables_.ch_hop2[v]))
+            changed[ci].add(v, row);
         }
       });
     });
-    for (const NodeSet& part : changed)
-      changed_rows.insert(changed_rows.end(), part.begin(), part.end());
+    for (const auto& part : changed) part.commit(tables_.ch_hop2, changed_rows);
     flush_spans();
   }
   obs_handles_.hop2_rows_scanned.add(hop2_dirty.size());

@@ -15,22 +15,22 @@ class ReceivedView final : public core::LocalSelectionView {
                const std::map<NodeId, std::vector<core::Hop2Entry>>& hop2)
       : neighbors_(neighbors), hop1_(hop1), hop2_(hop2) {}
 
-  const NodeSet& neighbors() const override { return neighbors_; }
-  const NodeSet& hop1(NodeId v) const override {
+  std::span<const NodeId> neighbors() const override { return neighbors_; }
+  std::span<const NodeId> hop1(NodeId v) const override {
     const auto it = hop1_.find(v);
-    return it == hop1_.end() ? empty_set_ : it->second;
+    if (it == hop1_.end()) return {};
+    return it->second;
   }
-  const std::vector<core::Hop2Entry>& hop2(NodeId v) const override {
+  std::span<const core::Hop2Entry> hop2(NodeId v) const override {
     const auto it = hop2_.find(v);
-    return it == hop2_.end() ? empty_entries_ : it->second;
+    if (it == hop2_.end()) return {};
+    return it->second;
   }
 
  private:
   const NodeSet& neighbors_;
   const std::map<NodeId, NodeSet>& hop1_;
   const std::map<NodeId, std::vector<core::Hop2Entry>>& hop2_;
-  NodeSet empty_set_;
-  std::vector<core::Hop2Entry> empty_entries_;
 };
 
 }  // namespace
@@ -247,9 +247,8 @@ DistributedRun run_distributed_backbone(const graph::Graph& g,
   const std::size_t n = g.order();
   run.clustering.head_of.assign(n, kInvalidNode);
   run.clustering.roles.assign(n, cluster::Role::kOrdinary);
-  run.tables.mode = mode;
-  run.tables.ch_hop1.resize(n);
-  run.tables.ch_hop2.resize(n);
+  run.tables = {mode, core::RowTable<NodeId>(n),
+                core::RowTable<core::Hop2Entry>(n)};
   run.coverage.resize(n);
   run.selection.resize(n);
 
@@ -263,8 +262,8 @@ DistributedRun run_distributed_backbone(const graph::Graph& g,
       run.coverage[v] = node.coverage();
       run.selection[v] = node.selection();
     } else {
-      run.tables.ch_hop1[v] = node.sent_hop1();
-      run.tables.ch_hop2[v] = node.sent_hop2();
+      run.tables.ch_hop1.assign(v, node.sent_hop1());
+      run.tables.ch_hop2.assign(v, node.sent_hop2());
     }
     if (node.in_backbone()) insert_sorted(run.backbone, v);
   }

@@ -651,12 +651,12 @@ std::string MaintenanceEngine::diff_against(const core::StaticBackbone& oracle,
     }
   }
   for (NodeId v = 0; v < n; ++v) {
-    if (mirror_hop1(v) != oracle.tables.ch_hop1[v]) {
+    if (!std::ranges::equal(mirror_hop1(v), oracle.tables.ch_hop1[v])) {
       *divergent = v;
       os << "ch_hop1[" << v << "] differs";
       return os.str();
     }
-    if (!(mirror_hop2(v) == oracle.tables.ch_hop2[v])) {
+    if (!std::ranges::equal(mirror_hop2(v), oracle.tables.ch_hop2[v])) {
       *divergent = v;
       os << "ch_hop2[" << v << "] differs";
       return os.str();

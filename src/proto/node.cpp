@@ -65,11 +65,13 @@ struct TablesView {
 class CacheSelectionView final : public core::LocalSelectionView {
  public:
   explicit CacheSelectionView(const MaintenanceNode& node) : node_(node) {}
-  const NodeSet& neighbors() const override { return node_.neighbors(); }
-  const NodeSet& hop1(NodeId v) const override {
+  std::span<const NodeId> neighbors() const override {
+    return node_.neighbors();
+  }
+  std::span<const NodeId> hop1(NodeId v) const override {
     return node_.cached_hop1(v);
   }
-  const std::vector<core::Hop2Entry>& hop2(NodeId v) const override {
+  std::span<const core::Hop2Entry> hop2(NodeId v) const override {
     return node_.cached_hop2(v);
   }
 
@@ -658,9 +660,10 @@ void MaintenanceNode::settle_rows(net::Mailbox& out) {
   } else {
     const SelfAdj adj{*this, id_};
     const ClustView clust{HeadOfProxy{this}};
-    NodeSet h1 = core::hop1_row(adj, clust, id_);
-    std::vector<core::Hop2Entry> h2 =
-        core::hop2_row(adj, clust, mode_, Hop1Proxy{this}, id_);
+    NodeSet h1;
+    core::hop1_row(adj, clust, id_, h1);
+    std::vector<core::Hop2Entry> h2;
+    core::hop2_row(adj, clust, mode_, Hop1Proxy{this}, id_, h2);
     // Intern-then-compare: ref equality is content equality, so an
     // unchanged row re-finds its slot (+1/-1 on the same refcount) and
     // the change test is two integer compares, not a row diff.

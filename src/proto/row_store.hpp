@@ -19,6 +19,7 @@
 // — rows live in fixed-capacity chunk slabs whose slots never move.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -46,6 +47,8 @@ namespace detail {
 template <typename Row>
 class InternTable {
  public:
+  using Elem = typename Row::value_type;
+
   InternTable() {
     table_.assign(64, 0);
     // Slot 0 = the pinned empty row.
@@ -57,7 +60,9 @@ class InternTable {
   }
 
   /// Interns `row` (copying on first sight) and takes one reference.
-  RowRef intern(const Row& row) {
+  /// Reads the span directly: interning a table row or a message payload
+  /// builds no temporary.
+  RowRef intern(std::span<const Elem> row) {
     if (row.empty()) return kEmptyRow;
     const std::uint64_t h = hash(row);
     std::lock_guard<std::mutex> lock(mu_);
@@ -66,7 +71,7 @@ class InternTable {
       const std::uint32_t slot = table_[i];
       if (slot == 0) break;
       const RowRef r = slot - 1;
-      if (hash_of_[r] == h && *row_ptr(r) == row) {
+      if (hash_of_[r] == h && std::ranges::equal(*row_ptr(r), row)) {
         ++refs_[r];
         return r;
       }
@@ -76,7 +81,7 @@ class InternTable {
     if (!free_.empty()) {
       r = free_.back();
       free_.pop_back();
-      *row_ptr(r) = row;
+      row_ptr(r)->assign(row.begin(), row.end());
       refs_[r] = 1;
       hash_of_[r] = h;
     } else {
@@ -84,7 +89,7 @@ class InternTable {
       const auto [chunk, off] = locate(count_);
       ensure_chunk(chunk);
       ++count_;
-      chunks_[chunk][off] = row;
+      chunks_[chunk][off].assign(row.begin(), row.end());
       refs_.push_back(1);
       hash_of_.push_back(h);
     }
@@ -153,11 +158,11 @@ class InternTable {
       chunks_[chunk] = std::make_unique<Row[]>(kChunkSize);
   }
 
-  static std::uint64_t hash(const Row& row) {
+  static std::uint64_t hash(std::span<const Elem> row) {
     // FNV-1a over the elements' bytes (rows are flat POD sequences).
     std::uint64_t h = 1469598103934665603ull;
     const auto* bytes = reinterpret_cast<const unsigned char*>(row.data());
-    const std::size_t len = row.size() * sizeof(row[0]);
+    const std::size_t len = row.size_bytes();
     for (std::size_t i = 0; i < len; ++i) {
       h ^= bytes[i];
       h *= 1099511628211ull;
@@ -212,8 +217,8 @@ class InternTable {
 /// also gateway-selection payloads) and CH_HOP2-shaped rows.
 class RowStore {
  public:
-  RowRef intern_hop1(const NodeSet& row) { return hop1_.intern(row); }
-  RowRef intern_hop2(const std::vector<core::Hop2Entry>& row) {
+  RowRef intern_hop1(std::span<const NodeId> row) { return hop1_.intern(row); }
+  RowRef intern_hop2(std::span<const core::Hop2Entry> row) {
     return hop2_.intern(row);
   }
   void retain_hop1(RowRef r) { hop1_.retain(r); }

@@ -9,6 +9,9 @@
 // tests assert verbatim.
 #pragma once
 
+#include <gtest/gtest.h>
+
+#include <algorithm>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -28,6 +31,20 @@ inline std::string param_tag(std::size_t nodes, double degree,
   os << "n=" << nodes << " d=" << degree << " seed=" << seed;
   if (variant != nullptr) os << " [" << variant << "]";
   return os.str();
+}
+
+/// gtest predicate: a packed table row (a span) holds exactly the
+/// entries of `want` (a span or a container), in order.
+template <typename Row, typename Want>
+::testing::AssertionResult same_row(const Row& got, const Want& want) {
+  if (std::ranges::equal(got, want)) return ::testing::AssertionSuccess();
+  auto failure = ::testing::AssertionFailure();
+  failure << "row has " << std::size(got) << " entries, expected "
+          << std::size(want);
+  const auto [g, w] = std::ranges::mismatch(got, want);
+  if (g != std::end(got) && w != std::end(want))
+    failure << "; first difference at index " << (g - std::begin(got));
+  return failure;
 }
 
 /// The 10-node network of the paper's Figure 3.

@@ -22,6 +22,9 @@ class Figure3Selection : public ::testing::Test {
   GatewaySelection select(NodeId head) {
     return select_gateways(g_, c_, t_, head, cov_[head]);
   }
+  SelectionExplanation explain(NodeId head) {
+    return explain_gateways(g_, c_, t_, head, cov_[head]);
+  }
 };
 
 TEST_F(Figure3Selection, Gateway1MatchesPaper) {
@@ -44,15 +47,16 @@ TEST_F(Figure3Selection, Gateway4UsesIndirectTieBreak) {
   // cover node 3 because node 9 can also indirectly cover node 1."
   // Ours: head 3 picks 8 (not 9) and via-node 4 -> GATEWAY(4)={5,9}
   // becomes {4, 8}.
-  const auto sel = select(3);
-  EXPECT_EQ(sel.gateways, (NodeSet{4, 8}));
-  ASSERT_EQ(sel.steps.size(), 1u);
-  EXPECT_EQ(sel.steps[0].gateway, 8u);
-  EXPECT_EQ(sel.steps[0].direct_covered, (NodeSet{2}));
-  ASSERT_EQ(sel.steps[0].indirect_covered.size(), 1u);
-  EXPECT_EQ(sel.steps[0].indirect_covered[0].head, 0u);
-  EXPECT_EQ(sel.steps[0].indirect_covered[0].via, 4u);
-  EXPECT_TRUE(sel.leftover_pairs.empty());
+  EXPECT_EQ(select(3).gateways, (NodeSet{4, 8}));
+  const auto ex = explain(3);
+  EXPECT_EQ(ex.selection.gateways, (NodeSet{4, 8}));
+  ASSERT_EQ(ex.steps.size(), 1u);
+  EXPECT_EQ(ex.steps[0].gateway, 8u);
+  EXPECT_EQ(ex.steps[0].direct_covered, (NodeSet{2}));
+  ASSERT_EQ(ex.steps[0].indirect_covered.size(), 1u);
+  EXPECT_EQ(ex.steps[0].indirect_covered[0].head, 0u);
+  EXPECT_EQ(ex.steps[0].indirect_covered[0].via, 4u);
+  EXPECT_TRUE(ex.leftover_pairs.empty());
 }
 
 TEST_F(Figure3Selection, SelectionsValidate) {
@@ -62,9 +66,10 @@ TEST_F(Figure3Selection, SelectionsValidate) {
 }
 
 TEST_F(Figure3Selection, EmptyTargetsSelectNothing) {
-  const auto sel = select_gateways(g_, c_, t_, 0, Coverage{});
-  EXPECT_TRUE(sel.gateways.empty());
-  EXPECT_TRUE(sel.steps.empty());
+  EXPECT_TRUE(select_gateways(g_, c_, t_, 0, Coverage{}).gateways.empty());
+  const auto ex = explain_gateways(g_, c_, t_, 0, Coverage{});
+  EXPECT_TRUE(ex.selection.gateways.empty());
+  EXPECT_TRUE(ex.steps.empty());
 }
 
 TEST_F(Figure3Selection, PrunedTargetsSelectSubset) {
@@ -77,6 +82,8 @@ TEST_F(Figure3Selection, PrunedTargetsSelectSubset) {
 
 TEST_F(Figure3Selection, RejectsNonHead) {
   EXPECT_THROW(select_gateways(g_, c_, t_, 9, cov_[2]),
+               std::invalid_argument);
+  EXPECT_THROW(explain_gateways(g_, c_, t_, 9, cov_[2]),
                std::invalid_argument);
 }
 
@@ -96,13 +103,13 @@ TEST(SelectionGreedyTest, PrefersLargerDirectCover) {
   const auto t = build_neighbor_tables(g, c, CoverageMode::kThreeHop);
   const auto cov = build_coverage(g, c, t, 0);
   ASSERT_EQ(cov.two_hop, (NodeSet{5, 6, 7}));
-  const auto sel = select_gateways(g, c, t, 0, cov);
+  const auto ex = explain_gateways(g, c, t, 0, cov);
   // Greedy: node 1 covers {5,6} (2 heads) first, then node 2 covers 7.
-  ASSERT_EQ(sel.steps.size(), 2u);
-  EXPECT_EQ(sel.steps[0].gateway, 1u);
-  EXPECT_EQ(sel.steps[0].direct_covered, (NodeSet{5, 6}));
-  EXPECT_EQ(sel.steps[1].gateway, 2u);
-  EXPECT_EQ(sel.gateways, (NodeSet{1, 2}));
+  ASSERT_EQ(ex.steps.size(), 2u);
+  EXPECT_EQ(ex.steps[0].gateway, 1u);
+  EXPECT_EQ(ex.steps[0].direct_covered, (NodeSet{5, 6}));
+  EXPECT_EQ(ex.steps[1].gateway, 2u);
+  EXPECT_EQ(select_gateways(g, c, t, 0, cov).gateways, (NodeSet{1, 2}));
 }
 
 TEST(SelectionGreedyTest, LeftoverThreeHopPairSelected) {
@@ -118,11 +125,12 @@ TEST(SelectionGreedyTest, LeftoverThreeHopPairSelected) {
   const auto cov = build_coverage(g, c, t, 0);
   EXPECT_TRUE(cov.two_hop.empty());
   EXPECT_EQ(cov.three_hop, (NodeSet{1}));
+  const auto ex = explain_gateways(g, c, t, 0, cov);
+  ASSERT_EQ(ex.leftover_pairs.size(), 1u);
+  EXPECT_EQ(ex.leftover_pairs[0].target, 1u);
+  EXPECT_EQ(ex.leftover_pairs[0].first_hop, 4u);
+  EXPECT_EQ(ex.leftover_pairs[0].second_hop, 5u);
   const auto sel = select_gateways(g, c, t, 0, cov);
-  ASSERT_EQ(sel.leftover_pairs.size(), 1u);
-  EXPECT_EQ(sel.leftover_pairs[0].target, 1u);
-  EXPECT_EQ(sel.leftover_pairs[0].first_hop, 4u);
-  EXPECT_EQ(sel.leftover_pairs[0].second_hop, 5u);
   EXPECT_EQ(sel.gateways, (NodeSet{4, 5}));
   EXPECT_EQ(validate_selection(g, c, 0, cov, sel), "");
 }
@@ -180,6 +188,61 @@ TEST_P(SelectionSweep, EverySelectionCoversItsCoverageSet) {
         << "head " << h;
     // Selected gateways are never clusterheads.
     for (NodeId v : sel.gateways) EXPECT_FALSE(c.is_head(v));
+  }
+}
+
+/// Every gateway the trace names: step picks, their via nodes and both
+/// hops of each leftover pair.
+NodeSet traced_gateways(const SelectionExplanation& ex) {
+  NodeSet named;
+  for (const SelectionStep& step : ex.steps) {
+    named.push_back(step.gateway);
+    for (const Hop2Entry& e : step.indirect_covered) named.push_back(e.via);
+  }
+  for (const ConnectorPair& p : ex.leftover_pairs) {
+    named.push_back(p.first_hop);
+    named.push_back(p.second_hop);
+  }
+  normalize(named);
+  return named;
+}
+
+TEST_P(SelectionSweep, ExplainMatchesProductionOnPrunedTargets) {
+  // The production call (no trace, reused scratch — the SD-CDS and repair
+  // shape) and the explain call run one kernel: same gateways on the full
+  // coverage and on the random subsets SD passes after pruning, and the
+  // trace accounts for every gateway.
+  const auto [n, d, seed, mode] = GetParam();
+  Rng rng(seed);
+  geom::UnitDiskConfig cfg;
+  cfg.nodes = n;
+  cfg.range = geom::range_for_average_degree(d, n, cfg.width, cfg.height);
+  const auto net = geom::generate_connected_unit_disk(cfg, rng);
+  ASSERT_TRUE(net.has_value());
+  const auto c = cluster::lowest_id_clustering(net->graph);
+  const auto t = build_neighbor_tables(net->graph, c, mode);
+  const auto cov = build_all_coverage(net->graph, c, t);
+  SelectionScratch scratch;
+  Rng pick(seed + 1000);
+  const auto subset = [&](const NodeSet& all) {
+    NodeSet kept;
+    for (NodeId v : all)
+      if (pick.chance(0.5)) kept.push_back(v);
+    return kept;
+  };
+  for (NodeId h : c.heads) {
+    std::vector<Coverage> targets{cov[h]};
+    for (int k = 0; k < 4; ++k)
+      targets.push_back({subset(cov[h].two_hop), subset(cov[h].three_hop)});
+    for (const Coverage& target : targets) {
+      const auto sel =
+          select_gateways(net->graph, c, t, h, target, scratch);
+      const auto ex = explain_gateways(net->graph, c, t, h, target);
+      EXPECT_EQ(sel.gateways, ex.selection.gateways) << "head " << h;
+      EXPECT_EQ(traced_gateways(ex), sel.gateways) << "head " << h;
+      EXPECT_EQ(validate_selection(net->graph, c, h, target, sel), "")
+          << "head " << h;
+    }
   }
 }
 

@@ -113,9 +113,11 @@ TEST_P(DistributedEquivalence, MatchesCentralizedPipeline) {
 
   // Table equivalence (per node).
   for (NodeId v = 0; v < g.order(); ++v) {
-    EXPECT_EQ(run.tables.ch_hop1[v], reference.tables.ch_hop1[v])
+    EXPECT_TRUE(
+        testing::same_row(run.tables.ch_hop1[v], reference.tables.ch_hop1[v]))
         << "hop1 of " << v;
-    EXPECT_TRUE(run.tables.ch_hop2[v] == reference.tables.ch_hop2[v])
+    EXPECT_TRUE(
+        testing::same_row(run.tables.ch_hop2[v], reference.tables.ch_hop2[v]))
         << "hop2 of " << v;
   }
 
