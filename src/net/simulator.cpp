@@ -506,11 +506,13 @@ std::uint64_t Simulator::begin_sharded_tick() {
 }
 
 void Simulator::run_region(RegionRun& rr, const std::uint32_t* scope_tag,
-                           const std::function<void(NodeId)>& before_timer,
-                           const std::function<void(NodeId)>& after_timer,
+                           const std::function<void(NodeId)>& bind,
+                           const std::function<bool(NodeId)>& wake,
                            std::uint32_t max_rounds) {
   rr.rounds = 0;
   rr.sends = 0;
+  rr.timed = 0;
+  rr.woken = 0;
   rr.counts = MessageCounts{};
   rr.delivery = DeliveryStats{};
   rr.round1_deliveries = 0;
@@ -525,6 +527,7 @@ void Simulator::run_region(RegionRun& rr, const std::uint32_t* scope_tag,
   rr.journal.clear();
   rr.flight.clear();
   rr.next_flight.clear();
+  rr.timed_nodes.clear();
   rr.touched.clear();
   rr.awake.clear();
 
@@ -532,18 +535,33 @@ void Simulator::run_region(RegionRun& rr, const std::uint32_t* scope_tag,
   ShardMailbox mb(*this, rr, observed);
   const std::uint32_t tag = rr.region + 1;
 
-  // Timer phase: every scope node beacons (trace id base+v+1, exactly
-  // the sequential assignment). The hooks let the engine bind per-lane
-  // scratch before and synthesize out-of-scope heard marks after.
+  // Timer phase: the seeds and the neighbors whose beacons they hear
+  // (trace id base+v+1, exactly the sequential assignment). A seed's
+  // whole neighborhood lies inside the scope — the paint reaches well
+  // past every changed edge — so the scope never withholds a beacon a
+  // seed needs.
   const std::uint64_t timer_t0 = now_ns();
-  for (const NodeId v : rr.scope) {
-    if (before_timer) before_timer(v);
+  for (const NodeId s : rr.seeds) {
+    rr.timed_nodes.push_back(s);
+    for (const NodeId w : topo_->neighbors(s)) {
+      MANET_ASSERT(scope_tag[w] == tag,
+                   "a seed's neighbor lies outside its region's scope");
+      rr.timed_nodes.push_back(w);
+    }
+  }
+  std::sort(rr.timed_nodes.begin(), rr.timed_nodes.end());
+  rr.timed_nodes.erase(
+      std::unique(rr.timed_nodes.begin(), rr.timed_nodes.end()),
+      rr.timed_nodes.end());
+  for (const NodeId v : rr.timed_nodes) {
+    if (bind) bind(v);
     mb.begin_timer(v);
     nodes_[v]->on_timer(round_, mb);
     mb.end_timer();
-    if (after_timer) after_timer(v);
   }
-  for (const NodeId v : rr.scope)
+  rr.timed = rr.timed_nodes.size();
+  // Only seeds run round 1; a timed non-seed stays dormant.
+  for (const NodeId v : rr.seeds)
     if (nodes_[v]->awake()) rr.awake.push_back(v);
   rr.step_ns += now_ns() - timer_t0;
 
@@ -557,35 +575,60 @@ void Simulator::run_region(RegionRun& rr, const std::uint32_t* scope_tag,
     const std::uint64_t deliver_t0 = now_ns();
     for (const NodeId w : rr.touched) inbox_count_[w] = 0;
     rr.touched.clear();
-    // Counting-sort delivery, like run() but scope-filtered and into the
-    // region's private arena. The shared count/begin/cursor arrays are
-    // only written at in-scope indices, so concurrent regions (disjoint
-    // scopes) never touch the same entries.
-    for (const auto& m : rr.flight) {
-      for (const NodeId w : topo_->neighbors(m.from)) {
-        if (scope_tag[w] != tag) {
-          // Round 1: a boundary beacon heard outside the region —
-          // expected, bulk-accounted (2E covers every beacon delivery).
-          // Later rounds: a repair wave escaping its painted region
-          // would break independence; count it for the property test.
-          if (j >= 2) ++rr.cross_scope_late;
-          continue;
-        }
-        if (inbox_count_[w]++ == 0) rr.touched.push_back(w);
-        ++rr.delivery.deliveries;
-        if (j == 1) ++rr.round1_deliveries;
-      }
-    }
     std::uint32_t arena_total = 0;
-    for (const NodeId w : rr.touched) {
-      inbox_begin_[w] = arena_total;
-      inbox_cursor_[w] = arena_total;
-      arena_total += inbox_count_[w];
+    if (j == 1) {
+      // Round 1 delivers only to the seeds: each inbox holds the seed's
+      // neighbors' beacons in ascending sender order, as in the
+      // sequential tick. Every timed node sent exactly one beacon in
+      // timed_nodes order, so a sender's beacon sits at its rank there.
+      for (const NodeId v : rr.seeds) {
+        const auto deg =
+            static_cast<std::uint32_t>(topo_->neighbors(v).size());
+        if (deg == 0) continue;
+        inbox_count_[v] = deg;
+        inbox_begin_[v] = arena_total;
+        arena_total += deg;
+        rr.touched.push_back(v);
+      }
+      if (rr.arena.size() < arena_total) rr.arena.resize(arena_total);
+      for (const NodeId v : rr.touched) {
+        std::uint32_t at = inbox_begin_[v];
+        for (const NodeId w : topo_->neighbors(v)) {
+          const auto rank = std::lower_bound(rr.timed_nodes.begin(),
+                                             rr.timed_nodes.end(), w) -
+                            rr.timed_nodes.begin();
+          rr.arena[at++] = &rr.flight[static_cast<std::size_t>(rank)];
+        }
+      }
+      rr.delivery.deliveries += arena_total;
+      rr.round1_deliveries = arena_total;
+    } else {
+      // Counting-sort delivery, like run() but scope-filtered and into
+      // the region's private arena. The shared count/begin/cursor arrays
+      // are only written at in-scope indices, so concurrent regions
+      // (disjoint scopes) never touch the same entries. A repair wave
+      // escaping its painted region would break independence; count it
+      // for the property test.
+      for (const auto& m : rr.flight) {
+        for (const NodeId w : topo_->neighbors(m.from)) {
+          if (scope_tag[w] != tag) {
+            ++rr.cross_scope_late;
+            continue;
+          }
+          if (inbox_count_[w]++ == 0) rr.touched.push_back(w);
+          ++rr.delivery.deliveries;
+        }
+      }
+      for (const NodeId w : rr.touched) {
+        inbox_begin_[w] = arena_total;
+        inbox_cursor_[w] = arena_total;
+        arena_total += inbox_count_[w];
+      }
+      if (rr.arena.size() < arena_total) rr.arena.resize(arena_total);
+      for (const auto& m : rr.flight)
+        for (const NodeId w : topo_->neighbors(m.from))
+          if (scope_tag[w] == tag) rr.arena[inbox_cursor_[w]++] = &m;
     }
-    if (rr.arena.size() < arena_total) rr.arena.resize(arena_total);
-    for (const auto& m : rr.flight)
-      for (const NodeId w : topo_->neighbors(m.from))
-        if (scope_tag[w] == tag) rr.arena[inbox_cursor_[w]++] = &m;
     rr.deliver_ns += now_ns() - deliver_t0;
     rr.touched_by_round.push_back(
         static_cast<std::uint32_t>(rr.touched.size()));
@@ -610,6 +653,9 @@ void Simulator::run_region(RegionRun& rr, const std::uint32_t* scope_tag,
     ++rr.rounds;
     const std::uint64_t step_t0 = now_ns();
     for (const NodeId v : rr.dispatch) {
+      // Only a receiver can be dormant: an awake node was dispatched
+      // earlier this tick.
+      if (j >= 2 && inbox_count_[v] != 0 && wake && wake(v)) ++rr.woken;
       mb.begin_round(v, j);
       nodes_[v]->on_round(round_ + j, inbox_of(v, rr.arena), mb);
       ++rr.delivery.dispatches;
@@ -635,31 +681,35 @@ std::uint32_t Simulator::finish_sharded_tick(std::span<RegionRun> regions,
   std::uint32_t rounds = 1;
   for (const RegionRun& rr : regions) rounds = std::max(rounds, rr.rounds);
 
-  // Sends: the regions' own counts plus one beacon per out-of-scope
-  // node (the sequential tick beacons all n; quiescent nodes' beacons
-  // cause nothing, so skipping them changes no other counter).
-  std::size_t round1_in_scope = 0;
+  // Sends: the regions' own counts plus one beacon per untimed node
+  // (the sequential tick beacons all n; a beacon no seed hears causes
+  // nothing, so skipping it changes no other counter).
+  std::size_t timed = 0;
+  std::size_t round1_deliveries = 0;
+  std::size_t round1_receivers = 0;
   std::uint32_t max_sends = 0;
   for (const RegionRun& rr : regions) {
     counts_ += rr.counts;
     delivery_.deliveries += rr.delivery.deliveries;
     delivery_.dispatches += rr.delivery.dispatches;
-    round1_in_scope += rr.round1_deliveries;
+    timed += rr.timed;
+    round1_deliveries += rr.round1_deliveries;
+    if (rr.rounds >= 1) round1_receivers += rr.touched_by_round[0];
     cross_scope_late_ += rr.cross_scope_late;
     deliver_ns_ += rr.deliver_ns;
     step_ns_ += rr.step_ns;
     max_sends = std::max(max_sends, rr.sends);
   }
-  counts_.maint_hello += bulk.n_total - bulk.scope_total;
+  counts_.maint_hello += bulk.n_total - timed;
   // Round 1 delivers every beacon to every neighbor: 2E deliveries in
-  // the sequential tick, of which the regions performed their in-scope
-  // share physically.
-  delivery_.deliveries += bulk.edges2 - round1_in_scope;
+  // the sequential tick, of which the regions performed the seeds' share
+  // physically.
+  delivery_.deliveries += bulk.edges2 - round1_deliveries;
   // Round 1 dispatches every node with a non-empty inbox (degree > 0)
-  // or awake after its timer (non-empty cache — for out-of-scope nodes
-  // the two coincide: their links did not change). In-scope round-1
-  // dispatches are already in the regions' counts.
-  delivery_.dispatches += bulk.degpos_total - bulk.degpos_in_scope;
+  // or awake after its timer (a non-empty cache). For a non-seed the two
+  // coincide: its links did not change. The regions dispatched every
+  // seed, the degree-positive ones as receivers; add the rest.
+  delivery_.dispatches += bulk.degpos_total - round1_receivers;
 
   // Inbox resets, exactly as the sequential engine counts them: round 1
   // clears the previous tick's final touched (V_{T-1}); round 2 — if it

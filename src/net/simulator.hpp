@@ -137,22 +137,28 @@ struct ShardJournalEntry {
 struct RegionRun {
   // ---- inputs ----
   std::span<const NodeId> scope;   ///< sorted in-scope node ids
+  /// Sorted endpoints of the region's changed edges (a subset of scope):
+  /// the only nodes whose beacon round can do anything.
+  std::span<const NodeId> seeds;
   std::uint32_t region = 0;        ///< 0-based index among active regions
   std::uint32_t region_count = 1;  ///< number of active regions this tick
   // ---- outputs ----
   std::uint32_t rounds = 0;  ///< local rounds to regional quiescence
   std::uint32_t sends = 0;   ///< round-phase sends (beacons excluded)
+  std::size_t timed = 0;     ///< nodes whose timer ran (beacons sent)
+  std::size_t woken = 0;     ///< dormant nodes woken in rounds >= 2
   MessageCounts counts;      ///< sends by type (beacons included)
-  DeliveryStats delivery;    ///< in-scope deliveries/dispatches (resets
+  DeliveryStats delivery;    ///< physical deliveries/dispatches (resets
                              ///< are accounted analytically at merge)
-  std::size_t round1_deliveries = 0;  ///< in-scope beacon deliveries
+  std::size_t round1_deliveries = 0;  ///< beacon deliveries to the seeds
   std::size_t cross_scope_late = 0;   ///< scope-filtered sends, rounds>=2
                                       ///< (independence violations; 0)
   std::uint64_t deliver_ns = 0;  ///< wall time in delivery passes
   std::uint64_t step_ns = 0;     ///< wall time in on_timer/on_round
   /// queued[j-1] = messages queued for delivery after local round j.
   std::vector<std::size_t> queued;
-  /// touched_by_round[j-1] = inboxes that received in local round j.
+  /// touched_by_round[j-1] = inboxes that received in local round j
+  /// (round 1: the seeds with a neighbor).
   std::vector<std::uint32_t> touched_by_round;
   /// Nodes whose inboxes are left non-empty at regional quiescence
   /// (cleared by the next begin_sharded_tick).
@@ -165,21 +171,19 @@ struct RegionRun {
   std::vector<ShardJournalEntry> journal;
   // ---- private scratch ----
   std::vector<Message> flight, next_flight;
-  std::vector<NodeId> touched, awake, dispatch;
+  std::vector<NodeId> timed_nodes, touched, awake, dispatch;
   /// This region's delivery arena (the shared per-node offset arrays are
   /// written only at in-scope indices, so regions never contend).
   std::vector<const Message*> arena;
 };
 
 /// The whole-network quantities finish_sharded_tick needs to account for
-/// everything the region runs skipped: out-of-scope beacons, their
-/// deliveries, and the quiescent bulk of round-1 bookkeeping.
+/// everything the region runs skipped: the beacons of every untimed node,
+/// their deliveries, and the round-1 dispatches of every non-seed.
 struct ShardedMergeInputs {
   std::size_t n_total = 0;         ///< all nodes (every one beacons)
-  std::size_t scope_total = 0;     ///< sum of active scope sizes
   std::size_t edges2 = 0;          ///< 2|E| after this tick's commit
   std::size_t degpos_total = 0;    ///< nodes with degree > 0
-  std::size_t degpos_in_scope = 0; ///< ... of the active scopes
   /// deg_count[d] = number of nodes with degree d (d >= 1 used).
   std::span<const std::size_t> deg_count;
 };
@@ -239,10 +243,14 @@ class Simulator {
   //   run_region(rr_i, tag, ...);           // concurrently, one per region
   //   finish_sharded_tick(regions, bulk);   // once, sequential
   //
-  // run_region replays the legacy tick exactly for its scope — timer
-  // phase (one beacon per node, trace id base+v+1, the id the sequential
-  // trigger_timers would assign), then rounds to regional quiescence
-  // with delivery filtered to the scope. Everything the scopes exclude
+  // run_region replays the legacy tick exactly for its scope, but runs
+  // the beacon round physically only where it can matter: at the seeds
+  // (the changed edges' endpoints). The seeds and their neighbors fire
+  // their timers (beacon trace id base+v+1, the id the sequential
+  // trigger_timers would assign), round 1 delivers to and dispatches
+  // the seeds alone, and every other scope node stays dormant until a
+  // message reaches it in a later round, when the engine's wake hook
+  // replays its quiet round 1. Everything left dormant or out of scope
   // is bulk-accounted at merge from whole-network aggregates, making a
   // tick's cost O(active work), not O(n), while every counter, metric
   // and histogram lands bitwise-identical to the same tick sequence run
@@ -255,19 +263,20 @@ class Simulator {
   std::uint64_t begin_sharded_tick();
 
   /// Runs one active region to quiescence. `scope_tag[v] == rr.region+1`
-  /// identifies rr's scope (any other value is foreign). `before_timer`
-  /// and `after_timer` bracket every scope node's on_timer — the engine
-  /// uses them to bind per-lane scratch and to synthesize heard marks
-  /// for live out-of-scope neighbors whose beacons the scope filter
-  /// withholds. Callable concurrently for distinct regions (disjoint
-  /// scopes touch disjoint node state and inboxes).
+  /// identifies rr's scope (any other value is foreign). `bind` runs
+  /// before every timed node's on_timer (the engine binds per-lane
+  /// scratch there). `wake` runs before every dispatch of a node that
+  /// received in a round >= 2 and returns true when the node was dormant
+  /// and has now replayed its quiet round 1 (counted in rr.woken).
+  /// Callable concurrently for distinct regions (disjoint scopes touch
+  /// disjoint node state and inboxes).
   void run_region(RegionRun& rr, const std::uint32_t* scope_tag,
-                  const std::function<void(NodeId)>& before_timer,
-                  const std::function<void(NodeId)>& after_timer,
+                  const std::function<void(NodeId)>& bind,
+                  const std::function<bool(NodeId)>& wake,
                   std::uint32_t max_rounds = 100000);
 
   /// Merges the region runs (region-ascending — deterministic) plus the
-  /// bulk accounting of everything out of scope; advances the round
+  /// bulk accounting of everything they skipped; advances the round
   /// clock by the tick's round count R = max(1, max_r rounds_r) and
   /// returns it. Call with an empty span for a fully quiescent tick
   /// (beacons and round-1 bookkeeping are still accounted).

@@ -18,8 +18,8 @@ namespace {
 /// Paint growth for the message-driven engine's repair regions, tiered
 /// by what a mover's own changed edges can set off (the spare outermost
 /// painted ring in each bound keeps the paint boundary quiescent, which
-/// is what lets a neighboring region synthesize those nodes' beacons
-/// from the tick-start mirror).
+/// is what lets a woken scope node replay those nodes' beacons from its
+/// tick-start cache).
 ///
 /// Head tier — a changed edge touching a tick-start clusterhead (this
 /// covers every head-link loss, since the lost head IS an endpoint):
@@ -361,46 +361,33 @@ std::uint32_t MaintenanceEngine::run_sharded_tick(MaintTickStats& stats) {
       active_.push_back(r);
   const auto A = static_cast<std::uint32_t>(active_.size());
 
-  std::size_t scope_total = 0;
-  std::size_t degpos_in_scope = 0;
-  for (std::uint32_t a = 0; a < A; ++a) {
-    const auto& scope = regions_.scopes[active_[a]];
-    scope_total += scope.size();
-    for (const NodeId v : scope) {
-      scope_tag_[v] = a + 1;
-      if (deg_[v] > 0) ++degpos_in_scope;
-    }
-  }
+  for (std::uint32_t a = 0; a < A; ++a)
+    for (const NodeId v : regions_.scopes[active_[a]]) scope_tag_[v] = a + 1;
 
   if (region_runs_.size() < A) region_runs_.resize(A);
   while (region_ledgers_.size() < A) region_ledgers_.emplace_back();
 
+  const std::uint32_t timer_round = sim_->round();
   const auto run_one = [&](std::size_t a, std::size_t lane) {
     net::RegionRun& rr = region_runs_[a];
     rr.scope = regions_.scopes[active_[a]];
+    rr.seeds = regions_.deltas[active_[a]].touched;
     rr.region = static_cast<std::uint32_t>(a);
     rr.region_count = A;
     Ledger* const ledger = &region_ledgers_[a];
     KernelScratch* const scratch = &lane_scratch_[lane];
-    const std::uint32_t tag = static_cast<std::uint32_t>(a) + 1;
-    const auto before = [this, ledger, scratch](NodeId v) {
+    const auto bind = [this, ledger, scratch](NodeId v) {
       MaintenanceNode& nd = node_mut(v);
       nd.set_ledger(ledger);
       nd.set_scratch(scratch);
     };
-    const auto after = [this, tag, base](NodeId v) {
-      // The scope filter withholds the beacons of live neighbors
-      // outside this region (unpainted, or across a region boundary).
-      // Such links provably did not change and their senders' cluster
-      // state is frozen this tick, so a known-neighbor beacon would be
-      // a pure heard-refresh — synthesize it, with the trace id the
-      // sequential beacon phase assigns (base + sender + 1).
-      MaintenanceNode& nd = node_mut(v);
-      for (const NodeId w : nd.neighbors())
-        if (scope_tag_[w] != tag)
-          nd.mark_neighbor_heard(w, net::Cause{base + w + 1, 0});
+    // A dormant node binds this region's ledger and scratch before its
+    // replayed tr1, so a lane never writes another region's ledger.
+    const auto wake = [this, &bind, timer_round, base](NodeId v) {
+      bind(v);
+      return node_mut(v).wake_dormant(timer_round, base);
     };
-    sim_->run_region(rr, scope_tag_.data(), before, after,
+    sim_->run_region(rr, scope_tag_.data(), bind, wake,
                      options_.max_rounds_per_tick);
   };
   if (pool_ != nullptr && A > 1) {
@@ -411,13 +398,17 @@ std::uint32_t MaintenanceEngine::run_sharded_tick(MaintTickStats& stats) {
 
   net::ShardedMergeInputs bulk;
   bulk.n_total = tracker_.size();
-  bulk.scope_total = scope_total;
   bulk.edges2 = 2 * tracker_.adjacency().edge_count();
   bulk.degpos_total = degpos_;
-  bulk.degpos_in_scope = degpos_in_scope;
   bulk.deg_count = deg_count_;
   const std::uint32_t rounds = sim_->finish_sharded_tick(
       std::span<net::RegionRun>(region_runs_.data(), A), bulk);
+  for (std::uint32_t a = 0; a < A; ++a) {
+    const net::RegionRun& rr = region_runs_[a];
+    stats.scope_nodes += rr.scope.size();
+    stats.timed_nodes += rr.timed;
+    stats.woken_nodes += rr.woken;
+  }
 
   for (std::uint32_t a = 0; a < A; ++a)
     for (const NodeId v : regions_.scopes[active_[a]]) scope_tag_[v] = 0;
@@ -484,14 +475,7 @@ void MaintenanceEngine::drain_ledger(MaintTickStats& stats) {
     const MaintenanceNode& nd = node(v);
     if (clustering_.head_of[v] != nd.head()) {
       ++stats.head_changes;
-      const bool was_head = clustering_.head_of[v] == v;
-      const bool now_head = nd.is_head();
-      if (was_head != now_head) {
-        if (now_head)
-          insert_sorted(clustering_.heads, v);
-        else
-          erase_sorted(clustering_.heads, v);
-      }
+      if ((clustering_.head_of[v] == v) != nd.is_head()) sorted_stale_ = true;
       clustering_.head_of[v] = nd.head();
     }
     if (clustering_.roles[v] != nd.role()) {
@@ -533,10 +517,10 @@ void MaintenanceEngine::drain_ledger(MaintTickStats& stats) {
     if (fresh != stale) {
       for (const NodeId w : stale)
         if (!contains_sorted(fresh, w) && --selection_refs_[w] == 0)
-          erase_sorted(gateways_, w);
+          sorted_stale_ = true;
       for (const NodeId w : fresh)
         if (!contains_sorted(stale, w) && selection_refs_[w]++ == 0)
-          insert_sorted(gateways_, w);
+          sorted_stale_ = true;
     }
     // Retain the node's three head refs into the slot; allocate it on
     // first head refresh, recycle it when the node resigned (all rows
@@ -577,10 +561,22 @@ void MaintenanceEngine::drain_ledger(MaintTickStats& stats) {
   ledger_.head_rows_changed.clear();
 }
 
+void MaintenanceEngine::refresh_sorted() const {
+  if (!sorted_stale_) return;
+  clustering_.heads.clear();
+  gateways_.clear();
+  for (NodeId v = 0; v < clustering_.head_of.size(); ++v) {
+    if (clustering_.head_of[v] == v) clustering_.heads.push_back(v);
+    if (selection_refs_[v] > 0) gateways_.push_back(v);
+  }
+  sorted_stale_ = false;
+}
+
 std::uint64_t MaintenanceEngine::state_hash() const {
   // Same fold as core::backbone_state_hash — field order and length
   // prefixes are the contract — but read through the interned mirror
   // instead of materializing dense tables/coverage/selection vectors.
+  refresh_sorted();
   const std::size_t n = clustering_.head_of.size();
   std::uint64_t h = 14695981039346656037ULL;
   h = core::state_hash_nodes(h, clustering_.heads);
@@ -618,6 +614,7 @@ std::string MaintenanceEngine::diff_against(
 std::string MaintenanceEngine::diff_against(const core::StaticBackbone& oracle,
                                             NodeId* divergent) const {
   *divergent = kInvalidNode;
+  refresh_sorted();
   std::ostringstream os;
   if (clustering_.heads != oracle.clustering.heads) {
     // Witness: the first id on exactly one side of the symmetric diff.
@@ -700,6 +697,7 @@ std::string MaintenanceEngine::check_gateway_flags(const graph::Graph& g,
                                                    NodeId* origin) const {
   *divergent = kInvalidNode;
   *origin = kInvalidNode;
+  refresh_sorted();
   std::ostringstream os;
   const auto first_selected_origin = [](const MaintenanceNode& nd) {
     for (const auto& e : nd.origins())

@@ -89,6 +89,12 @@ struct MaintTickStats {
   std::vector<std::uint32_t> stale_ages;
   net::MessageCounts messages;       ///< transmissions this tick, by type
   net::DeliveryStats delivery;       ///< delivery-layer cost this tick
+  // What the sharded tick executed (threads >= 1; all 0 at threads = 0):
+  // the active regions' scopes, the nodes whose timer ran (the seeds and
+  // their neighbors), and the dormant scope nodes a message woke.
+  std::size_t scope_nodes = 0;
+  std::size_t timed_nodes = 0;
+  std::size_t woken_nodes = 0;
   // Per-phase wall-time breakdown of the tick (bench reporting only —
   // never part of any deterministic observable). Under concurrent
   // region execution deliver/node_step sum across lanes (CPU time).
@@ -115,7 +121,10 @@ class MaintenanceEngine {
   MaintTickStats tick();
 
   // ---- Maintained state (the hashable mirror) ----
-  const cluster::Clustering& clustering() const { return clustering_; }
+  const cluster::Clustering& clustering() const {
+    refresh_sorted();
+    return clustering_;
+  }
   /// Mirror CH_HOP1/CH_HOP2 row of `v` (interned; content-shared with
   /// the nodes' caches).
   const NodeSet& mirror_hop1(NodeId v) const {
@@ -130,9 +139,15 @@ class MaintenanceEngine {
     return store_.hop1(s != 0 ? head_rows_[s - 1].sel : kEmptyRow);
   }
   /// Union of all selected gateways (maintained by reference counts).
-  const NodeSet& gateways() const { return gateways_; }
+  const NodeSet& gateways() const {
+    refresh_sorted();
+    return gateways_;
+  }
   /// The SI-CDS: clusterheads ∪ gateways.
-  NodeSet cds() const { return set_union(clustering_.heads, gateways_); }
+  NodeSet cds() const {
+    refresh_sorted();
+    return set_union(clustering_.heads, gateways_);
+  }
 
   /// FNV-1a digest of the maintained state — bitwise-identical to
   /// exp::run_churn's digest of the incremental engine over the same
@@ -179,6 +194,9 @@ class MaintenanceEngine {
 
   MaintenanceNode& node_mut(NodeId v);
   void drain_ledger(MaintTickStats& stats);
+  /// Rebuilds the sorted head and gateway lists from their membership
+  /// flags if a drain changed either since the last read.
+  void refresh_sorted() const;
   /// The sharded tick body: region-scoped commit, concurrent region
   /// runs, deterministic merge. Fills stats.link_changes and returns
   /// the tick's round count.
@@ -207,7 +225,14 @@ class MaintenanceEngine {
   // selection rows live in slot-compacted entries of three refs each —
   // at n = 10^6 this keeps the whole mirror near 20 B/node where the
   // dense vectors cost ~390 (see DESIGN §9/S33).
-  cluster::Clustering clustering_;
+  //
+  // Membership of the head set is head_of[v] == v, of the gateway union
+  // selection_refs_[v] > 0; the drain updates only those flags. The
+  // sorted lists clustering_.heads and gateways_ are built from them on
+  // read (sorted_stale_): a head flip costs O(1) and the next read O(n),
+  // which the state hash and the oracle diff spend anyway.
+  mutable cluster::Clustering clustering_;  ///< heads: see sorted_stale_
+  mutable bool sorted_stale_ = false;
   std::vector<RowRef> mirror_hop1_;  ///< per-node CH_HOP1 row
   std::vector<RowRef> mirror_hop2_;  ///< per-node CH_HOP2 row
   /// One head's mirror rows: coverage halves + selection gateways (the
@@ -222,7 +247,7 @@ class MaintenanceEngine {
   std::vector<std::uint32_t> free_head_slots_;
   /// selection_refs_[v] = number of heads whose selection contains v.
   std::vector<std::uint32_t> selection_refs_;
-  NodeSet gateways_;  ///< {v : selection_refs_[v] > 0}
+  mutable NodeSet gateways_;  ///< {v : selection_refs_[v] > 0}
 
   // ---- Region-sharded execution (EngineOptions::threads > 0) ----
   std::vector<std::uint32_t> deg_;     ///< current degree per node

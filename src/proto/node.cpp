@@ -79,6 +79,13 @@ class CacheSelectionView final : public core::LocalSelectionView {
   const MaintenanceNode& node_;
 };
 
+/// Counts the sends of a replayed quiet round (there must be none).
+class CountingMailbox final : public net::Mailbox {
+ public:
+  void send(net::MessageBody /*body*/) override { ++sends; }
+  std::size_t sends = 0;
+};
+
 }  // namespace
 
 MaintenanceNode::MaintenanceNode(NodeId id, core::CoverageMode mode,
@@ -198,18 +205,12 @@ const NeighborCache* MaintenanceNode::find_neighbor(NodeId w) const {
   return const_cast<MaintenanceNode*>(this)->find_neighbor(w);
 }
 
-void MaintenanceNode::mark_neighbor_heard(NodeId w, net::Cause cause) {
-  NeighborCache* nb = find_neighbor(w);
-  MANET_ASSERT(nb != nullptr, "heard mark for an unknown neighbor");
-  if (nb == nullptr) return;
-  nb->heard = true;
-  nb->set_beacon_cause(cause);
-}
-
 // ---- Tick pacing --------------------------------------------------------
 
-void MaintenanceNode::on_timer(std::uint32_t round, net::Mailbox& out) {
-  MANET_ASSERT(!awake_, "previous tick did not quiesce");
+void MaintenanceNode::open_tick(std::uint32_t round) {
+  // A sharded tick's dormant node may still hold an earlier timer whose
+  // quiet tr1 never ran (tick_open_): nothing of it outlives these resets.
+  MANET_ASSERT(!awake_ || tick_open_, "previous tick did not quiesce");
   tick_base_ = round;
   tick_open_ = true;
   my_r1_ = kNone;
@@ -235,10 +236,36 @@ void MaintenanceNode::on_timer(std::uint32_t round, net::Mailbox& out) {
     nb.r1 = kNone;
     nb.r2 = kNone;
   }
+}
+
+void MaintenanceNode::on_timer(std::uint32_t round, net::Mailbox& out) {
+  open_tick(round);
   out.send(net::MaintHelloMsg{is_head(), head_});
   // Stay dispatched through tr1 so the beacon round gets processed even
   // when every link survived; an isolated node has nothing to expire.
   awake_ = !neighbor_ids_.empty();
+}
+
+bool MaintenanceNode::wake_dormant(std::uint32_t timer_round,
+                                   std::uint64_t beacon_base) {
+  if (tick_base_ == timer_round && !tick_open_) return false;
+  if (tick_base_ != timer_round) open_tick(timer_round);
+  // No incident link changed, so tr1 delivers exactly the cached
+  // neighbors' beacons, ascending by sender.
+  for (auto& nb : neighbors_) {
+    nb.heard = true;
+    nb.set_beacon_cause(net::Cause{beacon_base + nb.id + 1, 0});
+  }
+  if (!neighbors_.empty()) last_input_cause_ = neighbors_.back().beacon_cause();
+  inputs_this_round_ = false;
+  CountingMailbox quiet;
+  [[maybe_unused]] const std::size_t degree = neighbor_ids_.size();
+  process_tick_start(quiet);
+  tick_open_ = false;
+  evaluate(1, quiet);
+  MANET_ASSERT(quiet.sends == 0 && neighbor_ids_.size() == degree && !awake_,
+               "a dormant node's replayed tr1 was not quiet");
+  return true;
 }
 
 void MaintenanceNode::on_round(std::uint32_t round, net::Inbox inbox,

@@ -4,13 +4,16 @@
 //
 // Each mobility tick the engine fires every node's on_timer: the node
 // broadcasts a MAINT_HELLO beacon carrying its cluster status and
-// neighbor list. From the beacons delivered one round later (tick round
-// tr1) a node learns its exact current neighborhood — a cached neighbor
-// whose beacon is missing has moved out of range (the medium is
-// lossless, so one missed HELLO is conclusive), and a beacon from an
-// unknown sender is a new link. Everything after that is the localized
-// LCC repair and the incremental table/selection refresh, driven purely
-// by received messages plus the round clock:
+// neighbor list. (The region-sharded tick fires only the timers whose
+// beacons a changed link's endpoint hears; every other node replays its
+// quiet beacon round if and when a message reaches it — wake_dormant.)
+// From the beacons delivered one round later (tick round tr1) a node
+// learns its exact current neighborhood — a cached neighbor whose beacon
+// is missing has moved out of range (the medium is lossless, so one
+// missed HELLO is conclusive), and a beacon from an unknown sender is a
+// new link. Everything after that is the localized LCC repair and the
+// incremental table/selection refresh, driven purely by received
+// messages plus the round clock:
 //
 //  * Rule 1 (adjacent heads). Previous heads were pairwise non-adjacent,
 //    so every head-head link visible at tr1 appeared this tick; its
@@ -197,11 +200,15 @@ class MaintenanceNode final : public net::NodeProcess {
   void set_ledger(Ledger* ledger) { ledger_ = ledger; }
   /// Redirect kernel scratch to the executing lane's instance.
   void set_scratch(KernelScratch* scratch) { scratch_ = scratch; }
-  /// Engine fast path for quiescent senders: replicate the only effect a
-  /// skipped neighbor's beacon has on this node — the heard mark and its
-  /// causal id — without delivering a message. Asserts the cached head
-  /// state matches what the beacon would have carried (identity tick).
-  void mark_neighbor_heard(NodeId w, net::Cause cause);
+  /// Wakes a node left dormant through the beacon round of the sharded
+  /// tick whose timer fired at `timer_round` (beacon trace ids
+  /// `beacon_base + w + 1`), by replaying its quiet tr1: the timer's
+  /// resets unless the node was timed this tick, then every cached
+  /// neighbor's beacon heard. That is exactly the state the sequential
+  /// tick leaves in a node without a changed link — it sends nothing,
+  /// expires nothing and sleeps until a message arrives. Returns false,
+  /// doing nothing, when the node already ran tr1 this tick.
+  bool wake_dormant(std::uint32_t timer_round, std::uint64_t beacon_base);
 
   // ---- NodeProcess interface ----
   void start(net::Mailbox& /*out*/) override {}
@@ -264,6 +271,8 @@ class MaintenanceNode final : public net::NodeProcess {
 
   NeighborCache* find_neighbor(NodeId w);
   const NeighborCache* find_neighbor(NodeId w) const;
+  /// The timer's per-tick resets (on_timer minus the beacon).
+  void open_tick(std::uint32_t round);
   /// The origin-cache vector, materialized on first use. Most nodes
   /// most of the time cache nothing (only nodes near a selecting head
   /// hold entries), so the empty state costs one pointer, not a vector
@@ -322,7 +331,9 @@ class MaintenanceNode final : public net::NodeProcess {
   std::unique_ptr<std::vector<OriginCache>> origins_;
 
   // ---- Per-tick state ----
-  std::uint32_t tick_base_ = 0;  ///< round of the tick's on_timer
+  /// Round of the tick's on_timer (never a tick's round before the
+  /// first: a dormant node compares it with the current tick's).
+  std::uint32_t tick_base_ = ~std::uint32_t{0};
   NodeId old_head_ = kInvalidNode;  ///< affiliation at tick start
 
   // ---- Causal attribution (observability) ----

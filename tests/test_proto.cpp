@@ -258,68 +258,75 @@ TEST(ProtoEquivalence, MatchesRunChurnFinalHash) {
 // The crafted head-merge repair with the flight recorder attached: the
 // repair wave must land in the event journal as a single connected
 // causal chain, rooted at a beacon and spanning at least three node
-// tracks — the shape the Perfetto flow arrows render.
+// tracks — the shape the Perfetto flow arrows render. Sequential and
+// sharded ticks alike: a sharded tick journals only the beacons its
+// seeds hear, and the chain must still start at one of them.
 TEST(ProtoConvergence, WaveChainSpansThreeNodeTracks) {
   if (!obs::kEnabled) GTEST_SKIP() << "obs compiled out";
-  std::vector<geom::Point> pts = {{0, 0}, {1, 0}, {10, 0}, {11, 0}};
-  proto::EngineOptions opts =
-      oracle_options(core::CoverageMode::kTwoPointFiveHop);
-  obs::Session session;
-  opts.obs = &session;
-  proto::MaintenanceEngine engine(pts, 1.5, 20, 5, opts);
-  engine.stage_move(2, {1.4, 0});
-  engine.tick();
+  for (const std::size_t threads : {std::size_t{0}, std::size_t{1},
+                                    std::size_t{2}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::vector<geom::Point> pts = {{0, 0}, {1, 0}, {10, 0}, {11, 0}};
+    proto::EngineOptions opts =
+        oracle_options(core::CoverageMode::kTwoPointFiveHop);
+    opts.threads = threads;
+    obs::Session session;
+    opts.obs = &session;
+    proto::MaintenanceEngine engine(pts, 1.5, 20, 5, opts);
+    engine.stage_move(2, {1.4, 0});
+    engine.tick();
 
-  // The deepest wave of the repair tick.
-  std::optional<obs::JournalEvent> deepest;
-  session.journal.for_each([&](const obs::JournalEvent& e) {
-    if (!deepest || e.depth > deepest->depth) deepest = e;
-  });
-  ASSERT_TRUE(deepest.has_value());
-  EXPECT_GE(deepest->depth, 3u);
+    // The deepest wave of the repair tick.
+    std::optional<obs::JournalEvent> deepest;
+    session.journal.for_each([&](const obs::JournalEvent& e) {
+      if (!deepest || e.depth > deepest->depth) deepest = e;
+    });
+    ASSERT_TRUE(deepest.has_value());
+    EXPECT_GE(deepest->depth, 3u);
 
-  const std::vector<obs::JournalEvent> chain =
-      session.journal.causal_chain(deepest->trace_id);
-  ASSERT_GE(chain.size(), 3u);
-  EXPECT_EQ(chain.front().parent_id, 0u);  // rooted, not truncated
-  EXPECT_EQ(std::string(chain.front().type), "MAINT_HELLO");
-  std::set<std::uint32_t> tracks;
-  for (std::size_t i = 0; i < chain.size(); ++i) {
-    tracks.insert(chain[i].node);
-    if (i > 0) {
-      EXPECT_EQ(chain[i].parent_id, chain[i - 1].trace_id);
+    const std::vector<obs::JournalEvent> chain =
+        session.journal.causal_chain(deepest->trace_id);
+    ASSERT_GE(chain.size(), 3u);
+    EXPECT_EQ(chain.front().parent_id, 0u);  // rooted, not truncated
+    EXPECT_EQ(std::string(chain.front().type), "MAINT_HELLO");
+    std::set<std::uint32_t> tracks;
+    for (std::size_t i = 0; i < chain.size(); ++i) {
+      tracks.insert(chain[i].node);
+      if (i > 0) {
+        EXPECT_EQ(chain[i].parent_id, chain[i - 1].trace_id);
+      }
     }
+    EXPECT_GE(tracks.size(), 3u);
+
+    // The rule-1 sub-chain: node 2's final resigned R1_STATUS must be
+    // caused by head 0's surviving announcement, itself caused by a
+    // beacon that revealed the head-head edge.
+    std::optional<obs::JournalEvent> resigned;
+    session.journal.for_each([&](const obs::JournalEvent& e) {
+      if (e.node == 2 && std::string(e.type) == "R1_STATUS" && e.a == 1 &&
+          e.b == 0)
+        resigned = e;
+    });
+    ASSERT_TRUE(resigned.has_value());
+    const std::vector<obs::JournalEvent> r1_chain =
+        session.journal.causal_chain(resigned->trace_id);
+    ASSERT_EQ(r1_chain.size(), 3u);
+    EXPECT_EQ(std::string(r1_chain[0].type), "MAINT_HELLO");
+    EXPECT_EQ(std::string(r1_chain[1].type), "R1_STATUS");
+    EXPECT_EQ(r1_chain[1].node, 0u);  // the surviving smaller head
+    EXPECT_EQ(r1_chain[1].b, 1u);     // survived
+    EXPECT_EQ(r1_chain[0].parent_id, 0u);
+
+    // The convergence families landed in the deterministic snapshot: the
+    // resignation and the re-affiliation each pushed a stale-age sample,
+    // and the wave observer saw caused messages.
+    const std::string json =
+        session.registry.snapshot().deterministic().to_json();
+    EXPECT_NE(json.find("proto.conv.stale_age"), std::string::npos);
+    EXPECT_NE(json.find("proto.conv.wave_depth"), std::string::npos);
+    EXPECT_NE(json.find("proto.conv.quiescence_ticks"), std::string::npos);
+    EXPECT_NE(json.find("proto.conv.expired_links"), std::string::npos);
   }
-  EXPECT_GE(tracks.size(), 3u);
-
-  // The rule-1 sub-chain: node 2's final resigned R1_STATUS must be
-  // caused by head 0's surviving announcement, itself caused by a
-  // beacon that revealed the head-head edge.
-  std::optional<obs::JournalEvent> resigned;
-  session.journal.for_each([&](const obs::JournalEvent& e) {
-    if (e.node == 2 && std::string(e.type) == "R1_STATUS" && e.a == 1 &&
-        e.b == 0)
-      resigned = e;
-  });
-  ASSERT_TRUE(resigned.has_value());
-  const std::vector<obs::JournalEvent> r1_chain =
-      session.journal.causal_chain(resigned->trace_id);
-  ASSERT_EQ(r1_chain.size(), 3u);
-  EXPECT_EQ(std::string(r1_chain[0].type), "MAINT_HELLO");
-  EXPECT_EQ(std::string(r1_chain[1].type), "R1_STATUS");
-  EXPECT_EQ(r1_chain[1].node, 0u);  // the surviving smaller head
-  EXPECT_EQ(r1_chain[1].b, 1u);     // survived
-  EXPECT_EQ(r1_chain[0].parent_id, 0u);
-
-  // The convergence families landed in the deterministic snapshot: the
-  // resignation and the re-affiliation each pushed a stale-age sample,
-  // and the wave observer saw caused messages.
-  const std::string json =
-      session.registry.snapshot().deterministic().to_json();
-  EXPECT_NE(json.find("proto.conv.stale_age"), std::string::npos);
-  EXPECT_NE(json.find("proto.conv.wave_depth"), std::string::npos);
-  EXPECT_NE(json.find("proto.conv.quiescence_ticks"), std::string::npos);
-  EXPECT_NE(json.find("proto.conv.expired_links"), std::string::npos);
 }
 
 // proto.conv.* metrics are integer-deterministic: a crosschecked churn
@@ -366,15 +373,27 @@ exp::ChurnConfig sharded_base(exp::ChurnConfig::Model model,
   return base;
 }
 
+// The denser sharded soak: many concurrent regions per tick.
+exp::ChurnConfig dense_sharded_base() {
+  exp::ChurnConfig base = sharded_base(exp::ChurnConfig::Model::kWaypoint, 23);
+  base.nodes = 150;
+  base.ticks = 150;
+  base.move_fraction = 0.08;
+  return base;
+}
+
 // Lockstep hash soak: the sharded engine (at several thread counts) must
 // hold the sequential engine's exact state hash after every tick, under
 // both mobility models. The sequential engine is itself crosschecked
 // against the incremental pipeline elsewhere, so this transitively pins
 // the sharded state to the whole equivalence tower.
 TEST(ProtoSharded, LockstepMatchesSequentialEngine) {
-  for (const auto model : {exp::ChurnConfig::Model::kWaypoint,
-                           exp::ChurnConfig::Model::kRandomDirection}) {
-    const exp::ChurnConfig base = sharded_base(model, 41);
+  const exp::ChurnConfig configs[] = {
+      sharded_base(exp::ChurnConfig::Model::kWaypoint, 41),
+      sharded_base(exp::ChurnConfig::Model::kRandomDirection, 41),
+      dense_sharded_base()};
+  for (const exp::ChurnConfig& base : configs) {
+    const auto model = base.model;
     exp::MobilityMix seq_mix(base);
     proto::EngineOptions seq_opts;
     seq_opts.mode = base.mode;
@@ -409,7 +428,7 @@ TEST(ProtoSharded, LockstepMatchesSequentialEngine) {
         engines[i]->tick();
         ASSERT_EQ(engines[i]->state_hash(), expect)
             << "threads=" << thread_counts[i] << " diverged at tick "
-            << tick + 1 << " (model "
+            << tick + 1 << " (" << base.nodes << " nodes, model "
             << (model == exp::ChurnConfig::Model::kWaypoint ? "waypoint"
                                                             : "direction")
             << ")";
@@ -477,10 +496,7 @@ TEST(ProtoSharded, MetricsBitwiseEqualAcrossThreads) {
 // exactly zero — the painted growth of 7 cells strictly contains the
 // deepest repair wave the protocol can launch.
 TEST(ProtoSharded, NoCrossRegionMessageWithinTick) {
-  exp::ChurnConfig base = sharded_base(exp::ChurnConfig::Model::kWaypoint, 23);
-  base.nodes = 150;
-  base.ticks = 150;
-  base.move_fraction = 0.08;  // many concurrent regions per tick
+  const exp::ChurnConfig base = dense_sharded_base();
   exp::MobilityMix mix(base);
   proto::EngineOptions opts;
   opts.mode = core::CoverageMode::kTwoPointFiveHop;
@@ -493,6 +509,95 @@ TEST(ProtoSharded, NoCrossRegionMessageWithinTick) {
     engine.tick();
     ASSERT_EQ(engine.cross_scope_late(), 0u)
         << "a repair wave escaped its painted region at tick " << tick + 1;
+  }
+}
+
+// One observed sharded soak folded into a single FNV digest: every
+// tick's state hash, then every journal event except the MAINT_HELLO
+// beacons (round, node, type, trace id, parent id, depth, payload
+// summary). The beacons are left out because which of them the sharded
+// tick materializes is an execution detail; everything they cause is in.
+struct ShardedSoak {
+  std::uint64_t digest = 14695981039346656037ULL;
+  std::size_t scope_nodes = 0;  ///< summed over ticks
+  std::size_t timed_nodes = 0;
+  std::size_t woken_nodes = 0;
+};
+
+ShardedSoak run_observed_sharded_soak(const exp::ChurnConfig& base,
+                                      std::size_t threads) {
+  obs::Session session(std::size_t{1} << 18);
+  exp::MobilityMix mix(base);
+  proto::EngineOptions opts;
+  opts.mode = base.mode;
+  opts.threads = threads;
+  opts.obs = &session;
+  proto::MaintenanceEngine engine(mix.positions(), mix.range(), base.width,
+                                  base.height, opts);
+  ShardedSoak out;
+  std::uint64_t& h = out.digest;
+  for (std::size_t tick = 0; tick < base.ticks; ++tick) {
+    for (const NodeId v : mix.advance(mix.movers_per_tick()))
+      engine.stage_move(v, mix.positions()[v]);
+    const proto::MaintTickStats stats = engine.tick();
+    EXPECT_LE(stats.timed_nodes, stats.scope_nodes);
+    EXPECT_LE(stats.woken_nodes, stats.scope_nodes);
+    out.scope_nodes += stats.scope_nodes;
+    out.timed_nodes += stats.timed_nodes;
+    out.woken_nodes += stats.woken_nodes;
+    h = core::state_hash_mix(h, engine.state_hash());
+  }
+  EXPECT_EQ(session.journal.total_recorded(), session.journal.size())
+      << "the journal evicted events; the digest would be partial";
+  std::size_t folded = 0;
+  session.journal.for_each([&](const obs::JournalEvent& e) {
+    const std::string type = e.type;
+    if (type == "MAINT_HELLO") return;
+    ++folded;
+    h = core::state_hash_mix(h, e.round);
+    h = core::state_hash_mix(h, e.node);
+    for (const char c : type)
+      h = core::state_hash_mix(h, static_cast<std::uint8_t>(c));
+    h = core::state_hash_mix(h, e.trace_id);
+    h = core::state_hash_mix(h, e.parent_id);
+    h = core::state_hash_mix(h, e.depth);
+    h = core::state_hash_mix(h, e.a);
+    h = core::state_hash_mix(h, e.b);
+  });
+  EXPECT_GT(folded, 0u);
+  return out;
+}
+
+// Golden digests of the sharded engine's observable behavior, recorded
+// with every scope node running the beacon round: leaving nodes dormant
+// may drop journaled beacons but nothing else, at one thread or two.
+// The soaks must also time fewer nodes than their scopes hold and wake
+// some dormant ones, or they would not exercise the dormant path.
+TEST(ProtoSharded, JournalDigestMatchesGolden) {
+  if (!obs::kEnabled) GTEST_SKIP() << "obs compiled out";
+  struct Case {
+    const char* name;
+    exp::ChurnConfig base;
+    std::uint64_t golden;
+  };
+  exp::ChurnConfig waypoint =
+      sharded_base(exp::ChurnConfig::Model::kWaypoint, 17);
+  waypoint.ticks = 80;
+  const Case cases[] = {
+      {"waypoint seed 17", waypoint, 0x18482cb6c82efec9ULL},
+      {"dense seed 23", dense_sharded_base(), 0xa617aa58ef18a05bULL},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const ShardedSoak one = run_observed_sharded_soak(c.base, 1);
+    const ShardedSoak two = run_observed_sharded_soak(c.base, 2);
+    EXPECT_EQ(one.digest, c.golden) << "0x" << std::hex << one.digest;
+    EXPECT_EQ(two.digest, c.golden) << "0x" << std::hex << two.digest;
+    EXPECT_GT(one.woken_nodes, 0u);
+    EXPECT_LT(one.timed_nodes, one.scope_nodes);
+    EXPECT_EQ(two.scope_nodes, one.scope_nodes);
+    EXPECT_EQ(two.timed_nodes, one.timed_nodes);
+    EXPECT_EQ(two.woken_nodes, one.woken_nodes);
   }
 }
 
