@@ -135,6 +135,7 @@ void write_json(const std::string& path, std::uint64_t seed,
                 ? "true"
                 : "false")
         << ", \"wall_ms_per_tick\": " << r.wall_ms_per_tick
+        << ", \"commit_ms_per_tick\": " << r.commit_ms_per_tick
         << ", \"deliver_ms_per_tick\": " << r.deliver_ms_per_tick
         << ", \"node_step_ms_per_tick\": " << r.node_step_ms_per_tick
         << ", \"mirror_ms_per_tick\": " << r.mirror_ms_per_tick
@@ -340,10 +341,11 @@ int main(int argc, char** argv) {
       rss_per_node = static_cast<double>(r.peak_rss_bytes) /
                      static_cast<double>(r.nodes);
       std::printf(
-          "%36s thr %zu, wall %.3f ms/tick (deliver %.3f, node %.3f, "
-          "mirror %.3f), rss %.1f MB (%.0f B/node)\n",
-          "", t, r.wall_ms_per_tick, r.deliver_ms_per_tick,
-          r.node_step_ms_per_tick, r.mirror_ms_per_tick,
+          "%36s thr %zu, wall %.3f ms/tick (commit %.3f, deliver %.3f, "
+          "node %.3f, mirror %.3f), rss %.1f MB (%.0f B/node)\n",
+          "", t, r.wall_ms_per_tick, r.commit_ms_per_tick,
+          r.deliver_ms_per_tick, r.node_step_ms_per_tick,
+          r.mirror_ms_per_tick,
           static_cast<double>(r.peak_rss_bytes) / (1024.0 * 1024.0),
           rss_per_node);
       warn_if_disconnected(config, r);

@@ -81,7 +81,8 @@ MsgChurnResult run_msg_churn(const MsgChurnConfig& config) {
   std::size_t deliveries = 0;
   std::size_t rounds_sum = 0;
   double wall_ms = 0.0;
-  double deliver_ms = 0.0, node_step_ms = 0.0, mirror_ms = 0.0;
+  double commit_ms = 0.0, deliver_ms = 0.0, node_step_ms = 0.0,
+         mirror_ms = 0.0;
 
   for (std::size_t tick = 0; tick < base.ticks; ++tick) {
     const bool is_burst = tick == burst_tick;
@@ -111,6 +112,7 @@ MsgChurnResult run_msg_churn(const MsgChurnConfig& config) {
     }
 
     rounds_sum += stats.rounds;
+    commit_ms += stats.commit_ms;
     deliver_ms += stats.deliver_ms;
     node_step_ms += stats.node_step_ms;
     mirror_ms += stats.mirror_ms;
@@ -149,6 +151,7 @@ MsgChurnResult run_msg_churn(const MsgChurnConfig& config) {
   result.mean_rows_changed /= ticks;
   result.mean_heads_refreshed /= ticks;
   result.wall_ms_per_tick = wall_ms / ticks;
+  result.commit_ms_per_tick = commit_ms / ticks;
   result.deliver_ms_per_tick = deliver_ms / ticks;
   result.node_step_ms_per_tick = node_step_ms / ticks;
   result.mirror_ms_per_tick = mirror_ms / ticks;

@@ -74,8 +74,10 @@ struct MsgChurnResult {
   double mean_heads_refreshed = 0.0;
   double wall_ms_per_tick = 0.0;  ///< engine tick cost (protocol side only)
   // Mean per-phase breakdown of wall_ms_per_tick (bench reporting; the
-  // remainder is commit/accounting overhead). Summed across lanes under
-  // concurrent region execution, so deliver+node_step can exceed wall.
+  // remainder is accounting overhead). Deliver and node step are summed
+  // across lanes under concurrent region execution, so deliver+node_step
+  // can exceed wall; commit and mirror run on the caller alone.
+  double commit_ms_per_tick = 0.0;     ///< tracker commit + region build
   double deliver_ms_per_tick = 0.0;    ///< message delivery passes
   double node_step_ms_per_tick = 0.0;  ///< node code (timers + rounds)
   double mirror_ms_per_tick = 0.0;     ///< mirror refresh (ledger drain)

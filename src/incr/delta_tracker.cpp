@@ -283,11 +283,13 @@ void DeltaTracker::scan_chunk(std::size_t begin, std::size_t end,
 EdgeDelta DeltaTracker::commit(const CommitOptions& opts) {
   EdgeDelta delta;
   last_cells_scanned_ = 0;
+  // The previous commit's scopes expire here; only build_regions below
+  // makes scope_region answer again.
+  paint_region_.clear();
   if (opts.regions) {
     opts.regions->count = 0;
     opts.regions->deltas.clear();
     opts.regions->core_cells.clear();
-    opts.regions->scopes.clear();
     opts.regions->cols = cols_;
     opts.regions->rows = rows_;
   }
@@ -423,13 +425,20 @@ std::uint32_t DeltaTracker::paint_insert(std::uint64_t key,
   }
 }
 
-std::uint32_t DeltaTracker::paint_get(std::uint64_t key) const {
+std::uint32_t DeltaTracker::paint_find(std::uint64_t key) const {
   const std::size_t mask = paint_keys_.size() - 1;
   for (std::size_t h = mix64(key) & mask;; h = (h + 1) & mask) {
     if (paint_keys_[h] == key) return paint_labels_[h];
-    MANET_ASSERT(paint_keys_[h] != ~std::uint64_t{0},
-                 "delta endpoint outside the painted dirty region");
+    if (paint_keys_[h] == ~std::uint64_t{0}) return kNoSlot;
   }
+}
+
+std::uint32_t DeltaTracker::scope_region(NodeId v) const {
+  // Empty until a commit builds regions, which also sizes the paint map
+  // (an empty map has no probe mask).
+  if (paint_region_.empty()) return kNoRegion;
+  const std::uint32_t label = paint_find(key_of_slot(cell_of_node_[v]));
+  return label == kNoSlot ? kNoRegion : paint_region_[label];
 }
 
 void DeltaTracker::build_regions(const EdgeDelta& delta,
@@ -528,15 +537,14 @@ void DeltaTracker::build_regions(const EdgeDelta& delta,
     }
   }
 
-  // Dense region ids in first-seen staged order (deterministic).
-  std::vector<std::uint32_t> region_of_root(staged_.size(), kInvalidNode);
-  std::vector<std::uint32_t> region_of_staged(staged_.size());
+  // Dense region ids in first-seen staged order (deterministic). A
+  // set's root is its smallest staged index (unite keeps the min), so
+  // an ascending walk meets every root before the rest of its set.
+  paint_region_.resize(staged_.size());
   for (std::uint32_t i = 0; i < staged_.size(); ++i) {
     const std::uint32_t root = find(i);
-    if (region_of_root[root] == kInvalidNode) {
-      region_of_root[root] = static_cast<std::uint32_t>(out.count++);
-    }
-    region_of_staged[i] = region_of_root[root];
+    paint_region_[i] = root == i ? static_cast<std::uint32_t>(out.count++)
+                                 : paint_region_[root];
   }
   out.deltas.resize(out.count);
   out.core_cells.resize(out.count);
@@ -558,7 +566,7 @@ void DeltaTracker::build_regions(const EdgeDelta& delta,
       const std::size_t r1 = std::min(row + 1, rows_ - 1);
       for (std::size_t r = r0; r <= r1; ++r)
         for (std::size_t c = c0; c <= c1; ++c)
-          out.core_cells[region_of_staged[i]].push_back(
+          out.core_cells[paint_region_[i]].push_back(
               static_cast<std::uint64_t>(r) * cols_ + c);
     }
   }
@@ -567,31 +575,23 @@ void DeltaTracker::build_regions(const EdgeDelta& delta,
     cells.erase(std::unique(cells.begin(), cells.end()), cells.end());
   }
 
-  // Per-region node scopes: the occupants of every painted (grown) cell,
-  // attributed to the cell's final region. With each mover's growth
-  // sized one cell past its wave's receiver bound, every node a
-  // region's repair wave can touch this tick — senders AND receivers —
-  // lives strictly inside the paint, so messages never cross region
-  // boundaries and the outermost painted ring stays quiescent (the
-  // message-level independence the sharded protocol engine runs on).
-  if (opts.region_scopes) {
-    out.scopes.resize(out.count);
-    for (std::size_t h = 0; h < paint_keys_.size(); ++h) {
-      if (paint_keys_[h] == ~std::uint64_t{0}) continue;
-      const std::uint32_t slot = slot_of(paint_keys_[h]);
-      if (slot == kNoSlot || cells_[slot].empty()) continue;
-      auto& scope = out.scopes[region_of_root[find(paint_labels_[h])]];
-      scope.insert(scope.end(), cells_[slot].begin(), cells_[slot].end());
-    }
-    for (auto& scope : out.scopes) std::sort(scope.begin(), scope.end());
-  }
+  // A region's node scope is what scope_region reads off this paint.
+  // With each mover's growth sized one cell past its wave's receiver
+  // bound, every node a region's repair wave can touch this tick —
+  // senders AND receivers — lives strictly inside the paint, so messages
+  // never cross region boundaries and the outermost painted ring stays
+  // quiescent (the message-level independence the sharded protocol
+  // engine runs on).
 
   // Distribute the delta. Both endpoints of a changed edge sit in cells
   // of the same region (painting covers every endpoint's cell and the
   // blocks overlap), so any endpoint names the edge's region; iterating
   // the globally sorted lists keeps every per-region slice sorted.
   const auto region_of_cell = [&](std::uint32_t slot) {
-    return region_of_root[find(paint_get(key_of_slot(slot)))];
+    const std::uint32_t label = paint_find(key_of_slot(slot));
+    MANET_ASSERT(label != kNoSlot,
+                 "delta endpoint outside the painted dirty region");
+    return paint_region_[label];
   };
   for (const auto& e : delta.added) {
     const std::uint32_t r0 = region_of_cell(cell_of_node_[e.first]);

@@ -48,6 +48,10 @@ class WorkerPool;
 /// Symmetric growth by 2 guarantees >= 2*2+1 = 5.
 inline constexpr std::size_t kRegionGrowthCells = 2;
 
+/// DeltaTracker::scope_region's answer for a node outside every painted
+/// region (and for every node when the last commit built no regions).
+inline constexpr std::uint32_t kNoRegion = 0xffffffffu;
+
 /// One commit's staged moves partitioned into independent dirty
 /// regions: connected components of the grown dirty blocks. Every
 /// changed edge (both endpoints) and every touched node of the tick
@@ -55,6 +59,8 @@ inline constexpr std::size_t kRegionGrowthCells = 2;
 /// >= 2*kRegionGrowthCells+1 cells apart — far enough that the
 /// region-parallel repair stage can never observe another region's
 /// writes (the S30 independence argument, pinned by property tests).
+/// A region's node scope is not listed here: DeltaTracker::scope_region
+/// looks it up in the commit's paint map.
 struct RegionPartition {
   std::size_t count = 0;           ///< number of regions this commit
   std::vector<EdgeDelta> deltas;   ///< per-region slice of the delta
@@ -64,13 +70,6 @@ struct RegionPartition {
   /// tests assert. 64-bit because the sparse index runs the lattice
   /// unclamped.
   std::vector<std::vector<std::uint64_t>> core_cells;
-  /// Per-region sorted node ids living in the region's painted (grown)
-  /// cells, filled only when CommitOptions::region_scopes is set. Every
-  /// node belongs to at most one region's scope (painted areas are
-  /// disjoint); a node outside every scope sits at least (g - 1) cells
-  /// — hence at least that many unit-disk hops — from any changed edge
-  /// painted with growth g, for every growth tier in play.
-  std::vector<std::vector<NodeId>> scopes;
   std::size_t cols = 1;            ///< grid shape, for cell geometry
   std::size_t rows = 1;
 };
@@ -95,8 +94,6 @@ struct CommitOptions {
   /// repair traffic travels further (row re-broadcasts feeding head
   /// reselection feeding TTL-2 gateway floods — see DESIGN).
   std::size_t growth_cells = kRegionGrowthCells;
-  /// Also fill RegionPartition::scopes (nodes per painted region).
-  bool region_scopes = false;
   /// Optional per-mover growth tiering. When `head_of` is non-empty
   /// (head_of[v] == v marks v a clusterhead as of the start of the
   /// tick), a staged node paints `growth_cells` only if one of its OWN
@@ -172,6 +169,18 @@ class DeltaTracker {
   /// edits. See CommitOptions; the delta is identical in every mode.
   EdgeDelta commit(const CommitOptions& opts);
 
+  /// Region whose scope holds `v` after the last commit, or kNoRegion.
+  /// A region's scope is the nodes whose committed cell its paint (the
+  /// grown blocks of its movers) covers. Scopes are disjoint, and a node
+  /// outside every scope sits at least (g - 1) cells — hence at least
+  /// that many unit-disk hops — from any changed edge painted with
+  /// growth g, for every growth tier in play. The answer is one probe of
+  /// the paint map and holds until the next commit: a commit that builds
+  /// no regions (no RegionPartition, or nothing staged) answers
+  /// kNoRegion for every node, and stage_move changes no answer. Safe to
+  /// call concurrently; `v` must be < size().
+  std::uint32_t scope_region(NodeId v) const;
+
   /// Replays a delta returned by a defer_adjacency commit onto the
   /// overlay. Must be applied in commit order before the next commit's
   /// scan (the scan diffs against the current overlay).
@@ -232,13 +241,14 @@ class DeltaTracker {
   /// kNoSlot. Grows on demand.
   std::uint32_t paint_insert(std::uint64_t key, std::uint32_t label);
 
-  /// Label of the painter of `key`; asserts the cell was painted.
-  std::uint32_t paint_get(std::uint64_t key) const;
+  /// Label of the painter of `key`, or kNoSlot if the cell is unpainted.
+  std::uint32_t paint_find(std::uint64_t key) const;
 
   /// Paints the grown dirty blocks (per-mover growth per CommitOptions'
-  /// tiering), unions overlapping labels, and fills `out` from the
-  /// committed `delta`. `old_slots[i]` is the slot staged_[i] occupied
-  /// before migration.
+  /// tiering), unions overlapping labels, maps every label to its
+  /// region in paint_region_, and fills `out` from the committed
+  /// `delta`. `old_slots[i]` is the slot staged_[i] occupied before
+  /// migration.
   void build_regions(const EdgeDelta& delta,
                      const std::vector<std::uint32_t>& old_slots,
                      const CommitOptions& opts, RegionPartition& out);
@@ -267,12 +277,15 @@ class DeltaTracker {
 
   // Per-commit scratch (allocated once, O(staged) per tick): dirty-block
   // keys for the cells-scanned count, the open-addressing paint map of
-  // the region builder, and the union-find over staged indices.
+  // the region builder, and the union-find over staged indices. The
+  // paint map and paint_region_ outlive the commit: scope_region reads
+  // them until the next one, which empties paint_region_ first.
   std::vector<std::uint64_t> scanned_keys_;
   std::vector<std::uint64_t> paint_keys_;     // pow2, UINT64_MAX = empty
-  std::vector<std::uint32_t> paint_labels_;
+  std::vector<std::uint32_t> paint_labels_;   // painter's staged index
   std::size_t paint_count_ = 0;
   std::vector<std::uint32_t> union_parent_;   // DSU over staged indices
+  std::vector<std::uint32_t> paint_region_;   // staged index -> region id
 };
 
 }  // namespace manet::incr

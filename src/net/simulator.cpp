@@ -505,7 +505,8 @@ std::uint64_t Simulator::begin_sharded_tick() {
   return sharded_base_;
 }
 
-void Simulator::run_region(RegionRun& rr, const std::uint32_t* scope_tag,
+void Simulator::run_region(RegionRun& rr,
+                           const std::function<bool(NodeId)>& in_scope,
                            const std::function<void(NodeId)>& bind,
                            const std::function<bool(NodeId)>& wake,
                            std::uint32_t max_rounds) {
@@ -533,7 +534,6 @@ void Simulator::run_region(RegionRun& rr, const std::uint32_t* scope_tag,
 
   const bool observed = obs_ != nullptr;
   ShardMailbox mb(*this, rr, observed);
-  const std::uint32_t tag = rr.region + 1;
 
   // Timer phase: the seeds and the neighbors whose beacons they hear
   // (trace id base+v+1, exactly the sequential assignment). A seed's
@@ -544,7 +544,7 @@ void Simulator::run_region(RegionRun& rr, const std::uint32_t* scope_tag,
   for (const NodeId s : rr.seeds) {
     rr.timed_nodes.push_back(s);
     for (const NodeId w : topo_->neighbors(s)) {
-      MANET_ASSERT(scope_tag[w] == tag,
+      MANET_ASSERT(in_scope(w),
                    "a seed's neighbor lies outside its region's scope");
       rr.timed_nodes.push_back(w);
     }
@@ -608,26 +608,29 @@ void Simulator::run_region(RegionRun& rr, const std::uint32_t* scope_tag,
       // are only written at in-scope indices, so concurrent regions
       // (disjoint scopes) never touch the same entries. A repair wave
       // escaping its painted region would break independence; count it
-      // for the property test.
-      for (const auto& m : rr.flight) {
-        for (const NodeId w : topo_->neighbors(m.from)) {
-          if (scope_tag[w] != tag) {
+      // for the property test. The count pass asks in_scope once per
+      // (sender, neighbor) pair and records the kept pairs in delivery
+      // order, which the arena fill replays.
+      rr.receivers.clear();
+      for (std::size_t i = 0; i < rr.flight.size(); ++i) {
+        for (const NodeId w : topo_->neighbors(rr.flight[i].from)) {
+          if (!in_scope(w)) {
             ++rr.cross_scope_late;
             continue;
           }
           if (inbox_count_[w]++ == 0) rr.touched.push_back(w);
-          ++rr.delivery.deliveries;
+          rr.receivers.emplace_back(static_cast<std::uint32_t>(i), w);
         }
       }
+      rr.delivery.deliveries += rr.receivers.size();
       for (const NodeId w : rr.touched) {
         inbox_begin_[w] = arena_total;
         inbox_cursor_[w] = arena_total;
         arena_total += inbox_count_[w];
       }
       if (rr.arena.size() < arena_total) rr.arena.resize(arena_total);
-      for (const auto& m : rr.flight)
-        for (const NodeId w : topo_->neighbors(m.from))
-          if (scope_tag[w] == tag) rr.arena[inbox_cursor_[w]++] = &m;
+      for (const auto& [i, w] : rr.receivers)
+        rr.arena[inbox_cursor_[w]++] = &rr.flight[i];
     }
     rr.deliver_ns += now_ns() - deliver_t0;
     rr.touched_by_round.push_back(

@@ -21,6 +21,7 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -136,9 +137,8 @@ struct ShardJournalEntry {
 /// resets the outputs); the scratch vectors amortize to zero allocation.
 struct RegionRun {
   // ---- inputs ----
-  std::span<const NodeId> scope;   ///< sorted in-scope node ids
-  /// Sorted endpoints of the region's changed edges (a subset of scope):
-  /// the only nodes whose beacon round can do anything.
+  /// Sorted endpoints of the region's changed edges (in scope): the only
+  /// nodes whose beacon round can do anything.
   std::span<const NodeId> seeds;
   std::uint32_t region = 0;        ///< 0-based index among active regions
   std::uint32_t region_count = 1;  ///< number of active regions this tick
@@ -172,6 +172,9 @@ struct RegionRun {
   // ---- private scratch ----
   std::vector<Message> flight, next_flight;
   std::vector<NodeId> timed_nodes, touched, awake, dispatch;
+  /// One round's in-scope (flight index, receiver) pairs in delivery
+  /// order: the count pass fills it, the arena fill replays it.
+  std::vector<std::pair<std::uint32_t, NodeId>> receivers;
   /// This region's delivery arena (the shared per-node offset arrays are
   /// written only at in-scope indices, so regions never contend).
   std::vector<const Message*> arena;
@@ -234,13 +237,14 @@ class Simulator {
   // ---- Region-sharded maintenance ticks ----------------------------------
   //
   // The maintenance protocol's repair waves are confined to the painted
-  // dirty regions of the tick's movement (incr::RegionPartition with
-  // region_scopes): nodes of distinct regions exchange no messages
-  // within a tick, and nodes outside every region do nothing but beacon
-  // and refresh heard flags. A sharded tick exploits that:
+  // dirty regions of the tick's movement (incr::RegionPartition, scopes
+  // per incr::DeltaTracker::scope_region): nodes of distinct regions
+  // exchange no messages within a tick, and nodes outside every region
+  // do nothing but beacon and refresh heard flags. A sharded tick
+  // exploits that:
   //
   //   base = begin_sharded_tick();          // once, sequential
-  //   run_region(rr_i, tag, ...);           // concurrently, one per region
+  //   run_region(rr_i, in_scope_i, ...);    // concurrently, one per region
   //   finish_sharded_tick(regions, bulk);   // once, sequential
   //
   // run_region replays the legacy tick exactly for its scope, but runs
@@ -262,15 +266,16 @@ class Simulator {
   /// supported (regions journal into private buffers instead).
   std::uint64_t begin_sharded_tick();
 
-  /// Runs one active region to quiescence. `scope_tag[v] == rr.region+1`
-  /// identifies rr's scope (any other value is foreign). `bind` runs
-  /// before every timed node's on_timer (the engine binds per-lane
-  /// scratch there). `wake` runs before every dispatch of a node that
-  /// received in a round >= 2 and returns true when the node was dormant
-  /// and has now replayed its quiet round 1 (counted in rr.woken).
-  /// Callable concurrently for distinct regions (disjoint scopes touch
-  /// disjoint node state and inboxes).
-  void run_region(RegionRun& rr, const std::uint32_t* scope_tag,
+  /// Runs one active region to quiescence. `in_scope(v)` is true exactly
+  /// for the nodes of rr's scope; it is asked once per (sender,
+  /// neighbor) pair of rounds >= 2 and, as an invariant check, for every
+  /// seed neighbor. `bind` runs before every timed node's on_timer (the
+  /// engine binds per-lane scratch there). `wake` runs before every
+  /// dispatch of a node that received in a round >= 2 and returns true
+  /// when the node was dormant and has now replayed its quiet round 1
+  /// (counted in rr.woken). Callable concurrently for distinct regions
+  /// (disjoint scopes touch disjoint node state and inboxes).
+  void run_region(RegionRun& rr, const std::function<bool(NodeId)>& in_scope,
                   const std::function<void(NodeId)>& bind,
                   const std::function<bool(NodeId)>& wake,
                   std::uint32_t max_rounds = 100000);

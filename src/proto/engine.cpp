@@ -44,6 +44,12 @@ constexpr std::size_t kShardGrowthMemberCells = 4;
 /// 1 keeps the mover's whole neighborhood in its scope.
 constexpr std::size_t kShardGrowthQuietCells = 1;
 
+double ms_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
 }  // namespace
 
 /// Simulator adapter over the DeltaTracker's maintained adjacency
@@ -165,7 +171,6 @@ MaintenanceEngine::MaintenanceEngine(std::vector<geom::Point> positions,
       ++deg_count_[d];
       if (d > 0) ++degpos_;
     }
-    scope_tag_.assign(n, 0);
     if (options_.threads >= 2)
       pool_ = std::make_unique<incr::WorkerPool>(options_.threads);
     lane_scratch_.resize(pool_ != nullptr ? pool_->lanes() : 1);
@@ -234,7 +239,9 @@ MaintTickStats MaintenanceEngine::tick() {
   if (obs_ != nullptr) obs_->journal.set_tick(ticks_ + 1);
 
   if (options_.threads == 0) {
+    const auto commit_t0 = std::chrono::steady_clock::now();
     const incr::EdgeDelta delta = tracker_.commit();
+    stats.commit_ms = ms_since(commit_t0);
     stats.link_changes = delta.added.size() + delta.removed.size();
     sim_->trigger_timers();
     stats.rounds = sim_->run(options_.max_rounds_per_tick);
@@ -258,9 +265,7 @@ MaintTickStats MaintenanceEngine::tick() {
   {
     const auto mirror_t0 = std::chrono::steady_clock::now();
     drain_ledger(stats);
-    stats.mirror_ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - mirror_t0)
-                          .count();
+    stats.mirror_ms = ms_since(mirror_t0);
   }
   stats.deliver_ms =
       static_cast<double>(sim_->deliver_ns() - deliver_ns_before) / 1e6;
@@ -344,8 +349,9 @@ std::uint32_t MaintenanceEngine::run_sharded_tick(MaintTickStats& stats) {
   // drain_ledger hasn't run yet, so head_of is the tick-start
   // clustering the growth tiers are derived against.
   copts.head_of = clustering_.head_of;
-  copts.region_scopes = true;
+  const auto commit_t0 = std::chrono::steady_clock::now();
   const incr::EdgeDelta delta = tracker_.commit(copts);
+  stats.commit_ms = ms_since(commit_t0);
   stats.link_changes = delta.added.size() + delta.removed.size();
   update_degrees(delta);
 
@@ -361,17 +367,14 @@ std::uint32_t MaintenanceEngine::run_sharded_tick(MaintTickStats& stats) {
       active_.push_back(r);
   const auto A = static_cast<std::uint32_t>(active_.size());
 
-  for (std::uint32_t a = 0; a < A; ++a)
-    for (const NodeId v : regions_.scopes[active_[a]]) scope_tag_[v] = a + 1;
-
   if (region_runs_.size() < A) region_runs_.resize(A);
   while (region_ledgers_.size() < A) region_ledgers_.emplace_back();
 
   const std::uint32_t timer_round = sim_->round();
   const auto run_one = [&](std::size_t a, std::size_t lane) {
     net::RegionRun& rr = region_runs_[a];
-    rr.scope = regions_.scopes[active_[a]];
-    rr.seeds = regions_.deltas[active_[a]].touched;
+    const std::uint32_t region = active_[a];
+    rr.seeds = regions_.deltas[region].touched;
     rr.region = static_cast<std::uint32_t>(a);
     rr.region_count = A;
     Ledger* const ledger = &region_ledgers_[a];
@@ -387,8 +390,12 @@ std::uint32_t MaintenanceEngine::run_sharded_tick(MaintTickStats& stats) {
       bind(v);
       return node_mut(v).wake_dormant(timer_round, base);
     };
-    sim_->run_region(rr, scope_tag_.data(), bind, wake,
-                     options_.max_rounds_per_tick);
+    // The scope is a lookup on the commit's paint map, which nothing
+    // writes until the next tick's commit.
+    const auto in_scope = [this, region](NodeId v) {
+      return tracker_.scope_region(v) == region;
+    };
+    sim_->run_region(rr, in_scope, bind, wake, options_.max_rounds_per_tick);
   };
   if (pool_ != nullptr && A > 1) {
     pool_->run(A, run_one);
@@ -405,13 +412,9 @@ std::uint32_t MaintenanceEngine::run_sharded_tick(MaintTickStats& stats) {
       std::span<net::RegionRun>(region_runs_.data(), A), bulk);
   for (std::uint32_t a = 0; a < A; ++a) {
     const net::RegionRun& rr = region_runs_[a];
-    stats.scope_nodes += rr.scope.size();
     stats.timed_nodes += rr.timed;
     stats.woken_nodes += rr.woken;
   }
-
-  for (std::uint32_t a = 0; a < A; ++a)
-    for (const NodeId v : regions_.scopes[active_[a]]) scope_tag_[v] = 0;
 
   // Concatenate the region ledgers region-ascending into the engine
   // ledger. drain_ledger sorts and dedups the id lists anyway; the

@@ -89,15 +89,15 @@ struct MaintTickStats {
   std::vector<std::uint32_t> stale_ages;
   net::MessageCounts messages;       ///< transmissions this tick, by type
   net::DeliveryStats delivery;       ///< delivery-layer cost this tick
-  // What the sharded tick executed (threads >= 1; all 0 at threads = 0):
-  // the active regions' scopes, the nodes whose timer ran (the seeds and
-  // their neighbors), and the dormant scope nodes a message woke.
-  std::size_t scope_nodes = 0;
+  // What the sharded tick executed (threads >= 1; both 0 at threads = 0):
+  // the nodes whose timer ran (the seeds and their neighbors) and the
+  // dormant scope nodes a message woke.
   std::size_t timed_nodes = 0;
   std::size_t woken_nodes = 0;
   // Per-phase wall-time breakdown of the tick (bench reporting only —
   // never part of any deterministic observable). Under concurrent
   // region execution deliver/node_step sum across lanes (CPU time).
+  double commit_ms = 0.0;     ///< tracker commit, region build included
   double deliver_ms = 0.0;    ///< delivery passes (inbox arena fills)
   double node_step_ms = 0.0;  ///< node code: on_timer + on_round
   double mirror_ms = 0.0;     ///< ledger drain into the hashable mirror
@@ -254,8 +254,7 @@ class MaintenanceEngine {
   std::vector<std::size_t> deg_count_; ///< deg_count_[d] = #nodes at d
   std::size_t degpos_ = 0;             ///< nodes with degree > 0
   incr::RegionPartition regions_;
-  std::vector<std::uint32_t> scope_tag_;  ///< active region + 1, else 0
-  std::vector<std::uint32_t> active_;     ///< active region indices
+  std::vector<std::uint32_t> active_;  ///< active region indices
   std::vector<net::RegionRun> region_runs_;
   /// Per-active-region change ledgers (deque: growth never moves the
   /// entries nodes hold pointers to). Drained region-ascending into

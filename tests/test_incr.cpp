@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <set>
 #include <utility>
@@ -442,9 +443,10 @@ TEST(DeltaTrackerPropertyTest, RegionPartitionIsValidAndSeparatedSparse) {
 TEST(DeltaTrackerPropertyTest, TieredGrowthPartitionsExactlyAndShrinksScopes) {
   // Two-tier paint growth (the message engine's 7/4/1 head/member/quiet
   // tiers): the per-region slices must still partition the delta
-  // exactly, every touched node must land in its region's scope, and
-  // tiering can only shrink scopes relative to uniform growth. With
-  // every node a head, tiering degenerates to the uniform partition.
+  // exactly, every touched node must look up its own slice's region,
+  // and tiering can only split regions and shrink scopes relative to
+  // uniform growth. With every node a head, tiering degenerates to the
+  // uniform partition.
   Rng rng(907);
   const std::size_t n = 400;
   const double range = geom::range_for_average_degree(6.0, n, 100, 100);
@@ -462,7 +464,6 @@ TEST(DeltaTrackerPropertyTest, TieredGrowthPartitionsExactlyAndShrinksScopes) {
   RegionPartition pu, pt, ph;
   CommitOptions base;
   base.growth_cells = 7;
-  base.region_scopes = true;
   for (int round = 0; round < 30; ++round) {
     const std::size_t movers = 1 + rng.index(8);
     for (std::size_t j = 0; j < movers; ++j) {
@@ -489,16 +490,15 @@ TEST(DeltaTrackerPropertyTest, TieredGrowthPartitionsExactlyAndShrinksScopes) {
     ASSERT_EQ(dt.removed, du.removed);
 
     // Tiered slices still partition the delta, and every touched node
-    // of a slice sits in that region's scope.
+    // of a slice answers that slice's region.
     std::vector<std::pair<NodeId, NodeId>> added, removed;
-    for (std::size_t r = 0; r < pt.count; ++r) {
+    for (std::uint32_t r = 0; r < pt.count; ++r) {
       const EdgeDelta& slice = pt.deltas[r];
       added.insert(added.end(), slice.added.begin(), slice.added.end());
       removed.insert(removed.end(), slice.removed.begin(),
                      slice.removed.end());
       for (const NodeId v : slice.touched)
-        ASSERT_TRUE(std::binary_search(pt.scopes[r].begin(),
-                                       pt.scopes[r].end(), v))
+        ASSERT_EQ(tiered.scope_region(v), r)
             << "touched node " << v << " outside its region scope";
     }
     std::sort(added.begin(), added.end());
@@ -506,24 +506,193 @@ TEST(DeltaTrackerPropertyTest, TieredGrowthPartitionsExactlyAndShrinksScopes) {
     EXPECT_EQ(added, dt.added);
     EXPECT_EQ(removed, dt.removed);
 
-    // Member/quiet paints are subsets of the uniform paint, so regions
-    // can only split (never merge further) and total scope can only
-    // shrink.
-    std::size_t scope_u = 0, scope_t = 0;
-    for (const auto& s : pu.scopes) scope_u += s.size();
-    for (const auto& s : pt.scopes) scope_t += s.size();
-    EXPECT_LE(scope_t, scope_u);
+    // Member/quiet paints are subsets of the uniform paint, so every
+    // node of a tiered scope is in a uniform scope, and all nodes of one
+    // tiered region share one uniform region: regions can only split,
+    // never merge further.
     EXPECT_GE(pt.count, pu.count);
+    std::vector<std::uint32_t> uniform_of(pt.count, kNoRegion);
+    for (NodeId v = 0; v < n; ++v) {
+      const std::uint32_t rt = tiered.scope_region(v);
+      if (rt == kNoRegion) continue;
+      const std::uint32_t ru = uniform.scope_region(v);
+      ASSERT_NE(ru, kNoRegion) << "node " << v << " only in a tiered scope";
+      if (uniform_of[rt] == kNoRegion) uniform_of[rt] = ru;
+      EXPECT_EQ(uniform_of[rt], ru) << "tiered region " << rt << " straddles";
+    }
 
     // All-heads tiering is the uniform partition, bit for bit.
     ASSERT_EQ(ph.count, pu.count);
+    for (NodeId v = 0; v < n; ++v)
+      EXPECT_EQ(all_heads.scope_region(v), uniform.scope_region(v))
+          << "node " << v;
     for (std::size_t r = 0; r < pu.count; ++r) {
-      EXPECT_EQ(ph.scopes[r], pu.scopes[r]);
       EXPECT_EQ(ph.core_cells[r], pu.core_cells[r]);
       EXPECT_EQ(ph.deltas[r].added, pu.deltas[r].added);
       EXPECT_EQ(ph.deltas[r].removed, pu.deltas[r].removed);
     }
   }
+}
+
+using Cell = std::pair<std::size_t, std::size_t>;  // (col, row)
+
+// Cell of `p` on `tracker`'s lattice over a [0, side]^2 field, computed
+// as the tracker buckets positions (clamped onto border cells).
+Cell cell_of(const DeltaTracker& tracker, geom::Point p, double side) {
+  const double inv_x = static_cast<double>(tracker.cols()) / side;
+  const double inv_y = static_cast<double>(tracker.rows()) / side;
+  const std::size_t col =
+      p.x <= 0.0 ? 0
+                 : std::min(tracker.cols() - 1,
+                            static_cast<std::size_t>(p.x * inv_x));
+  const std::size_t row =
+      p.y <= 0.0 ? 0
+                 : std::min(tracker.rows() - 1,
+                            static_cast<std::size_t>(p.y * inv_y));
+  return {col, row};
+}
+
+std::size_t chebyshev(Cell a, Cell b) {
+  const auto d = [](std::size_t x, std::size_t y) {
+    return x > y ? x - y : y - x;
+  };
+  return std::max(d(a.first, b.first), d(a.second, b.second));
+}
+
+void scope_lookup_reference_soak(geom::GridIndex index, bool tiered,
+                                 std::uint64_t seed) {
+  // The scope lookup against a brute-force reference built from the
+  // definition alone: a mover with growth g paints every cell within
+  // Chebyshev distance 1 + g of its old and its new cell; movers whose
+  // paints touch share a region; regions are numbered by their first
+  // staged mover; v is in region r iff v's committed cell is painted by
+  // a mover of r.
+  Rng rng(seed);
+  const std::size_t n = 400;
+  const double side = 100;
+  const double range = geom::range_for_average_degree(6.0, n, side, side);
+  auto positions = random_layout(n, rng);
+  DeltaTracker tracker(positions, range, side, side, index);
+  std::vector<NodeId> head_of(n);
+  for (NodeId v = 0; v < n; ++v) head_of[v] = v - v % 5;  // 1 in 5 a head
+  RegionPartition parts;
+  CommitOptions opts;
+  opts.regions = &parts;
+  opts.growth_cells = 3;
+  if (tiered) {
+    opts.head_of = head_of;
+    opts.member_growth_cells = 2;
+    opts.quiet_growth_cells = 0;
+  }
+  std::size_t split_rounds = 0;  // rounds with >= 2 regions
+  std::size_t unscoped = 0;      // node lookups answering kNoRegion
+  for (int round = 0; round < 40; ++round) {
+    // Movers in first-staged order with their pre-move cells.
+    std::vector<NodeId> movers;
+    std::vector<Cell> old_cell;
+    std::vector<char> staged(n, 0);
+    const std::size_t count = 1 + rng.index(6);
+    for (std::size_t j = 0; j < count; ++j) {
+      const auto v = static_cast<NodeId>(rng.index(n));
+      if (!staged[v]) {
+        staged[v] = 1;
+        movers.push_back(v);
+        old_cell.push_back(cell_of(tracker, positions[v], side));
+      }
+      // Mostly local steps, so several regions coexist; now and then a
+      // teleport, which paints two distant blocks into one region.
+      if (rng.index(4) == 0) {
+        positions[v] = {rng.uniform(0, side), rng.uniform(0, side)};
+      } else {
+        positions[v].x = std::clamp(positions[v].x + rng.uniform(-8, 8),
+                                    0.0, side);
+        positions[v].y = std::clamp(positions[v].y + rng.uniform(-8, 8),
+                                    0.0, side);
+      }
+      tracker.stage_move(v, positions[v]);
+    }
+    const EdgeDelta delta = tracker.commit(opts);
+
+    const std::size_t m = movers.size();
+    std::vector<std::size_t> growth(m, opts.growth_cells);
+    if (tiered) {
+      std::fill(growth.begin(), growth.end(), opts.quiet_growth_cells);
+      const auto bump = [&](NodeId x, std::size_t g) {
+        const auto it = std::find(movers.begin(), movers.end(), x);
+        if (it != movers.end()) {
+          auto& gx = growth[static_cast<std::size_t>(it - movers.begin())];
+          gx = std::max(gx, g);
+        }
+      };
+      for (const auto* edges : {&delta.added, &delta.removed})
+        for (const auto& [u, w] : *edges) {
+          const bool head = head_of[u] == u || head_of[w] == w;
+          const std::size_t g =
+              head ? opts.growth_cells : opts.member_growth_cells;
+          bump(u, g);
+          bump(w, g);
+        }
+    }
+    std::vector<std::array<Cell, 2>> centers(m);
+    for (std::size_t i = 0; i < m; ++i)
+      centers[i] = {old_cell[i], cell_of(tracker, positions[movers[i]], side)};
+
+    // Regions: union movers whose painted blocks share a cell.
+    std::vector<std::size_t> parent(m);
+    for (std::size_t i = 0; i < m; ++i) parent[i] = i;
+    const auto root = [&](std::size_t x) {
+      while (parent[x] != x) x = parent[x];
+      return x;
+    };
+    for (std::size_t i = 0; i < m; ++i)
+      for (std::size_t j = i + 1; j < m; ++j) {
+        const std::size_t reach = 2 + growth[i] + growth[j];
+        bool touch = false;
+        for (const Cell& a : centers[i])
+          for (const Cell& b : centers[j]) touch |= chebyshev(a, b) <= reach;
+        if (touch) parent[std::max(root(i), root(j))] = std::min(root(i), root(j));
+      }
+    std::vector<std::uint32_t> region(m);
+    std::uint32_t regions = 0;
+    for (std::size_t i = 0; i < m; ++i)
+      region[i] = root(i) == i ? regions++ : region[root(i)];
+    ASSERT_EQ(parts.count, regions) << "round " << round;
+    if (regions >= 2) ++split_rounds;
+
+    for (NodeId v = 0; v < n; ++v) {
+      const Cell c = cell_of(tracker, positions[v], side);
+      std::uint32_t expect = kNoRegion;
+      for (std::size_t i = 0; i < m; ++i)
+        for (const Cell& center : centers[i])
+          if (chebyshev(c, center) <= 1 + growth[i]) {
+            ASSERT_TRUE(expect == kNoRegion || expect == region[i])
+                << "reference paints overlap across regions";
+            expect = region[i];
+          }
+      ASSERT_EQ(tracker.scope_region(v), expect)
+          << "node " << v << " at round " << round;
+      if (expect == kNoRegion) ++unscoped;
+    }
+  }
+  // The soak must exercise split partitions and unpainted nodes.
+  EXPECT_GT(split_rounds, 0u);
+  EXPECT_GT(unscoped, 0u);
+}
+
+TEST(DeltaTrackerPropertyTest, ScopeLookupMatchesReferenceDenseUniform) {
+  scope_lookup_reference_soak(geom::GridIndex::kDense, false, 911);
+}
+
+TEST(DeltaTrackerPropertyTest, ScopeLookupMatchesReferenceDenseTiered) {
+  scope_lookup_reference_soak(geom::GridIndex::kDense, true, 912);
+}
+
+TEST(DeltaTrackerPropertyTest, ScopeLookupMatchesReferenceSparseUniform) {
+  scope_lookup_reference_soak(geom::GridIndex::kSparse, false, 913);
+}
+
+TEST(DeltaTrackerPropertyTest, ScopeLookupMatchesReferenceSparseTiered) {
+  scope_lookup_reference_soak(geom::GridIndex::kSparse, true, 914);
 }
 
 TEST(DeltaTrackerPropertyTest, TeleportOldAndNewBlocksShareOneRegion) {
@@ -556,6 +725,95 @@ TEST(DeltaTrackerTest, RestagingSameNodeKeepsLastPosition) {
             (std::vector<std::pair<NodeId, NodeId>>{{0, 2}, {1, 2}}));
   EXPECT_TRUE(delta.removed.empty());
   EXPECT_EQ(tracker.positions()[2], (geom::Point{22, 10}));
+}
+
+// The scope-lookup lifetime cases run on a sparse 100x100-cell lattice
+// (range 10 over a 1000-unit field) so a growth-2 paint (7x7 cells) stays
+// local: node 0 moves inside cell (50, 50), node 1 shares that cell,
+// node 2 sits at (90, 90) and node 3 at (10, 10).
+std::vector<geom::Point> lifetime_layout() {
+  return {{500, 500}, {505, 500}, {900, 900}, {100, 100}};
+}
+
+DeltaTracker lifetime_tracker() {
+  return DeltaTracker(lifetime_layout(), 10.0, 1000, 1000,
+                      geom::GridIndex::kSparse);
+}
+
+TEST(DeltaTrackerTest, ScopeLookupIsEmptyUntilACommitBuildsRegions) {
+  DeltaTracker tracker = lifetime_tracker();
+  for (NodeId v = 0; v < tracker.size(); ++v)
+    EXPECT_EQ(tracker.scope_region(v), kNoRegion) << "fresh, node " << v;
+  // A commit without a RegionPartition paints nothing.
+  tracker.stage_move(0, {502, 500});
+  tracker.commit();
+  for (NodeId v = 0; v < tracker.size(); ++v)
+    EXPECT_EQ(tracker.scope_region(v), kNoRegion) << "no regions, node " << v;
+  // Nor does one after a region build: the earlier paint expires.
+  RegionPartition parts;
+  tracker.stage_move(0, {503, 500});
+  tracker.commit(&parts);
+  EXPECT_EQ(tracker.scope_region(1), 0u);
+  tracker.stage_move(0, {504, 500});
+  tracker.commit();
+  for (NodeId v = 0; v < tracker.size(); ++v)
+    EXPECT_EQ(tracker.scope_region(v), kNoRegion) << "expired, node " << v;
+}
+
+TEST(DeltaTrackerTest, ScopeLookupExpiresOnACommitWithNothingStaged) {
+  DeltaTracker tracker = lifetime_tracker();
+  RegionPartition parts;
+  tracker.stage_move(0, {502, 500});
+  tracker.commit(&parts);
+  ASSERT_EQ(parts.count, 1u);
+  EXPECT_EQ(tracker.scope_region(0), 0u);
+  EXPECT_EQ(tracker.scope_region(1), 0u);
+  EXPECT_EQ(tracker.scope_region(2), kNoRegion);
+  tracker.commit(&parts);
+  EXPECT_EQ(parts.count, 0u);
+  for (NodeId v = 0; v < tracker.size(); ++v)
+    EXPECT_EQ(tracker.scope_region(v), kNoRegion) << "node " << v;
+}
+
+TEST(DeltaTrackerTest, StagingChangesNoScopeAnswerBeforeTheNextCommit) {
+  DeltaTracker tracker = lifetime_tracker();
+  RegionPartition parts;
+  tracker.stage_move(0, {502, 500});
+  tracker.commit(&parts);
+  std::vector<std::uint32_t> before;
+  for (NodeId v = 0; v < tracker.size(); ++v)
+    before.push_back(tracker.scope_region(v));
+  EXPECT_EQ(before, (std::vector<std::uint32_t>{0, 0, kNoRegion, kNoRegion}));
+  // Node 2 into the painted cells, node 0 out of them: the lookup reads
+  // committed cells, so neither answer moves yet.
+  tracker.stage_move(2, {501, 501});
+  tracker.stage_move(0, {100, 105});
+  for (NodeId v = 0; v < tracker.size(); ++v)
+    EXPECT_EQ(tracker.scope_region(v), before[v]) << "node " << v;
+  // The commit paints both movers' old and new blocks, which overlap at
+  // cell (50, 50): one region holding all four nodes.
+  tracker.commit(&parts);
+  ASSERT_EQ(parts.count, 1u);
+  for (NodeId v = 0; v < tracker.size(); ++v)
+    EXPECT_EQ(tracker.scope_region(v), 0u) << "node " << v;
+}
+
+TEST(DeltaTrackerTest, ScopeLookupFollowsEachCommit) {
+  DeltaTracker tracker = lifetime_tracker();
+  RegionPartition parts;
+  tracker.stage_move(0, {502, 500});
+  tracker.commit(&parts);
+  EXPECT_EQ(tracker.scope_region(1), 0u);
+  EXPECT_EQ(tracker.scope_region(3), kNoRegion);
+  // The next commit paints only around node 3: node 1's cell is no
+  // longer painted, node 3's is.
+  tracker.stage_move(3, {102, 100});
+  tracker.commit(&parts);
+  ASSERT_EQ(parts.count, 1u);
+  EXPECT_EQ(tracker.scope_region(0), kNoRegion);
+  EXPECT_EQ(tracker.scope_region(1), kNoRegion);
+  EXPECT_EQ(tracker.scope_region(2), kNoRegion);
+  EXPECT_EQ(tracker.scope_region(3), 0u);
 }
 
 TEST(ClusterRepairTest, MatchesFullLccUpdateOnRandomEdgeFlips) {
