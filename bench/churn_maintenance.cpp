@@ -8,7 +8,7 @@
 // n=2000, d=6 row: incremental must be >= 5x faster than the rebuild.
 //
 // Two extra sections ride on top of the matrix:
-//  * --threads=<k> with k > 1 additionally runs a sharded-vs-sequential
+//  * --threads=<k> with k > 1 additionally runs a one-lane vs k-lane
 //    comparison (waypoint, d=6, heavier churn) plus a pipelined
 //    (depth-2) row, and cross-checks that all engines produced the same
 //    final state hash;
@@ -18,8 +18,9 @@
 //    verify stage that pins the sparse engine's state
 //    hash at threads {1, 2, 8}, pipelined depth 2 at threads {2, 8},
 //    against the dense sequential engine. Below 1M each size runs a
-//    threads sweep {1, 2, 4} (threaded rows pipelined at depth 2) and
-//    reports wall-clock speedup against the same-size threads=1 row.
+//    threads sweep {1, 2, 4} (each threaded row at depth 1 and at
+//    depth 2) and reports wall-clock speedup against the same-size
+//    threads=1 row.
 //    The sweep feeds the O(n) memory audit in docs/PERFORMANCE.md and
 //    the exit code gates the hash checks and the <= 1 KB/node RSS
 //    budget of the largest row.
@@ -264,13 +265,13 @@ int main(int argc, char** argv) {
 
   bool determinism_ok = true;
   if (threads > 1) {
-    // Sharded vs sequential head-to-head at the matrix's largest size.
+    // One lane vs k lanes head-to-head at the matrix's largest size.
     // Churn stays at the matrix's 1%: at 5% the staged nodes' painted
     // blocks chain into a single region almost every tick and the
-    // sharded path never engages, making the comparison (and the
+    // region fan-out never engages, making the comparison (and the
     // state-hash cross-check) vacuous.
     std::puts(
-        "\nparallel repair — sequential vs sharded vs pipelined "
+        "\nparallel repair — one lane vs k lanes vs pipelined "
         "(waypoint, d=6)");
     std::printf("%6s %3s %5s %10s %10s %8s %6s  %s\n", "n", "thr", "depth",
                 "incr_ms", "wall_ms", "speedup", "reg/t", "state_hash");
@@ -404,8 +405,9 @@ int main(int argc, char** argv) {
                 "rss_b/n", "state_hash");
     std::vector<ScaleRow> scale_rows;
     for (const std::size_t n : scale_sizes) {
-      // Threads dimension: the threaded rows run pipelined at depth 2 so
-      // wall_ms reflects the full overlap machinery. Every sweep row
+      // Threads dimension: every threaded size runs at depth 1 and at
+      // depth 2, so the pair of rows separates lane fan-out from the
+      // commit/repair overlap of pipelining. Every sweep row
       // drops the rebuild baseline — the rebuild-vs-incremental story
       // lives in the matrix section, and an O(n) rebuild interleaved
       // with only the threads=1 row would pollute its caches and fake a
@@ -413,15 +415,17 @@ int main(int argc, char** argv) {
       // stays threads=1 — it is the memory-audit row, and RSS is
       // monotone per process, so a threaded rerun would contaminate the
       // reading.
-      std::vector<std::size_t> thread_sweep{1, 2, 4};
-      if (n >= 1000000) thread_sweep = {1};
+      // (threads, pipeline_depth) rows of this size.
+      std::vector<std::pair<std::size_t, std::size_t>> sweep{
+          {1, 1}, {2, 1}, {2, 2}, {4, 1}, {4, 2}};
+      if (n >= 1000000) sweep = {{1, 1}};
       double wall_1t = 0.0;
       std::uint64_t row_hash = 0;
-      for (const std::size_t t : thread_sweep) {
+      for (const auto& [t, d] : sweep) {
         exp::ChurnConfig config = scale_config(n);
         config.threads = t;
         config.rebuild_baseline = false;
-        if (t > 1) config.pipeline_depth = 2;
+        config.pipeline_depth = d;
         bool stable = true;
         const exp::ChurnResult r = run_repeated(config, repeat, records,
                                                 "scale", trace_path, stable);

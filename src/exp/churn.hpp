@@ -49,8 +49,9 @@ struct ChurnConfig {
   /// (per-phase spans, `incr.*` metrics) and the run loop itself.
   /// nullptr = unobserved. Must outlive run_churn().
   obs::Session* obs = nullptr;
-  /// Execution lanes for the engine's sharded repair path
-  /// (incr::PipelineOptions::threads). 1 = the sequential engine.
+  /// Execution lanes of the engine's sharded repair
+  /// (incr::PipelineOptions::threads). 1 = every job inline on the
+  /// calling thread.
   std::size_t threads = 1;
   /// Tick pipelining (incr::PipelineOptions::pipeline_depth): 2 =
   /// overlap each tick's repair with the next tick's ingest + commit.

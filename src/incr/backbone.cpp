@@ -17,7 +17,7 @@ namespace {
 /// Table rows a lane recomputed and found changed, packed end to end.
 /// A RowTable takes no concurrent writes, so lanes hand their rows back
 /// and the caller commits them in chunk order — ascending node order, the
-/// same assign() sequence as the sequential path.
+/// same assign() sequence at any lane count.
 template <typename T>
 struct ChangedRows {
   NodeSet nodes;
@@ -70,8 +70,9 @@ std::vector<std::pair<std::size_t, std::size_t>> plan_chunks(
   std::vector<std::pair<std::size_t, std::size_t>> chunks;
   if (items == 0) return chunks;
   // A few chunks per lane so an unlucky heavy chunk can't serialize the
-  // stage; chunky enough that claim overhead stays irrelevant.
-  const std::size_t target = std::min(items, lanes * 4);
+  // stage; chunky enough that claim overhead stays irrelevant. One lane
+  // has nothing to balance, so it takes the stage in one chunk.
+  const std::size_t target = std::min(items, lanes > 1 ? lanes * 4 : 1);
   const std::size_t size = (items + target - 1) / target;
   for (std::size_t begin = 0; begin < items; begin += size)
     chunks.emplace_back(begin, std::min(size, items - begin));
@@ -169,222 +170,79 @@ void IncrementalBackbone::set_obs(obs::Session* session) {
       "incr.rows_per_tick", {1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024});
 }
 
-void IncrementalBackbone::apply_selection_refs(const NodeSet& old_gateways,
-                                               const NodeSet& new_gateways,
-                                               NodeSet& cds_candidates) {
-  for (const NodeId v : set_difference(old_gateways, new_gateways)) {
-    MANET_ASSERT(selection_refs_[v] > 0, "gateway refcount underflow");
-    if (--selection_refs_[v] == 0) cds_candidates.push_back(v);
-  }
-  for (const NodeId v : set_difference(new_gateways, old_gateways)) {
-    if (selection_refs_[v]++ == 0) cds_candidates.push_back(v);
+void IncrementalBackbone::apply_gateway_ref(GatewayRef ref,
+                                            NodeSet& cds_candidates) {
+  if (ref.added) {
+    if (selection_refs_[ref.v]++ == 0) cds_candidates.push_back(ref.v);
+  } else {
+    MANET_ASSERT(selection_refs_[ref.v] > 0, "gateway refcount underflow");
+    if (--selection_refs_[ref.v] == 0) cds_candidates.push_back(ref.v);
   }
 }
 
 void IncrementalBackbone::clear_head_rows(NodeId v, NodeSet& cds_candidates) {
-  if (!selection_[v].gateways.empty()) {
-    apply_selection_refs(selection_[v].gateways, {}, cds_candidates);
-    selection_[v] = core::GatewaySelection{};
+  for (const NodeId w : selection_[v].gateways)
+    apply_gateway_ref({w, false}, cds_candidates);
+  selection_[v] = core::GatewaySelection{};
+  coverage_[v] = core::Coverage{};
+}
+
+bool IncrementalBackbone::reselect_head(const graph::DynamicAdjacency& g,
+                                        NodeId h,
+                                        core::CoverageScratch& scratch,
+                                        core::SelectionScratch& sel_scratch,
+                                        std::vector<GatewayRef>& refs) {
+  core::Coverage cov = core::coverage_row(g, tables_, h, g.order(), scratch);
+  core::GatewaySelection sel = core::select_gateways_local(
+      core::TablesSelectionView(g.neighbors(h), tables_), cov, sel_scratch);
+  // Both gateway lists are sorted: one merge walk yields old \ new as
+  // releases and new \ old as new references.
+  const NodeSet& before = selection_[h].gateways;
+  const NodeSet& after = sel.gateways;
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < before.size() || j < after.size()) {
+    if (j == after.size() || (i < before.size() && before[i] < after[j])) {
+      refs.push_back({before[i++], false});
+    } else if (i == before.size() || after[j] < before[i]) {
+      refs.push_back({after[j++], true});
+    } else {
+      ++i;
+      ++j;
+    }
   }
-  if (!coverage_[v].empty()) coverage_[v] = core::Coverage{};
-}
-
-IncrementalBackbone::HeadRow IncrementalBackbone::compute_head_row(
-    const graph::DynamicAdjacency& g, NodeId h,
-    core::CoverageScratch& scratch,
-    core::SelectionScratch& sel_scratch) const {
-  // Reads g, the frozen table rows and the clustering only — safe to run
-  // for distinct heads concurrently with per-lane scratches.
-  HeadRow row;
-  row.cov = core::coverage_row(g, tables_, h, g.order(), scratch);
-  row.sel = core::select_gateways_local(
-      core::TablesSelectionView(g.neighbors(h), tables_), row.cov,
-      sel_scratch);
-  return row;
-}
-
-void IncrementalBackbone::commit_head_row(NodeId h, bool was_head,
-                                          HeadRow&& row, TickStats& stats,
-                                          NodeSet& cds_candidates) {
-  if (!was_head || !(row.cov == coverage_[h])) ++stats.coverage_changes;
-  coverage_[h] = std::move(row.cov);
-  apply_selection_refs(selection_[h].gateways, row.sel.gateways,
-                       cds_candidates);
-  selection_[h] = std::move(row.sel);
-  ++stats.heads_reselected;
+  selection_[h] = std::move(sel);
+  const bool coverage_changed = !(cov == coverage_[h]);
+  coverage_[h] = std::move(cov);
+  return coverage_changed;
 }
 
 TickStats IncrementalBackbone::apply(const graph::DynamicAdjacency& g,
-                                     const EdgeDelta& delta) {
+                                     const EdgeDelta& delta,
+                                     const RegionPartition* partition,
+                                     WorkerPool* pool) {
   MANET_REQUIRE(g.order() == clustering_.head_of.size(),
                 "adjacency does not match the maintained state");
   ++ticks_applied_;
   obs::TraceRecorder* tr = obs_ ? &obs_->trace : nullptr;
   TickStats stats;
   stats.link_changes = delta.link_changes();
+  stats.regions = partition != nullptr ? partition->count : 0;
   obs_handles_.links_appeared.add(delta.added.size());
   obs_handles_.links_disappeared.add(delta.removed.size());
   obs_handles_.links_per_tick.record(delta.link_changes());
   if (delta.empty()) return stats;
 
-  ClusterRepair rep;
-  {
-    StageSpan span(tr, defer_trace_ ? &trace_buf_ : nullptr, "cluster_repair",
-                   ticks_applied_, "flips");
-    rep = repair_clustering(g, delta, clustering_, head_bits_);
-    span.set_arg(rep.declared.size() + rep.resigned.size());
-  }
-  stats.cluster_churn = rep.churn;
-  stats.head_changes = rep.head_changed.size();
-  stats.role_changes = rep.role_changed.size();
-  obs_handles_.reaffiliations.add(rep.head_changed.size());
-  obs_handles_.role_changes.add(rep.role_changed.size());
-  obs_handles_.heads_declared.add(rep.declared.size());
-  obs_handles_.heads_resigned.add(rep.resigned.size());
-
-  // CH_HOP1(v) reads v's own head status, v's edges and its neighbors'
-  // head status, so the exact dirty set is the changed-edge endpoints
-  // plus the closed neighborhoods of the status flips. Rows that come
-  // out identical are discarded and recorded as clean: they prove their
-  // readers unchanged, which keeps each later stage small.
-  const NodeSet status_flips = set_union(rep.declared, rep.resigned);
-  DirtySet hop1_mark(g.order());
-  for (const NodeId v : delta.touched) hop1_mark.add(v);
-  for (const NodeId v : status_flips) hop1_mark.add_closed_neighborhood(g, v);
-  const NodeSet hop1_dirty = hop1_mark.take();
-
-  NodeSet hop1_changed;
-  {
-    StageSpan span(tr, defer_trace_ ? &trace_buf_ : nullptr, "hop1_scan",
-                   ticks_applied_, "rows");
-    span.set_arg(hop1_dirty.size());
-    NodeSet row;
-    for (const NodeId v : hop1_dirty) {
-      core::hop1_row(g, clustering_, v, row);
-      if (!std::ranges::equal(row, tables_.ch_hop1[v])) {
-        tables_.ch_hop1.assign(v, row);
-        hop1_changed.push_back(v);
-      }
-    }
-  }
-  obs_handles_.hop1_rows_scanned.add(hop1_dirty.size());
-  obs_handles_.hop1_rows_changed.add(hop1_changed.size());
-
-  // CH_HOP2(v) additionally reads the neighbors' head_of assignments and
-  // their (already refreshed) CH_HOP1 rows: dirty set = changed-edge
-  // endpoints ∪ closed neighborhoods of head_of changes and of actually
-  // changed CH_HOP1 rows.
-  DirtySet hop2_mark(g.order());
-  for (const NodeId v : delta.touched) hop2_mark.add(v);
-  for (const NodeId v : rep.head_changed)
-    hop2_mark.add_closed_neighborhood(g, v);
-  for (const NodeId v : hop1_changed) hop2_mark.add_closed_neighborhood(g, v);
-  const NodeSet hop2_dirty = hop2_mark.take();
-
-  NodeSet changed_rows = hop1_changed;
-  {
-    StageSpan span(tr, defer_trace_ ? &trace_buf_ : nullptr, "hop2_scan",
-                   ticks_applied_, "rows");
-    span.set_arg(hop2_dirty.size());
-    std::vector<core::Hop2Entry> row;
-    for (const NodeId v : hop2_dirty) {
-      core::hop2_row(g, clustering_, tables_.mode, tables_.ch_hop1, v, row);
-      if (!std::ranges::equal(row, tables_.ch_hop2[v])) {
-        tables_.ch_hop2.assign(v, row);
-        changed_rows.push_back(v);
-      }
-    }
-  }
-  obs_handles_.hop2_rows_scanned.add(hop2_dirty.size());
-  obs_handles_.hop2_rows_changed.add(changed_rows.size() -
-                                     hop1_changed.size());
-  normalize(changed_rows);
-  stats.rows_recomputed = hop1_dirty.size() + hop2_dirty.size();
-  obs_handles_.rows_per_tick.record(stats.rows_recomputed);
-
-  // A head's coverage and gateway selection read exactly its neighbor
-  // list and the table rows of its neighbors, so a head needs a rerun
-  // only when it gained/lost an edge (touched), just declared, or sits
-  // next to a row that actually changed. Everything else keeps its
-  // cached coverage and selection verbatim — bit-identical to the full
-  // rebuild because the inputs are proven identical.
-  graph::NodeBitset head_dirty(g.order());
-  NodeSet recompute;
-  const auto mark = [&](NodeId v) {
-    if (head_bits_.test(v) && head_dirty.set(v)) recompute.push_back(v);
-  };
-  for (const NodeId v : delta.touched) mark(v);
-  for (const NodeId v : rep.declared) mark(v);
-  for (const NodeId v : changed_rows) {
-    mark(v);
-    for (const NodeId w : g.neighbors(v)) mark(w);
-  }
-  normalize(recompute);
-
-  NodeSet cds_candidates;
-  for (const NodeId h : rep.declared) cds_candidates.push_back(h);
-  for (const NodeId h : rep.resigned) cds_candidates.push_back(h);
-  const graph::NodeBitset declared_bits =
-      graph::NodeBitset::from_node_set(g.order(), rep.declared);
-  {
-    StageSpan span(tr, defer_trace_ ? &trace_buf_ : nullptr, "head_reselect",
-                   ticks_applied_, "heads");
-    span.set_arg(recompute.size());
-    for (const NodeId h : recompute)
-      commit_head_row(h, /*was_head=*/!declared_bits.test(h),
-                      compute_head_row(g, h, lane_scratch_[0],
-                                       lane_sel_scratch_[0]),
-                      stats, cds_candidates);
-    // Resignations leave stale head rows behind; release their reference
-    // counts (guard against a same-tick re-declaration, which rule 2 makes
-    // impossible today but cheap to stay safe against).
-    for (const NodeId v : rep.resigned)
-      if (!head_bits_.test(v)) clear_head_rows(v, cds_candidates);
-  }
-  obs_handles_.heads_reselected.add(recompute.size());
-  obs_handles_.coverage_changes.add(stats.coverage_changes);
-
-  // Settle CDS membership for every node whose head status or selection
-  // reference count moved this tick.
-  normalize(cds_candidates);
-  {
-    StageSpan span(tr, defer_trace_ ? &trace_buf_ : nullptr, "cds_settle",
-                   ticks_applied_, "candidates");
-    span.set_arg(cds_candidates.size());
-    for (const NodeId v : cds_candidates) {
-      const bool member = head_bits_.test(v) || selection_refs_[v] > 0;
-      if (member != cds_bits_.test(v)) {
-        ++stats.backbone_changes;
-        if (member)
-          cds_bits_.set(v);
-        else
-          cds_bits_.reset(v);
-      }
-    }
-  }
-  obs_handles_.backbone_flips.add(stats.backbone_changes);
-  return stats;
-}
-
-TickStats IncrementalBackbone::apply_parallel(const graph::DynamicAdjacency& g,
-                                              const EdgeDelta& delta,
-                                              const RegionPartition& partition,
-                                              WorkerPool& pool) {
-  MANET_REQUIRE(g.order() == clustering_.head_of.size(),
-                "adjacency does not match the maintained state");
-  ++ticks_applied_;
-  obs::TraceRecorder* tr = obs_ ? &obs_->trace : nullptr;
-  TickStats stats;
-  stats.link_changes = delta.link_changes();
-  stats.regions = partition.count;
-  obs_handles_.links_appeared.add(delta.added.size());
-  obs_handles_.links_disappeared.add(delta.removed.size());
-  obs_handles_.links_per_tick.record(delta.link_changes());
-  if (delta.empty()) return stats;
-
-  const std::size_t lanes = pool.lanes();
+  const std::size_t lanes = pool != nullptr ? pool->lanes() : 1;
   if (lane_scratch_.size() < lanes) lane_scratch_.resize(lanes);
   if (lane_sel_scratch_.size() < lanes) lane_sel_scratch_.resize(lanes);
+  const auto run = [pool](std::size_t jobs, const WorkerPool::Job& fn) {
+    if (pool != nullptr) {
+      pool->run(jobs, fn);
+    } else {
+      for (std::size_t job = 0; job < jobs; ++job) fn(job, 0);
+    }
+  };
 
   // Workers buffer their spans (TraceRecorder is single-writer) and the
   // caller flushes them after each join, one trace track per lane.
@@ -419,39 +277,49 @@ TickStats IncrementalBackbone::apply_parallel(const graph::DynamicAdjacency& g,
     }
   };
 
-  // --- Stage C: cluster-repair rules, one job per independent region.
-  // Each job writes head_of inside its own region and buffers its head
-  // status flips; head_bits_ stays read-only until the merge, so the
-  // per-region ascending scans see exactly what the sequential global
-  // scan would show them (S30: no other region's writes are within this
-  // region's read radius).
+  // --- Cluster-repair rules, one job per independent region. Each job
+  // writes head_of inside its own region and buffers its head status
+  // flips; head_bits_ stays read-only until the merge, so the per-region
+  // ascending scans see exactly what one global scan would show them
+  // (S30: no other region's writes are within this region's read
+  // radius). Without a partition the whole delta is one region, the
+  // tick's only writer, and its rules write head_bits_ directly.
   ClusterRepair rep;
   {
     StageSpan span(tr, defer_trace_ ? &trace_buf_ : nullptr, "cluster_repair",
                    ticks_applied_, "flips");
-    std::vector<ClusterRepair> reps(partition.count);
-    std::vector<HeadStatusOverlay> overlays(partition.count,
-                                            HeadStatusOverlay(head_bits_));
-    pool.run(partition.count, [&](std::size_t r, std::size_t lane) {
-      timed(lane, "region_repair", partition.deltas[r].link_changes(), [&] {
-        reps[r] = repair_clustering_region(g, partition.deltas[r],
-                                           clustering_, overlays[r]);
+    std::vector<ClusterRepair> reps(partition != nullptr ? partition->count
+                                                         : 1);
+    if (partition == nullptr) {
+      timed(0, "region_repair", delta.link_changes(), [&] {
+        reps[0] = repair_clustering_region(g, delta, clustering_, head_bits_);
       });
-    });
-    // Merge in region order: flips onto the real bitset, churn sums, and
-    // the per-region sorted sets (disjoint by S30) into global ones.
-    for (std::size_t r = 0; r < partition.count; ++r) {
-      overlays[r].apply(head_bits_);
-      rep.churn.heads_resigned += reps[r].churn.heads_resigned;
-      rep.churn.heads_declared += reps[r].churn.heads_declared;
-      rep.churn.reaffiliations += reps[r].churn.reaffiliations;
-      rep.resigned.insert(rep.resigned.end(), reps[r].resigned.begin(),
-                          reps[r].resigned.end());
-      rep.declared.insert(rep.declared.end(), reps[r].declared.begin(),
-                          reps[r].declared.end());
+    } else {
+      std::vector<HeadStatusOverlay> overlays(partition->count,
+                                              HeadStatusOverlay(head_bits_));
+      run(partition->count, [&](std::size_t r, std::size_t lane) {
+        timed(lane, "region_repair", partition->deltas[r].link_changes(),
+              [&] {
+                reps[r] = repair_clustering_region(g, partition->deltas[r],
+                                                   clustering_, overlays[r]);
+              });
+      });
+      for (const HeadStatusOverlay& overlay : overlays)
+        overlay.apply(head_bits_);
+    }
+    // Merge in region order: churn sums, and the per-region sorted sets
+    // (disjoint by S30) into global ones.
+    for (const ClusterRepair& part : reps) {
+      rep.churn.heads_resigned += part.churn.heads_resigned;
+      rep.churn.heads_declared += part.churn.heads_declared;
+      rep.churn.reaffiliations += part.churn.reaffiliations;
+      rep.resigned.insert(rep.resigned.end(), part.resigned.begin(),
+                          part.resigned.end());
+      rep.declared.insert(rep.declared.end(), part.declared.begin(),
+                          part.declared.end());
       rep.head_changed.insert(rep.head_changed.end(),
-                              reps[r].head_changed.begin(),
-                              reps[r].head_changed.end());
+                              part.head_changed.begin(),
+                              part.head_changed.end());
     }
     normalize(rep.resigned);
     normalize(rep.declared);
@@ -461,12 +329,12 @@ TickStats IncrementalBackbone::apply_parallel(const graph::DynamicAdjacency& g,
 
     // --- Roles against the final head_of, in sorted chunks: chunk c
     // writes roles of its own slice only, and the per-chunk changed
-    // lists concatenate to the sequential ascending result.
+    // lists concatenate to the one ascending result.
     const NodeSet role_dirty =
         role_support(g, rep.head_changed, delta.touched);
     const auto chunks = plan_chunks(role_dirty.size(), lanes);
     std::vector<NodeSet> role_changed(chunks.size());
-    pool.run(chunks.size(), [&](std::size_t ci, std::size_t lane) {
+    run(chunks.size(), [&](std::size_t ci, std::size_t lane) {
       timed(lane, "role_chunk", chunks[ci].second, [&] {
         refresh_roles(g, clustering_,
                       std::span<const NodeId>(role_dirty)
@@ -477,7 +345,6 @@ TickStats IncrementalBackbone::apply_parallel(const graph::DynamicAdjacency& g,
     for (const NodeSet& part : role_changed)
       rep.role_changed.insert(rep.role_changed.end(), part.begin(),
                               part.end());
-    rep.dirty = set_union(rep.head_changed, delta.touched);
     span.set_arg(rep.declared.size() + rep.resigned.size());
     flush_spans();
   }
@@ -489,9 +356,14 @@ TickStats IncrementalBackbone::apply_parallel(const graph::DynamicAdjacency& g,
   obs_handles_.heads_declared.add(rep.declared.size());
   obs_handles_.heads_resigned.add(rep.resigned.size());
 
-  // --- CH_HOP1, chunked over the sorted dirty set. Chunk c recomputes
-  // the rows of its own slice against frozen inputs (clustering,
-  // adjacency, the table itself) and hands back the changed ones.
+  // --- CH_HOP1(v) reads v's own head status, v's edges and its
+  // neighbors' head status, so the exact dirty set is the changed-edge
+  // endpoints plus the closed neighborhoods of the status flips. Chunk c
+  // recomputes the rows of its own slice against frozen inputs
+  // (clustering, adjacency, the table itself) and hands back the ones
+  // that changed. Rows that come out identical are recorded as clean:
+  // they prove their readers unchanged, which keeps each later stage
+  // small.
   const NodeSet status_flips = set_union(rep.declared, rep.resigned);
   DirtySet hop1_mark(g.order());
   for (const NodeId v : delta.touched) hop1_mark.add(v);
@@ -505,7 +377,7 @@ TickStats IncrementalBackbone::apply_parallel(const graph::DynamicAdjacency& g,
     span.set_arg(hop1_dirty.size());
     const auto chunks = plan_chunks(hop1_dirty.size(), lanes);
     std::vector<ChangedRows<NodeId>> changed(chunks.size());
-    pool.run(chunks.size(), [&](std::size_t ci, std::size_t lane) {
+    run(chunks.size(), [&](std::size_t ci, std::size_t lane) {
       timed(lane, "hop1_chunk", chunks[ci].second, [&] {
         const auto [begin, count] = chunks[ci];
         NodeSet row;
@@ -523,7 +395,10 @@ TickStats IncrementalBackbone::apply_parallel(const graph::DynamicAdjacency& g,
   obs_handles_.hop1_rows_scanned.add(hop1_dirty.size());
   obs_handles_.hop1_rows_changed.add(hop1_changed.size());
 
-  // --- CH_HOP2 likewise, now that every CH_HOP1 row is final.
+  // --- CH_HOP2(v) additionally reads the neighbors' head_of assignments
+  // and their (now final) CH_HOP1 rows: dirty set = changed-edge
+  // endpoints ∪ closed neighborhoods of head_of changes and of actually
+  // changed CH_HOP1 rows.
   DirtySet hop2_mark(g.order());
   for (const NodeId v : delta.touched) hop2_mark.add(v);
   for (const NodeId v : rep.head_changed)
@@ -538,7 +413,7 @@ TickStats IncrementalBackbone::apply_parallel(const graph::DynamicAdjacency& g,
     span.set_arg(hop2_dirty.size());
     const auto chunks = plan_chunks(hop2_dirty.size(), lanes);
     std::vector<ChangedRows<core::Hop2Entry>> changed(chunks.size());
-    pool.run(chunks.size(), [&](std::size_t ci, std::size_t lane) {
+    run(chunks.size(), [&](std::size_t ci, std::size_t lane) {
       timed(lane, "hop2_chunk", chunks[ci].second, [&] {
         const auto [begin, count] = chunks[ci];
         std::vector<core::Hop2Entry> row;
@@ -561,10 +436,15 @@ TickStats IncrementalBackbone::apply_parallel(const graph::DynamicAdjacency& g,
   stats.rows_recomputed = hop1_dirty.size() + hop2_dirty.size();
   obs_handles_.rows_per_tick.record(stats.rows_recomputed);
 
-  // --- Coverage + gateway reselection: the per-head computation is pure
-  // over frozen tables, so one job per head; the stateful commits
-  // (refcounts, coverage/selection moves) replay on the caller in the
-  // same ascending head order the sequential path uses.
+  // --- Coverage + gateway reselection. A head's coverage and gateway
+  // selection read exactly its neighbor list and the table rows of its
+  // neighbors, so a head needs a rerun only when it gained/lost an edge
+  // (touched), just declared, or sits next to a row that actually
+  // changed. Everything else keeps its cached coverage and selection
+  // verbatim — bit-identical to the full rebuild because the inputs are
+  // proven identical. Chunk c installs its heads' rows in place (no head
+  // reads another head's rows) and hands back the gateway refcount
+  // changes, which the caller applies in chunk order: ascending heads.
   graph::NodeBitset head_dirty(g.order());
   NodeSet recompute;
   const auto mark = [&](NodeId v) {
@@ -587,29 +467,43 @@ TickStats IncrementalBackbone::apply_parallel(const graph::DynamicAdjacency& g,
     StageSpan span(tr, defer_trace_ ? &trace_buf_ : nullptr, "head_reselect",
                    ticks_applied_, "heads");
     span.set_arg(recompute.size());
-    std::vector<HeadRow> rows(recompute.size());
-    pool.run(recompute.size(), [&](std::size_t i, std::size_t lane) {
-      timed(lane, "head_row", recompute[i], [&] {
-        rows[i] = compute_head_row(g, recompute[i], lane_scratch_[lane],
-                                   lane_sel_scratch_[lane]);
+    const auto chunks = plan_chunks(recompute.size(), lanes);
+    std::vector<std::vector<GatewayRef>> refs(chunks.size());
+    std::vector<std::size_t> coverage_changes(chunks.size(), 0);
+    run(chunks.size(), [&](std::size_t ci, std::size_t lane) {
+      timed(lane, "head_chunk", chunks[ci].second, [&] {
+        const auto [begin, count] = chunks[ci];
+        for (std::size_t i = begin; i < begin + count; ++i) {
+          const NodeId h = recompute[i];
+          const bool changed = reselect_head(g, h, lane_scratch_[lane],
+                                             lane_sel_scratch_[lane],
+                                             refs[ci]);
+          // A fresh head's coverage counts as changed.
+          if (changed || declared_bits.test(h)) ++coverage_changes[ci];
+        }
       });
     });
-    for (std::size_t i = 0; i < recompute.size(); ++i)
-      commit_head_row(recompute[i],
-                      /*was_head=*/!declared_bits.test(recompute[i]),
-                      std::move(rows[i]), stats, cds_candidates);
+    for (std::size_t ci = 0; ci < chunks.size(); ++ci) {
+      stats.coverage_changes += coverage_changes[ci];
+      for (const GatewayRef ref : refs[ci])
+        apply_gateway_ref(ref, cds_candidates);
+    }
+    // Resignations leave stale head rows behind; release their reference
+    // counts (guard against a same-tick re-declaration, which rule 2 makes
+    // impossible today but cheap to stay safe against).
     for (const NodeId v : rep.resigned)
       if (!head_bits_.test(v)) clear_head_rows(v, cds_candidates);
     flush_spans();
   }
+  stats.heads_reselected = recompute.size();
   obs_handles_.heads_reselected.add(recompute.size());
   obs_handles_.coverage_changes.add(stats.coverage_changes);
 
-  // --- CDS settling, the last stage of the sharded path: membership is a
-  // pure read of head_bits_/selection_refs_/cds_bits_ (all frozen here),
-  // so chunks over the sorted candidate set buffer their flips and the
-  // caller applies them in chunk order — the exact ascending flip
-  // sequence (and count) of the sequential loop.
+  // --- CDS settling for every node whose head status or selection
+  // reference count moved this tick: membership is a pure read of
+  // head_bits_/selection_refs_/cds_bits_ (all frozen here), so chunks
+  // over the sorted candidate set buffer their flips and the caller
+  // applies them in chunk order — one ascending flip sequence.
   normalize(cds_candidates);
   {
     StageSpan span(tr, defer_trace_ ? &trace_buf_ : nullptr, "cds_settle",
@@ -617,7 +511,7 @@ TickStats IncrementalBackbone::apply_parallel(const graph::DynamicAdjacency& g,
     span.set_arg(cds_candidates.size());
     const auto chunks = plan_chunks(cds_candidates.size(), lanes);
     std::vector<std::vector<std::pair<NodeId, bool>>> flips(chunks.size());
-    pool.run(chunks.size(), [&](std::size_t ci, std::size_t lane) {
+    run(chunks.size(), [&](std::size_t ci, std::size_t lane) {
       timed(lane, "cds_chunk", chunks[ci].second, [&] {
         const auto [begin, count] = chunks[ci];
         for (std::size_t i = begin; i < begin + count; ++i) {

@@ -94,31 +94,29 @@ class IncrementalBackbone {
                       core::CoverageMode mode);
 
   /// Consumes one edge delta. `g` must already reflect the delta (the
-  /// DeltaTracker hands both over in that state).
-  TickStats apply(const graph::DynamicAdjacency& g, const EdgeDelta& delta);
-
-  /// Sharded variant of apply(): the tick's delta arrives pre-split into
-  /// the independent regions of `partition` (DeltaTracker::commit), the
-  /// region repairs and the row/reselect stages fan out on `pool`, and
-  /// all shared-structure merges run on the caller between barriers. The
-  /// maintained state afterwards is bitwise identical to apply() at any
-  /// lane count (same dirty sets, same ascending orders — DESIGN S30);
-  /// metric totals are too, because the per-shard counts partition the
-  /// sequential ones.
-  TickStats apply_parallel(const graph::DynamicAdjacency& g,
-                           const EdgeDelta& delta,
-                           const RegionPartition& partition,
-                           WorkerPool& pool);
+  /// DeltaTracker hands both over in that state). With a `partition`
+  /// (DeltaTracker::commit's split of the same delta) each independent
+  /// region repairs its clustering as one job; without one the whole
+  /// delta is a single region. The row, reselection and settling stages
+  /// run in sorted chunks. Jobs fan out on `pool`, or run inline on the
+  /// caller without one, and every shared-structure merge runs on the
+  /// caller between stages. The maintained state afterwards is bitwise
+  /// identical for every partition and lane count (same dirty sets, same
+  /// ascending orders — DESIGN S30), and so are the stats apart from
+  /// `regions`, which is partition->count (0 without a partition).
+  TickStats apply(const graph::DynamicAdjacency& g, const EdgeDelta& delta,
+                  const RegionPartition* partition = nullptr,
+                  WorkerPool* pool = nullptr);
 
   /// Attaches an observability session: per-phase spans go to its
   /// flight recorder, `incr.*` counters/histograms to its registry.
   /// nullptr detaches. The session must outlive the backbone.
   void set_obs(obs::Session* session);
 
-  /// Deferred-trace mode: apply()/apply_parallel() buffer every span
-  /// instead of writing the recorder, so a tick may run concurrently
-  /// with the driver thread's own recording. Metrics stay live (atomic
-  /// adds commute). The driver calls flush_trace() after joining.
+  /// Deferred-trace mode: apply() buffers every span instead of writing
+  /// the recorder, so a tick may run concurrently with the driver
+  /// thread's own recording. Metrics stay live (atomic adds commute).
+  /// The driver calls flush_trace() after joining.
   void set_defer_trace(bool on) { defer_trace_ = on; }
   void flush_trace();
 
@@ -156,22 +154,26 @@ class IncrementalBackbone {
     obs::Histogram links_per_tick, rows_per_tick;
   };
 
-  /// One head's recomputed coverage + selection, produced read-only
-  /// (thread-safe against other heads) and committed on the caller.
-  struct HeadRow {
-    core::Coverage cov;
-    core::GatewaySelection sel;
+  /// One gateway reference count change: `v` entered (`added`) or left
+  /// one head's selection.
+  struct GatewayRef {
+    NodeId v;
+    bool added;
   };
 
-  HeadRow compute_head_row(const graph::DynamicAdjacency& g, NodeId h,
-                           core::CoverageScratch& scratch,
-                           core::SelectionScratch& sel_scratch) const;
-  void commit_head_row(NodeId h, bool was_head, HeadRow&& row,
-                       TickStats& stats, NodeSet& cds_candidates);
+  /// Recomputes head h's coverage and gateway selection and installs
+  /// both in place, appending h's gateway reference changes to `refs`;
+  /// returns whether the coverage changed. Reads g, the table rows and
+  /// the clustering, writes coverage_[h] and selection_[h] only — so
+  /// distinct heads may run concurrently on per-lane scratches.
+  bool reselect_head(const graph::DynamicAdjacency& g, NodeId h,
+                     core::CoverageScratch& scratch,
+                     core::SelectionScratch& sel_scratch,
+                     std::vector<GatewayRef>& refs);
+  /// Applies one reference change, queueing `v` for CDS settling when
+  /// its count leaves or reaches zero.
+  void apply_gateway_ref(GatewayRef ref, NodeSet& cds_candidates);
   void clear_head_rows(NodeId v, NodeSet& cds_candidates);
-  void apply_selection_refs(const NodeSet& old_gateways,
-                            const NodeSet& new_gateways,
-                            NodeSet& cds_candidates);
 
   cluster::Clustering clustering_;
   graph::NodeBitset head_bits_;
@@ -186,11 +188,10 @@ class IncrementalBackbone {
   bool defer_trace_ = false;
   std::vector<TraceSpanRec> trace_buf_;
   std::uint64_t ticks_applied_ = 0;  ///< trace span "tick" argument
-  /// Reusable coverage + selection bitsets: [0] serves the sequential
-  /// path, one per lane serves apply_parallel (sized on first parallel
-  /// tick).
-  std::vector<core::CoverageScratch> lane_scratch_{1};
-  std::vector<core::SelectionScratch> lane_sel_scratch_{1};
+  /// Reusable coverage + selection bitsets, one per pool lane (grown by
+  /// apply() to the lane count of the pool it is handed).
+  std::vector<core::CoverageScratch> lane_scratch_;
+  std::vector<core::SelectionScratch> lane_sel_scratch_;
 };
 
 }  // namespace manet::incr

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/assert.hpp"
-
 namespace manet::incr {
 
 using cluster::Role;
@@ -11,7 +9,7 @@ using cluster::Role;
 namespace {
 
 // Rules 1+2 over one delta against any head-status view (the real
-// bitset sequentially, a HeadStatusOverlay per region in parallel).
+// bitset for a lone writer, a HeadStatusOverlay per concurrent region).
 // Fills rep.resigned / declared / head_changed / churn; heads-list and
 // role maintenance are the caller's.
 template <typename HeadBits>
@@ -93,36 +91,21 @@ void run_rules(const graph::DynamicAdjacency& g, const EdgeDelta& delta,
 
 }  // namespace
 
-ClusterRepair repair_clustering(const graph::DynamicAdjacency& g,
-                                const EdgeDelta& delta,
-                                cluster::Clustering& c,
-                                graph::NodeBitset& head_bits) {
-  MANET_REQUIRE(c.head_of.size() == g.order(),
-                "clustering does not match the adjacency");
+ClusterRepair repair_clustering_region(const graph::DynamicAdjacency& g,
+                                       const EdgeDelta& region_delta,
+                                       cluster::Clustering& c,
+                                       HeadStatusOverlay& overlay) {
   ClusterRepair rep;
-  if (delta.empty()) return rep;
-
-  run_rules(g, delta, c, head_bits, rep);
-
-  // Maintain the sorted head list incrementally.
-  for (const NodeId h : rep.resigned) erase_sorted(c.heads, h);
-  for (const NodeId h : rep.declared) insert_sorted(c.heads, h);
-
-  // --- Roles: refresh exactly the support of the role predicate.
-  const NodeSet role_dirty = role_support(g, rep.head_changed, delta.touched);
-  refresh_roles(g, c, role_dirty, rep.role_changed);
-
-  rep.dirty = set_union(rep.head_changed, delta.touched);
+  run_rules(g, region_delta, c, overlay, rep);
   return rep;
 }
 
 ClusterRepair repair_clustering_region(const graph::DynamicAdjacency& g,
                                        const EdgeDelta& region_delta,
                                        cluster::Clustering& c,
-                                       HeadStatusOverlay& overlay) {
+                                       graph::NodeBitset& head_bits) {
   ClusterRepair rep;
-  if (region_delta.empty()) return rep;
-  run_rules(g, region_delta, c, overlay, rep);
+  run_rules(g, region_delta, c, head_bits, rep);
   return rep;
 }
 

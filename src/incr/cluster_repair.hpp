@@ -24,15 +24,16 @@
 // repaired clustering is bit-identical to a full lcc_update against the
 // new topology (pinned by tests and the pipeline's oracle mode).
 //
-// The rules are also exposed region-at-a-time (repair_clustering_region)
-// for the sharded parallel engine: a region's rules read head status
-// within two unit-disk hops of its changed edges and write it within
-// one, so on the DeltaTracker's independent-region partition (core cells
-// >= 5 grid cells apart, DESIGN S30) concurrent per-region scans can
-// never observe each other and compose to exactly the sequential global
-// scan. Region calls buffer head-status writes in a HeadStatusOverlay
-// (the shared head bitset stays read-only) and leave the sorted heads
-// list, role refresh, and dirty-set assembly to the caller's merge.
+// The rules run region at a time (repair_clustering_region): a region's
+// rules read head status within two unit-disk hops of its changed edges
+// and write it within one, so on the DeltaTracker's independent-region
+// partition (core cells >= 5 grid cells apart, DESIGN S30) concurrent
+// per-region scans can never observe each other and compose to exactly
+// the global ascending scan. Concurrent region calls buffer head-status
+// writes in a HeadStatusOverlay (the shared head bitset stays
+// read-only); a call that is the tick's only writer, such as one region
+// holding the whole delta, writes the real bitset. Either way the caller
+// merges the sorted heads list, the role refresh and the dirty sets.
 #pragma once
 
 #include <span>
@@ -55,14 +56,14 @@ struct ClusterRepair {
   NodeSet role_changed;      ///< nodes whose role changed
   NodeSet declared;          ///< members that became heads this tick
   NodeSet resigned;          ///< heads that stepped down this tick
-  NodeSet dirty;             ///< head_changed ∪ changed-edge endpoints
 };
 
 /// Read-through view of a head bitset whose writes buffer locally
 /// instead of mutating the base. test() sees the region's own flips
-/// (latest wins) layered over the frozen base — which is exactly the
-/// sequential engine's visibility inside one region, because no other
-/// region's flips are within this region's read radius (DESIGN S30).
+/// (latest wins) layered over the frozen base — which is exactly what
+/// one global ascending scan would show inside this region, because no
+/// other region's flips are within this region's read radius (DESIGN
+/// S30).
 /// Flip lists stay tiny (a handful of resignations/declarations), so
 /// the read-back scan is cheaper than any hashed structure.
 class HeadStatusOverlay {
@@ -93,26 +94,28 @@ class HeadStatusOverlay {
   std::vector<std::pair<NodeId, bool>> flips_;
 };
 
-/// Repairs `c` (valid for the topology before `delta`) in place against
-/// the post-delta adjacency `g`. `head_bits` must mirror c.heads on
-/// entry and is kept in sync. Expected O(dirty * d) work.
-ClusterRepair repair_clustering(const graph::DynamicAdjacency& g,
-                                const EdgeDelta& delta,
-                                cluster::Clustering& c,
-                                graph::NodeBitset& head_bits);
-
-/// Rules 1+2 for one independent region's slice of the tick delta.
-/// Writes c.head_of entries inside the region only (disjoint across
-/// regions) and buffers head-status changes in `overlay`; does NOT
-/// touch c.heads, c.roles, or the overlay's base bitset, so concurrent
-/// calls on distinct regions of one RegionPartition are race-free.
-/// The caller merges: overlay flips onto the real bitset, resigned /
-/// declared into the sorted heads list, then a role refresh over the
-/// combined support (see role_support / refresh_roles).
+/// Rules 1+2 for one independent region's slice of the tick delta,
+/// against the clustering `c` valid before the delta and the post-delta
+/// adjacency `g`. Writes c.head_of entries inside the region only
+/// (disjoint across regions) and head-status changes through the
+/// overlay; does NOT touch c.heads, c.roles, or the overlay's base
+/// bitset, so concurrent calls on distinct regions of one
+/// RegionPartition are race-free. The caller merges: overlay flips onto
+/// the real bitset, resigned / declared into the sorted heads list, then
+/// a role refresh over the combined support (see role_support /
+/// refresh_roles). Expected O(dirty * d) work.
 ClusterRepair repair_clustering_region(const graph::DynamicAdjacency& g,
                                        const EdgeDelta& region_delta,
                                        cluster::Clustering& c,
                                        HeadStatusOverlay& overlay);
+
+/// The same rules writing head status straight into `head_bits` (which
+/// must mirror c.heads on entry), for a caller that runs no other region
+/// concurrently — one region over the whole delta.
+ClusterRepair repair_clustering_region(const graph::DynamicAdjacency& g,
+                                       const EdgeDelta& region_delta,
+                                       cluster::Clustering& c,
+                                       graph::NodeBitset& head_bits);
 
 /// The support of the role predicate after a repair: head_changed ∪
 /// N(head_changed) ∪ touched, sorted-unique.
@@ -123,8 +126,8 @@ NodeSet role_support(const graph::DynamicAdjacency& g,
 /// final post-repair head_of, appending nodes whose role flipped to
 /// `changed` in order. Writes only c.roles[v] for v in `nodes`, so
 /// disjoint chunks of one sorted support set can run concurrently and
-/// their `changed` outputs concatenate (in chunk order) to the exact
-/// sequential result.
+/// their `changed` outputs concatenate (in chunk order) to the result of
+/// one pass over the whole set.
 void refresh_roles(const graph::DynamicAdjacency& g, cluster::Clustering& c,
                    std::span<const NodeId> nodes, NodeSet& changed);
 

@@ -57,8 +57,7 @@ IncrementalPipeline::IncrementalPipeline(std::vector<geom::Point> positions,
   MANET_REQUIRE(!(options_.oracle_check && options_.pipeline_depth > 1),
                 "oracle mode must observe every tick synchronously; use "
                 "pipeline_depth 1");
-  if (options_.threads > 1 || options_.pipeline_depth > 1)
-    pool_ = std::make_unique<WorkerPool>(options_.threads);
+  pool_ = std::make_unique<WorkerPool>(options_.threads);
   backbone_.set_defer_trace(options_.pipeline_depth > 1);
   if (options_.oracle_check) oracle_previous_ = backbone_.clustering();
   set_obs(options_.obs);
@@ -76,7 +75,7 @@ IncrementalPipeline::~IncrementalPipeline() {
 void IncrementalPipeline::set_obs(obs::Session* session) {
   options_.obs = session;
   backbone_.set_obs(session);
-  if (pool_) pool_->set_obs(session);
+  pool_->set_obs(session);
   if (session) {
     auto& r = session->registry;
     ticks_counter_ = r.counter("incr.ticks");
@@ -99,19 +98,6 @@ void IncrementalPipeline::set_obs(obs::Session* session) {
     region_size_hist_ = obs::Histogram();
     compactions_gauge_ = obs::Gauge();
   }
-}
-
-TickStats IncrementalPipeline::run_repair(const EdgeDelta& delta,
-                                          const RegionPartition& partition) {
-  TickStats stats;
-  if (pool_ && partition.count >= 2 && !delta.empty()) {
-    stats = backbone_.apply_parallel(tracker_.adjacency(), delta, partition,
-                                     *pool_);
-  } else {
-    stats = backbone_.apply(tracker_.adjacency(), delta);
-    stats.regions = partition.count;
-  }
-  return stats;
 }
 
 TickStats IncrementalPipeline::join_pending() {
@@ -165,7 +151,8 @@ TickStats IncrementalPipeline::tick_pipelined() {
     tracker_.apply_delta(cur.delta);
   }
   cur.ticket = pool_->submit(1, [this, &cur](std::size_t, std::size_t) {
-    cur.stats = run_repair(cur.delta, cur.partition);
+    cur.stats = backbone_.apply(tracker_.adjacency(), cur.delta,
+                                &cur.partition, pool_.get());
   });
   pending_ = &cur;
   return out;
@@ -181,9 +168,10 @@ TickStats IncrementalPipeline::tick_sync() {
   EdgeDelta delta;
   {
     obs::Span span(tr, "incr", "delta_commit", tick_index_, "links");
-    // The partition is always built (O(dirty)), not just when a pool is
-    // attached: the incr.regions metrics must come out identical at any
-    // thread count for the determinism soaks to hold byte-for-byte.
+    // The partition is built at every thread count: the repair runs one
+    // job per region, and the incr.regions metrics must come out
+    // identical at any thread count for the determinism soaks to hold
+    // byte-for-byte.
     CommitOptions copts;
     copts.regions = &partition_;
     copts.pool = pool_.get();
@@ -197,7 +185,8 @@ TickStats IncrementalPipeline::tick_sync() {
     region_size_hist_.record(cells.size());
   tick_span.set_arg(delta.link_changes());
 
-  TickStats stats = run_repair(delta, partition_);
+  TickStats stats = backbone_.apply(tracker_.adjacency(), delta, &partition_,
+                                    pool_.get());
 
   if (options_.oracle_check) {
     // Full rebuild from first principles: re-derive the topology from the

@@ -5,12 +5,12 @@
 // after every tick and asserts bitwise equality — the safety net that
 // lets the delta path be trusted in production and benchmarked honestly.
 //
-// With threads > 1 each tick's delta is partitioned into independent
-// dirty regions (DeltaTracker) and repaired via the sharded
-// IncrementalBackbone::apply_parallel on a persistent WorkerPool. The
-// maintained state — and therefore materialize(), metric snapshots and
-// every downstream artifact — is bitwise identical at any thread count
-// (the determinism soaks and the oracle pin this).
+// Each tick's delta is partitioned into independent dirty regions
+// (DeltaTracker) and repaired by IncrementalBackbone::apply on a
+// persistent WorkerPool, which at threads = 1 runs every job inline on
+// the caller. The maintained state — and therefore materialize(), metric
+// snapshots and every downstream artifact — is bitwise identical at any
+// thread count (the determinism soaks and the oracle pin this).
 #pragma once
 
 #include <memory>
@@ -40,11 +40,10 @@ struct PipelineOptions {
   /// oracle mismatch the recorder tail and the offending tick's dirty
   /// set are dumped to stderr before the throw.
   obs::Session* obs = nullptr;
-  /// Execution lanes for the sharded repair path (1 = fully sequential,
-  /// no pool, byte-for-byte the pre-sharding engine). With k > 1 a
-  /// persistent pool of k-1 workers plus the calling thread fans out
-  /// each tick's independent regions, row chunks, and the delta-commit
-  /// cell scans.
+  /// Execution lanes of the repair and the delta commit: a persistent
+  /// pool of k-1 workers plus the calling thread fans out each tick's
+  /// independent regions, row chunks, and the delta-commit cell scans.
+  /// 1 = one lane, every job inline on the caller (no worker thread).
   std::size_t threads = 1;
   /// Tick pipelining. 1 = classic synchronous ticks. 2 = tick t's
   /// repair runs as an async pool batch while the caller stages and
@@ -134,10 +133,6 @@ class IncrementalPipeline {
 
   TickStats tick_sync();
   TickStats tick_pipelined();
-  /// The repair half of a tick: sharded when a pool and >= 2 regions
-  /// are available, sequential otherwise (identical state either way).
-  TickStats run_repair(const EdgeDelta& delta,
-                       const RegionPartition& partition);
   /// Joins the pending repair slot, flushes its buffered trace spans,
   /// and returns its stats; zeros when nothing is pending.
   TickStats join_pending();
@@ -146,9 +141,9 @@ class IncrementalPipeline {
   IncrementalBackbone backbone_;
   PipelineOptions options_;
   std::uint64_t tick_index_ = 0;
-  /// Reused per tick; filled by DeltaTracker::commit when threads > 1.
+  /// Reused per tick; filled by DeltaTracker::commit.
   RegionPartition partition_;
-  std::unique_ptr<WorkerPool> pool_;  ///< null when threads == 1, depth 1
+  std::unique_ptr<WorkerPool> pool_;
   InFlight slots_[2];
   InFlight* pending_ = nullptr;  ///< slot whose repair is in flight
   obs::Counter ticks_counter_;

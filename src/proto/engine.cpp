@@ -171,9 +171,8 @@ MaintenanceEngine::MaintenanceEngine(std::vector<geom::Point> positions,
       ++deg_count_[d];
       if (d > 0) ++degpos_;
     }
-    if (options_.threads >= 2)
-      pool_ = std::make_unique<incr::WorkerPool>(options_.threads);
-    lane_scratch_.resize(pool_ != nullptr ? pool_->lanes() : 1);
+    pool_ = std::make_unique<incr::WorkerPool>(options_.threads);
+    lane_scratch_.resize(pool_->lanes());
   }
 
   if (options_.obs != nullptr) set_obs(options_.obs);
@@ -397,11 +396,7 @@ std::uint32_t MaintenanceEngine::run_sharded_tick(MaintTickStats& stats) {
     };
     sim_->run_region(rr, in_scope, bind, wake, options_.max_rounds_per_tick);
   };
-  if (pool_ != nullptr && A > 1) {
-    pool_->run(A, run_one);
-  } else {
-    for (std::uint32_t a = 0; a < A; ++a) run_one(a, 0);
-  }
+  pool_->run(A, run_one);
 
   net::ShardedMergeInputs bulk;
   bulk.n_total = tracker_.size();

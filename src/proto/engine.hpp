@@ -61,8 +61,8 @@ struct EngineOptions {
   std::uint32_t max_rounds_per_tick = 100000;
   /// Region-sharded tick execution. 0 = the classic sequential
   /// simulator loop over all n nodes. >= 1 runs each tick's active
-  /// repair regions as independent scoped simulations (1 = inline on
-  /// the caller; k >= 2 = an incr::WorkerPool with k lanes), with the
+  /// repair regions as independent scoped simulations on an
+  /// incr::WorkerPool with k lanes (1 = inline on the caller), with the
   /// quiescent remainder of the network accounted analytically — a
   /// tick costs O(active work), not O(n). The maintained state, its
   /// hash, and every deterministic metric are bitwise-identical across
@@ -261,7 +261,7 @@ class MaintenanceEngine {
   /// ledger_ at merge, so the mirror refresh is order-deterministic.
   std::deque<Ledger> region_ledgers_;
   std::vector<KernelScratch> lane_scratch_;  ///< one per lane
-  std::unique_ptr<incr::WorkerPool> pool_;  ///< threads >= 2 only
+  std::unique_ptr<incr::WorkerPool> pool_;  ///< threads >= 1 only
 
   std::uint64_t ticks_ = 0;
   obs::Session* obs_ = nullptr;

@@ -17,10 +17,11 @@
 #include "cluster/lcc.hpp"
 #include "cluster/lowest_id.hpp"
 #include "common/rng.hpp"
+#include "core/static_backbone.hpp"
 #include "exp/churn.hpp"
 #include "geom/unit_disk.hpp"
 #include "graph/dynamic_adjacency.hpp"
-#include "incr/cluster_repair.hpp"
+#include "incr/backbone.hpp"
 #include "incr/delta_tracker.hpp"
 #include "incr/edge_delta.hpp"
 #include "incr/pipeline.hpp"
@@ -817,6 +818,9 @@ TEST(DeltaTrackerTest, ScopeLookupFollowsEachCommit) {
 }
 
 TEST(ClusterRepairTest, MatchesFullLccUpdateOnRandomEdgeFlips) {
+  // The one-region repair (apply without a partition) against a full
+  // lcc_update from the previous clustering, one random edge flip at a
+  // time.
   Rng rng(55);
   const std::size_t n = 70;
   const double range = geom::range_for_average_degree(7.0, n, 100, 100);
@@ -824,9 +828,8 @@ TEST(ClusterRepairTest, MatchesFullLccUpdateOnRandomEdgeFlips) {
   const auto g0 = geom::unit_disk_graph(positions, range);
 
   graph::DynamicAdjacency adj(g0);
-  cluster::Clustering c = cluster::lowest_id_clustering(g0);
-  graph::NodeBitset head_bits(n);
-  for (const NodeId h : c.heads) head_bits.set(h);
+  IncrementalBackbone backbone(adj, core::CoverageMode::kTwoPointFiveHop);
+  ASSERT_EQ(backbone.clustering(), cluster::lowest_id_clustering(g0));
 
   for (int round = 0; round < 300; ++round) {
     // Flip a random pair: remove the edge if present, add it otherwise.
@@ -844,15 +847,22 @@ TEST(ClusterRepairTest, MatchesFullLccUpdateOnRandomEdgeFlips) {
     }
     delta.touched = {u, w};
 
-    const cluster::Clustering previous = c;
-    repair_clustering(adj, delta, c, head_bits);
+    const cluster::Clustering previous = backbone.clustering();
+    const TickStats stats = backbone.apply(adj, delta);
 
     cluster::LccDelta full_delta;
     const cluster::Clustering full =
         cluster::lcc_update(adj.freeze(), previous, &full_delta);
-    ASSERT_EQ(c, full) << "repair diverged from lcc_update at round "
-                       << round;
-    for (const NodeId v : c.heads) EXPECT_TRUE(head_bits.test(v));
+    ASSERT_EQ(backbone.clustering(), full)
+        << "repair diverged from lcc_update at round " << round;
+    EXPECT_EQ(stats.cluster_churn.heads_resigned, full_delta.heads_resigned);
+    EXPECT_EQ(stats.cluster_churn.heads_declared, full_delta.heads_declared);
+    EXPECT_EQ(stats.cluster_churn.reaffiliations, full_delta.reaffiliations);
+    // The head bitset, tables, coverage, selections and CDS follow too.
+    ASSERT_EQ(backbone.diff_against(core::build_static_backbone(
+                  adj.freeze(), full, core::CoverageMode::kTwoPointFiveHop)),
+              "")
+        << "backbone diverged from the rebuild at round " << round;
   }
 }
 

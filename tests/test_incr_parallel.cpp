@@ -1,10 +1,11 @@
-// Tests for the sharded parallel repair path (src/incr worker_pool +
-// apply_parallel) and the depth-2 tick pipeline: the WorkerPool
-// primitive (fork-join and submit/wait), oracle equivalence of the
-// parallel engine at every tick, and bitwise determinism of the
-// maintained state, metrics and churn-record hashes across thread
-// counts and pipeline depths. These suites (plus ReplicatorTest/
-// ScenarioTest) are the ones CI runs under ThreadSanitizer.
+// Tests for the sharded repair path (src/incr worker_pool + the staged
+// IncrementalBackbone::apply) and the depth-2 tick pipeline: the
+// WorkerPool primitive (fork-join and submit/wait), oracle equivalence
+// of the region-sharded engine at every tick and lane count, and bitwise
+// determinism of the maintained state, metrics and churn-record hashes
+// across partitions, thread counts and pipeline depths. These suites
+// (plus ReplicatorTest/ScenarioTest) are the ones CI runs under
+// ThreadSanitizer.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +16,8 @@
 #include "common/rng.hpp"
 #include "exp/churn.hpp"
 #include "geom/unit_disk.hpp"
+#include "incr/backbone.hpp"
+#include "incr/delta_tracker.hpp"
 #include "incr/pipeline.hpp"
 #include "incr/worker_pool.hpp"
 #include "mobility/waypoint.hpp"
@@ -136,17 +139,42 @@ TEST(WorkerPoolTest, DestructorDrainsUnwaitedBatch) {
   for (std::size_t j = 0; j < 16; ++j) EXPECT_EQ(hits[j].load(), 1);
 }
 
+/// One tick of corner-structured churn, the move stream of every soak
+/// below. Uniformly random teleports almost always fuse into one region
+/// (each staged node paints two 7x7 cell blocks; on practical grids they
+/// chain together), which would leave the sharded path untested. So
+/// each tick teleports one node inside each of four corner areas far
+/// enough apart that they must land in distinct regions, plus one
+/// global random teleporter whose old/new blocks keep exercising the
+/// cross-region merge paths. Updates `positions` and sets `movers`.
+void corner_churn(std::vector<geom::Point>& positions, Rng& rng,
+                  std::vector<NodeId>& movers) {
+  // Corner areas: 24x24 boxes whose painted blocks stay disjoint (edge
+  // gap 46 units >= 7 grid cells at every tested n/degree).
+  const geom::Point anchors[] = {{15, 15}, {85, 15}, {15, 85}, {85, 85}};
+  constexpr double kHalf = 12.0;
+  const std::size_t n = positions.size();
+  movers.clear();
+  for (const geom::Point a : anchors) {
+    std::vector<NodeId> near;
+    for (std::size_t v = 0; v < n; ++v)
+      if (std::abs(positions[v].x - a.x) <= kHalf &&
+          std::abs(positions[v].y - a.y) <= kHalf)
+        near.push_back(static_cast<NodeId>(v));
+    ASSERT_FALSE(near.empty());
+    const NodeId v = near[rng.index(near.size())];
+    positions[v] = {rng.uniform(a.x - kHalf, a.x + kHalf),
+                    rng.uniform(a.y - kHalf, a.y + kHalf)};
+    movers.push_back(v);
+  }
+  movers.push_back(static_cast<NodeId>(rng.index(n)));
+  positions[movers.back()] = {rng.uniform(0, 100), rng.uniform(0, 100)};
+}
+
 /// Oracle soak with the sharded engine: every tick rebuilds everything
 /// from scratch and MANET_REQUIREs bitwise equality, so any divergence
-/// introduced by the parallel path fails loudly here.
-///
-/// Uniformly random teleports almost always fuse into one region (each
-/// staged node paints two 7x7 cell blocks; on practical grids they
-/// chain together), which would leave the sharded path untested. So the
-/// churn is structured: each tick teleports one node inside each of
-/// four corner areas far enough apart that they must land in distinct
-/// regions, plus one global random teleporter whose old/new blocks keep
-/// exercising the cross-region merge paths.
+/// introduced by the region or chunk staging fails loudly here, at one
+/// lane as at several.
 void run_parallel_oracle(std::size_t n, double degree, std::size_t ticks,
                          std::size_t threads, std::uint64_t seed) {
   Rng rng(seed);
@@ -159,37 +187,19 @@ void run_parallel_oracle(std::size_t n, double degree, std::size_t ticks,
   opts.threads = threads;
   IncrementalPipeline pipeline(positions, range, 100, 100, opts);
 
-  // Corner areas: 24x24 boxes whose painted blocks stay disjoint (edge
-  // gap 46 units >= 7 grid cells at every tested n/degree).
-  const geom::Point anchors[] = {{15, 15}, {85, 15}, {15, 85}, {85, 85}};
-  constexpr double kHalf = 12.0;
-  const auto in_box = [&](geom::Point p, geom::Point a) {
-    return std::abs(p.x - a.x) <= kHalf && std::abs(p.y - a.y) <= kHalf;
-  };
-
   std::size_t multi_region_ticks = 0;
+  std::vector<NodeId> movers;
   for (std::size_t t = 0; t < ticks; ++t) {
-    for (const geom::Point a : anchors) {
-      std::vector<NodeId> near;
-      for (std::size_t v = 0; v < n; ++v)
-        if (in_box(positions[v], a)) near.push_back(static_cast<NodeId>(v));
-      ASSERT_FALSE(near.empty());
-      const NodeId v = near[rng.index(near.size())];
-      positions[v] = {rng.uniform(a.x - kHalf, a.x + kHalf),
-                      rng.uniform(a.y - kHalf, a.y + kHalf)};
-      pipeline.stage_move(v, positions[v]);
-    }
-    const auto w = static_cast<NodeId>(rng.index(n));
-    positions[w] = {rng.uniform(0, 100), rng.uniform(0, 100)};
-    pipeline.stage_move(w, positions[w]);
+    ASSERT_NO_FATAL_FAILURE(corner_churn(positions, rng, movers));
+    for (const NodeId v : movers) pipeline.stage_move(v, positions[v]);
 
     TickStats stats{};
     ASSERT_NO_THROW(stats = pipeline.tick())
         << "oracle mismatch at tick " << t;
     if (stats.regions >= 2) ++multi_region_ticks;
   }
-  // The soak must actually exercise the sharded path, not degenerate to
-  // the single-region sequential fallback.
+  // The soak must actually exercise multi-region ticks, not degenerate
+  // to one region holding the whole delta.
   EXPECT_GT(multi_region_ticks, ticks / 2);
 }
 
@@ -198,6 +208,10 @@ void run_parallel_oracle(std::size_t n, double degree, std::size_t ticks,
 // and each staged node paints two 7x7 blocks. Sparse n=1000 gives a
 // 22x22 grid (regions split routinely); dense d=18 needs n=2000 for a
 // comparable 18x18 grid.
+TEST(ParallelOracleTest, TeleportSparseThreads1) {
+  run_parallel_oracle(1000, 6.0, 100, 1, 810);
+}
+
 TEST(ParallelOracleTest, TeleportSparseThreads2) {
   run_parallel_oracle(1000, 6.0, 100, 2, 811);
 }
@@ -253,26 +267,10 @@ TEST(ParallelDeterminismTest, LockstepStateIdenticalAcrossThreadCounts) {
   IncrementalPipeline p2 = make(2);
   IncrementalPipeline p8 = make(8);
 
-  // Same corner-structured churn as the oracle soaks (see
-  // run_parallel_oracle) so most ticks are genuinely multi-region.
-  const geom::Point anchors[] = {{15, 15}, {85, 15}, {15, 85}, {85, 85}};
-  constexpr double kHalf = 12.0;
+  // Corner-structured churn so most ticks are genuinely multi-region.
+  std::vector<NodeId> movers;
   for (std::size_t t = 0; t < 80; ++t) {
-    std::vector<NodeId> movers;
-    for (const geom::Point a : anchors) {
-      std::vector<NodeId> near;
-      for (std::size_t v = 0; v < n; ++v)
-        if (std::abs(positions[v].x - a.x) <= kHalf &&
-            std::abs(positions[v].y - a.y) <= kHalf)
-          near.push_back(static_cast<NodeId>(v));
-      ASSERT_FALSE(near.empty());
-      const NodeId v = near[rng.index(near.size())];
-      positions[v] = {rng.uniform(a.x - kHalf, a.x + kHalf),
-                      rng.uniform(a.y - kHalf, a.y + kHalf)};
-      movers.push_back(v);
-    }
-    movers.push_back(static_cast<NodeId>(rng.index(n)));
-    positions[movers.back()] = {rng.uniform(0, 100), rng.uniform(0, 100)};
+    ASSERT_NO_FATAL_FAILURE(corner_churn(positions, rng, movers));
     for (const NodeId v : movers) {
       p1.stage_move(v, positions[v]);
       p2.stage_move(v, positions[v]);
@@ -294,6 +292,66 @@ TEST(ParallelDeterminismTest, LockstepStateIdenticalAcrossThreadCounts) {
     EXPECT_EQ(s1.regions, s2.regions);
     EXPECT_EQ(s1.regions, s8.regions);
   }
+}
+
+/// Every TickStats field that must not depend on how a tick's repair
+/// was split or scheduled (all but `regions`).
+void expect_same_tick_stats(const TickStats& a, const TickStats& b,
+                            std::size_t tick) {
+  EXPECT_EQ(a.link_changes, b.link_changes) << "tick " << tick;
+  EXPECT_EQ(a.cluster_churn.heads_resigned, b.cluster_churn.heads_resigned)
+      << "tick " << tick;
+  EXPECT_EQ(a.cluster_churn.heads_declared, b.cluster_churn.heads_declared)
+      << "tick " << tick;
+  EXPECT_EQ(a.cluster_churn.reaffiliations, b.cluster_churn.reaffiliations)
+      << "tick " << tick;
+  EXPECT_EQ(a.head_changes, b.head_changes) << "tick " << tick;
+  EXPECT_EQ(a.role_changes, b.role_changes) << "tick " << tick;
+  EXPECT_EQ(a.backbone_changes, b.backbone_changes) << "tick " << tick;
+  EXPECT_EQ(a.coverage_changes, b.coverage_changes) << "tick " << tick;
+  EXPECT_EQ(a.rows_recomputed, b.rows_recomputed) << "tick " << tick;
+  EXPECT_EQ(a.heads_reselected, b.heads_reselected) << "tick " << tick;
+}
+
+TEST(ParallelDeterminismTest, LockstepApplyIdenticalAcrossPartitionAndPool) {
+  // One DeltaTracker's deltas feed three backbones: the whole delta as
+  // one region, the region partition inline on one lane, and the
+  // partition on a four-lane pool. After every tick the three must hold
+  // bit-identical state and report identical tick accounting.
+  Rng rng(817);
+  const std::size_t n = 1000;
+  const double range = geom::range_for_average_degree(6.0, n, 100, 100);
+  auto positions = random_layout(n, rng);
+  DeltaTracker tracker(positions, range, 100, 100);
+  const auto mode = core::CoverageMode::kTwoPointFiveHop;
+  IncrementalBackbone whole(tracker.adjacency(), mode);
+  IncrementalBackbone regions(tracker.adjacency(), mode);
+  IncrementalBackbone pooled(tracker.adjacency(), mode);
+  WorkerPool pool4(4);
+  RegionPartition partition;
+
+  std::size_t multi_region_ticks = 0;
+  std::vector<NodeId> movers;
+  for (std::size_t t = 0; t < 80; ++t) {
+    ASSERT_NO_FATAL_FAILURE(corner_churn(positions, rng, movers));
+    for (const NodeId v : movers) tracker.stage_move(v, positions[v]);
+    const EdgeDelta d = tracker.commit(&partition);
+    const graph::DynamicAdjacency& g = tracker.adjacency();
+    const TickStats s_whole = whole.apply(g, d);
+    const TickStats s_regions = regions.apply(g, d, &partition);
+    const TickStats s_pooled = pooled.apply(g, d, &partition, &pool4);
+    ASSERT_EQ(whole.diff_against(regions.materialize()), "")
+        << "one-lane partitioned repair diverged at tick " << t;
+    ASSERT_EQ(whole.diff_against(pooled.materialize()), "")
+        << "four-lane partitioned repair diverged at tick " << t;
+    expect_same_tick_stats(s_whole, s_regions, t);
+    expect_same_tick_stats(s_whole, s_pooled, t);
+    EXPECT_EQ(s_whole.regions, 0u);
+    EXPECT_EQ(s_regions.regions, partition.count);
+    EXPECT_EQ(s_pooled.regions, partition.count);
+    if (partition.count >= 2) ++multi_region_ticks;
+  }
+  EXPECT_GT(multi_region_ticks, 40u);
 }
 
 TEST(ParallelDeterminismTest, ChurnSoakHashAndMetricsIdentical) {
@@ -350,25 +408,10 @@ TEST(PipelinedDeterminismTest, LockstepPipelinedMatchesSequential) {
   IncrementalPipeline piped1 = make(1, 2);
   IncrementalPipeline piped8 = make(8, 2);
 
-  const geom::Point anchors[] = {{15, 15}, {85, 15}, {15, 85}, {85, 85}};
-  constexpr double kHalf = 12.0;
   std::size_t sync_links = 0, piped1_links = 0, piped8_links = 0;
+  std::vector<NodeId> movers;
   for (std::size_t t = 0; t < 80; ++t) {
-    std::vector<NodeId> movers;
-    for (const geom::Point a : anchors) {
-      std::vector<NodeId> near;
-      for (std::size_t v = 0; v < n; ++v)
-        if (std::abs(positions[v].x - a.x) <= kHalf &&
-            std::abs(positions[v].y - a.y) <= kHalf)
-          near.push_back(static_cast<NodeId>(v));
-      ASSERT_FALSE(near.empty());
-      const NodeId v = near[rng.index(near.size())];
-      positions[v] = {rng.uniform(a.x - kHalf, a.x + kHalf),
-                      rng.uniform(a.y - kHalf, a.y + kHalf)};
-      movers.push_back(v);
-    }
-    movers.push_back(static_cast<NodeId>(rng.index(n)));
-    positions[movers.back()] = {rng.uniform(0, 100), rng.uniform(0, 100)};
+    ASSERT_NO_FATAL_FAILURE(corner_churn(positions, rng, movers));
     for (const NodeId v : movers) {
       sync.stage_move(v, positions[v]);
       piped1.stage_move(v, positions[v]);
