@@ -53,12 +53,6 @@ NodeSet NodeBitset::to_node_set() const {
   return out;
 }
 
-NodeBitset NodeBitset::from_node_set(std::size_t universe, const NodeSet& s) {
-  NodeBitset bs(universe);
-  for (NodeId v : s) bs.set(v);
-  return bs;
-}
-
 bool operator==(const NodeBitset& a, const NodeBitset& b) {
   const std::size_t common = std::min(a.words_.size(), b.words_.size());
   for (std::size_t w = 0; w < common; ++w)

@@ -97,9 +97,6 @@ class NodeBitset {
   /// Materializes the sorted-unique NodeSet in one pass.
   NodeSet to_node_set() const;
 
-  /// Builds a bitset over [0, universe) from a sorted-unique NodeSet.
-  static NodeBitset from_node_set(std::size_t universe, const NodeSet& s);
-
   friend bool operator==(const NodeBitset& a, const NodeBitset& b);
 
  private:

@@ -79,23 +79,19 @@ std::vector<std::pair<std::size_t, std::size_t>> plan_chunks(
   return chunks;
 }
 
-/// obs::Span lookalike that can buffer instead of writing the recorder:
-/// with `buf` non-null the completed span lands there (deferred-trace
-/// mode), otherwise it goes straight to `tr`. `tr == nullptr` disables.
+/// obs::Span lookalike that buffers the completed span in `buf` instead
+/// of writing the recorder (see TraceSpanRec). `tr == nullptr` disables.
 class StageSpan {
  public:
-  StageSpan(obs::TraceRecorder* tr, std::vector<TraceSpanRec>* buf,
+  StageSpan(obs::TraceRecorder* tr, std::vector<TraceSpanRec>& buf,
             const char* name, std::uint64_t tick, const char* arg_name)
-      : tr_(tr), buf_(buf), name_(name), arg_name_(arg_name), tick_(tick) {
+      : tr_(tr), buf_(&buf), name_(name), arg_name_(arg_name), tick_(tick) {
     if (tr_) start_ns_ = tr_->now_ns();
   }
   ~StageSpan() {
     if (!tr_) return;
-    const std::uint64_t dur = tr_->now_ns() - start_ns_;
-    if (buf_)
-      buf_->push_back({name_, start_ns_, dur, tick_, 0, arg_name_, arg_});
-    else
-      tr_->complete("incr", name_, start_ns_, dur, tick_, 0, arg_name_, arg_);
+    buf_->push_back({name_, start_ns_, tr_->now_ns() - start_ns_, tick_, 0,
+                     arg_name_, arg_});
   }
   void set_arg(std::uint64_t v) { arg_ = v; }
   StageSpan(const StageSpan&) = delete;
@@ -133,8 +129,6 @@ IncrementalBackbone::IncrementalBackbone(const graph::DynamicAdjacency& g,
   selection_ = std::move(full.selection);
 
   const std::size_t n = g.order();
-  head_bits_ = graph::NodeBitset(n);
-  for (const NodeId h : clustering_.heads) head_bits_.set(h);
   selection_refs_.assign(n, 0);
   cds_bits_ = graph::NodeBitset(n);
   for (const NodeId h : clustering_.heads) {
@@ -245,7 +239,8 @@ TickStats IncrementalBackbone::apply(const graph::DynamicAdjacency& g,
   };
 
   // Workers buffer their spans (TraceRecorder is single-writer) and the
-  // caller flushes them after each join, one trace track per lane.
+  // caller moves them into trace_buf_ after each join, one trace track
+  // per lane.
   struct LaneSpan {
     const char* name;
     std::uint64_t ts, dur, arg;
@@ -264,49 +259,31 @@ TickStats IncrementalBackbone::apply(const graph::DynamicAdjacency& g,
   const auto flush_spans = [&] {
     if (!tr) return;
     for (std::size_t lane = 0; lane < lanes; ++lane) {
-      for (const LaneSpan& s : lane_spans[lane]) {
-        const auto tid = static_cast<std::uint32_t>(lane + 1);
-        if (defer_trace_)
-          trace_buf_.push_back(
-              {s.name, s.ts, s.dur, ticks_applied_, tid, "items", s.arg});
-        else
-          tr->complete("incr", s.name, s.ts, s.dur, ticks_applied_, tid,
-                       "items", s.arg);
-      }
+      const auto tid = static_cast<std::uint32_t>(lane + 1);
+      for (const LaneSpan& s : lane_spans[lane])
+        trace_buf_.push_back(
+            {s.name, s.ts, s.dur, ticks_applied_, tid, "items", s.arg});
       lane_spans[lane].clear();
     }
   };
 
-  // --- Cluster-repair rules, one job per independent region. Each job
-  // writes head_of inside its own region and buffers its head status
-  // flips; head_bits_ stays read-only until the merge, so the per-region
-  // ascending scans see exactly what one global scan would show them
-  // (S30: no other region's writes are within this region's read
-  // radius). Without a partition the whole delta is one region, the
-  // tick's only writer, and its rules write head_bits_ directly.
+  // --- Cluster-repair rules, one job per independent region (without a
+  // partition the whole delta is one region). Each job writes the
+  // head_of entries of its own region's nodes in place; S30 puts no other
+  // region's writes within its read radius, so the per-region ascending
+  // scans see exactly what one global scan would show them.
   ClusterRepair rep;
   {
-    StageSpan span(tr, defer_trace_ ? &trace_buf_ : nullptr, "cluster_repair",
-                   ticks_applied_, "flips");
-    std::vector<ClusterRepair> reps(partition != nullptr ? partition->count
-                                                         : 1);
-    if (partition == nullptr) {
-      timed(0, "region_repair", delta.link_changes(), [&] {
-        reps[0] = repair_clustering_region(g, delta, clustering_, head_bits_);
+    StageSpan span(tr, trace_buf_, "cluster_repair", ticks_applied_, "flips");
+    const std::size_t regions = partition != nullptr ? partition->count : 1;
+    std::vector<ClusterRepair> reps(regions);
+    run(regions, [&](std::size_t r, std::size_t lane) {
+      const EdgeDelta& region =
+          partition != nullptr ? partition->deltas[r] : delta;
+      timed(lane, "region_repair", region.link_changes(), [&] {
+        reps[r] = repair_clustering_region(g, region, clustering_);
       });
-    } else {
-      std::vector<HeadStatusOverlay> overlays(partition->count,
-                                              HeadStatusOverlay(head_bits_));
-      run(partition->count, [&](std::size_t r, std::size_t lane) {
-        timed(lane, "region_repair", partition->deltas[r].link_changes(),
-              [&] {
-                reps[r] = repair_clustering_region(g, partition->deltas[r],
-                                                   clustering_, overlays[r]);
-              });
-      });
-      for (const HeadStatusOverlay& overlay : overlays)
-        overlay.apply(head_bits_);
-    }
+    });
     // Merge in region order: churn sums, and the per-region sorted sets
     // (disjoint by S30) into global ones.
     for (const ClusterRepair& part : reps) {
@@ -324,8 +301,9 @@ TickStats IncrementalBackbone::apply(const graph::DynamicAdjacency& g,
     normalize(rep.resigned);
     normalize(rep.declared);
     normalize(rep.head_changed);
-    for (const NodeId h : rep.resigned) erase_sorted(clustering_.heads, h);
-    for (const NodeId h : rep.declared) insert_sorted(clustering_.heads, h);
+    if (!rep.resigned.empty() || !rep.declared.empty())
+      clustering_.heads = set_union(
+          set_difference(clustering_.heads, rep.resigned), rep.declared);
 
     // --- Roles against the final head_of, in sorted chunks: chunk c
     // writes roles of its own slice only, and the per-chunk changed
@@ -372,8 +350,7 @@ TickStats IncrementalBackbone::apply(const graph::DynamicAdjacency& g,
 
   NodeSet hop1_changed;
   {
-    StageSpan span(tr, defer_trace_ ? &trace_buf_ : nullptr, "hop1_scan",
-                   ticks_applied_, "rows");
+    StageSpan span(tr, trace_buf_, "hop1_scan", ticks_applied_, "rows");
     span.set_arg(hop1_dirty.size());
     const auto chunks = plan_chunks(hop1_dirty.size(), lanes);
     std::vector<ChangedRows<NodeId>> changed(chunks.size());
@@ -408,8 +385,7 @@ TickStats IncrementalBackbone::apply(const graph::DynamicAdjacency& g,
 
   NodeSet changed_rows = hop1_changed;
   {
-    StageSpan span(tr, defer_trace_ ? &trace_buf_ : nullptr, "hop2_scan",
-                   ticks_applied_, "rows");
+    StageSpan span(tr, trace_buf_, "hop2_scan", ticks_applied_, "rows");
     span.set_arg(hop2_dirty.size());
     const auto chunks = plan_chunks(hop2_dirty.size(), lanes);
     std::vector<ChangedRows<core::Hop2Entry>> changed(chunks.size());
@@ -448,7 +424,7 @@ TickStats IncrementalBackbone::apply(const graph::DynamicAdjacency& g,
   graph::NodeBitset head_dirty(g.order());
   NodeSet recompute;
   const auto mark = [&](NodeId v) {
-    if (head_bits_.test(v) && head_dirty.set(v)) recompute.push_back(v);
+    if (clustering_.is_head(v) && head_dirty.set(v)) recompute.push_back(v);
   };
   for (const NodeId v : delta.touched) mark(v);
   for (const NodeId v : rep.declared) mark(v);
@@ -461,11 +437,8 @@ TickStats IncrementalBackbone::apply(const graph::DynamicAdjacency& g,
   NodeSet cds_candidates;
   for (const NodeId h : rep.declared) cds_candidates.push_back(h);
   for (const NodeId h : rep.resigned) cds_candidates.push_back(h);
-  const graph::NodeBitset declared_bits =
-      graph::NodeBitset::from_node_set(g.order(), rep.declared);
   {
-    StageSpan span(tr, defer_trace_ ? &trace_buf_ : nullptr, "head_reselect",
-                   ticks_applied_, "heads");
+    StageSpan span(tr, trace_buf_, "head_reselect", ticks_applied_, "heads");
     span.set_arg(recompute.size());
     const auto chunks = plan_chunks(recompute.size(), lanes);
     std::vector<std::vector<GatewayRef>> refs(chunks.size());
@@ -479,7 +452,8 @@ TickStats IncrementalBackbone::apply(const graph::DynamicAdjacency& g,
                                              lane_sel_scratch_[lane],
                                              refs[ci]);
           // A fresh head's coverage counts as changed.
-          if (changed || declared_bits.test(h)) ++coverage_changes[ci];
+          if (changed || contains_sorted(rep.declared, h))
+            ++coverage_changes[ci];
         }
       });
     });
@@ -492,7 +466,7 @@ TickStats IncrementalBackbone::apply(const graph::DynamicAdjacency& g,
     // counts (guard against a same-tick re-declaration, which rule 2 makes
     // impossible today but cheap to stay safe against).
     for (const NodeId v : rep.resigned)
-      if (!head_bits_.test(v)) clear_head_rows(v, cds_candidates);
+      if (!clustering_.is_head(v)) clear_head_rows(v, cds_candidates);
     flush_spans();
   }
   stats.heads_reselected = recompute.size();
@@ -501,13 +475,12 @@ TickStats IncrementalBackbone::apply(const graph::DynamicAdjacency& g,
 
   // --- CDS settling for every node whose head status or selection
   // reference count moved this tick: membership is a pure read of
-  // head_bits_/selection_refs_/cds_bits_ (all frozen here), so chunks
+  // head_of/selection_refs_/cds_bits_ (all frozen here), so chunks
   // over the sorted candidate set buffer their flips and the caller
   // applies them in chunk order — one ascending flip sequence.
   normalize(cds_candidates);
   {
-    StageSpan span(tr, defer_trace_ ? &trace_buf_ : nullptr, "cds_settle",
-                   ticks_applied_, "candidates");
+    StageSpan span(tr, trace_buf_, "cds_settle", ticks_applied_, "candidates");
     span.set_arg(cds_candidates.size());
     const auto chunks = plan_chunks(cds_candidates.size(), lanes);
     std::vector<std::vector<std::pair<NodeId, bool>>> flips(chunks.size());
@@ -516,7 +489,8 @@ TickStats IncrementalBackbone::apply(const graph::DynamicAdjacency& g,
         const auto [begin, count] = chunks[ci];
         for (std::size_t i = begin; i < begin + count; ++i) {
           const NodeId v = cds_candidates[i];
-          const bool member = head_bits_.test(v) || selection_refs_[v] > 0;
+          const bool member =
+              clustering_.is_head(v) || selection_refs_[v] > 0;
           if (member != cds_bits_.test(v)) flips[ci].emplace_back(v, member);
         }
       });
@@ -538,7 +512,7 @@ TickStats IncrementalBackbone::apply(const graph::DynamicAdjacency& g,
 NodeSet IncrementalBackbone::gateways() const {
   NodeSet out;
   cds_bits_.for_each([&](NodeId v) {
-    if (!head_bits_.test(v)) out.push_back(v);
+    if (!clustering_.is_head(v)) out.push_back(v);
   });
   return out;
 }

@@ -56,10 +56,11 @@ namespace manet::incr {
 struct RegionPartition;
 class WorkerPool;
 
-/// One buffered trace span. TraceRecorder is single-writer, so when the
-/// engine runs as an async pool batch (pipelined mode) it cannot write
-/// spans directly while the driver thread records its own: it buffers
-/// them as TraceSpanRec and the driver flushes after joining the tick.
+/// One buffered trace span. TraceRecorder is single-writer and apply()
+/// may run as an async pool batch (pipelined mode) while the driver
+/// thread records its own spans, so apply() never writes the recorder:
+/// it buffers every span as a TraceSpanRec, and the driver writes them
+/// with flush_trace() once the tick is joined.
 struct TraceSpanRec {
   const char* name = "";
   std::uint64_t ts = 0;
@@ -109,15 +110,16 @@ class IncrementalBackbone {
                   WorkerPool* pool = nullptr);
 
   /// Attaches an observability session: per-phase spans go to its
-  /// flight recorder, `incr.*` counters/histograms to its registry.
-  /// nullptr detaches. The session must outlive the backbone.
+  /// flight recorder (through flush_trace()), `incr.*` counters and
+  /// histograms to its registry. nullptr detaches. The session must
+  /// outlive the backbone.
   void set_obs(obs::Session* session);
 
-  /// Deferred-trace mode: apply() buffers every span instead of writing
-  /// the recorder, so a tick may run concurrently with the driver
-  /// thread's own recording. Metrics stay live (atomic adds commute).
-  /// The driver calls flush_trace() after joining.
-  void set_defer_trace(bool on) { defer_trace_ = on; }
+  /// Writes the spans apply() buffered to the attached session's flight
+  /// recorder, in the order they completed, and empties the buffer.
+  /// Call after each apply() has returned (or been joined), from the
+  /// thread that owns the recorder. Metrics need no flush: they are live
+  /// (atomic adds commute).
   void flush_trace();
 
   core::CoverageMode mode() const { return tables_.mode; }
@@ -127,7 +129,6 @@ class IncrementalBackbone {
   const std::vector<core::GatewaySelection>& selection() const {
     return selection_;
   }
-  const NodeSet& heads() const { return clustering_.heads; }
 
   /// Union of all selected gateways, materialized from the maintained
   /// membership bitset.
@@ -176,16 +177,15 @@ class IncrementalBackbone {
   void clear_head_rows(NodeId v, NodeSet& cds_candidates);
 
   cluster::Clustering clustering_;
-  graph::NodeBitset head_bits_;
   core::NeighborTables tables_;
   std::vector<core::Coverage> coverage_;
   std::vector<core::GatewaySelection> selection_;
   /// selection_refs_[v] = number of heads whose selection contains v.
   std::vector<std::uint32_t> selection_refs_;
-  graph::NodeBitset cds_bits_;  ///< head_bits_ ∪ {v : selection_refs_[v]>0}
+  /// {v : head_of[v] == v} ∪ {v : selection_refs_[v] > 0}
+  graph::NodeBitset cds_bits_;
   obs::Session* obs_ = nullptr;
   ObsHandles obs_handles_;
-  bool defer_trace_ = false;
   std::vector<TraceSpanRec> trace_buf_;
   std::uint64_t ticks_applied_ = 0;  ///< trace span "tick" argument
   /// Reusable coverage + selection bitsets, one per pool lane (grown by

@@ -29,21 +29,18 @@
 // and write it within one, so on the DeltaTracker's independent-region
 // partition (core cells >= 5 grid cells apart, DESIGN S30) concurrent
 // per-region scans can never observe each other and compose to exactly
-// the global ascending scan. Concurrent region calls buffer head-status
-// writes in a HeadStatusOverlay (the shared head bitset stays
-// read-only); a call that is the tick's only writer, such as one region
-// holding the whole delta, writes the real bitset. Either way the caller
-// merges the sorted heads list, the role refresh and the dirty sets.
+// the global ascending scan. Head status is c.head_of[v] == v and
+// nothing else: each region writes the head_of entries of its own nodes
+// in place, and every entry is its own memory location, so concurrent
+// regions never share a write. The caller merges the sorted heads list,
+// the role refresh and the dirty sets.
 #pragma once
 
 #include <span>
-#include <utility>
-#include <vector>
 
 #include "cluster/lcc.hpp"
 #include "cluster/lowest_id.hpp"
 #include "common/ids.hpp"
-#include "graph/bitset.hpp"
 #include "graph/dynamic_adjacency.hpp"
 #include "incr/edge_delta.hpp"
 
@@ -58,64 +55,17 @@ struct ClusterRepair {
   NodeSet resigned;          ///< heads that stepped down this tick
 };
 
-/// Read-through view of a head bitset whose writes buffer locally
-/// instead of mutating the base. test() sees the region's own flips
-/// (latest wins) layered over the frozen base — which is exactly what
-/// one global ascending scan would show inside this region, because no
-/// other region's flips are within this region's read radius (DESIGN
-/// S30).
-/// Flip lists stay tiny (a handful of resignations/declarations), so
-/// the read-back scan is cheaper than any hashed structure.
-class HeadStatusOverlay {
- public:
-  explicit HeadStatusOverlay(const graph::NodeBitset& base) : base_(&base) {}
-
-  bool test(NodeId v) const {
-    for (auto it = flips_.rbegin(); it != flips_.rend(); ++it)
-      if (it->first == v) return it->second;
-    return base_->test(v);
-  }
-  void set(NodeId v) { flips_.emplace_back(v, true); }
-  void reset(NodeId v) { flips_.emplace_back(v, false); }
-
-  /// Replays the buffered flips onto a real bitset (merge stage).
-  void apply(graph::NodeBitset& bits) const {
-    for (const auto& [v, on] : flips_) {
-      if (on) {
-        bits.set(v);
-      } else {
-        bits.reset(v);
-      }
-    }
-  }
-
- private:
-  const graph::NodeBitset* base_;
-  std::vector<std::pair<NodeId, bool>> flips_;
-};
-
 /// Rules 1+2 for one independent region's slice of the tick delta,
 /// against the clustering `c` valid before the delta and the post-delta
 /// adjacency `g`. Writes c.head_of entries inside the region only
-/// (disjoint across regions) and head-status changes through the
-/// overlay; does NOT touch c.heads, c.roles, or the overlay's base
-/// bitset, so concurrent calls on distinct regions of one
-/// RegionPartition are race-free. The caller merges: overlay flips onto
-/// the real bitset, resigned / declared into the sorted heads list, then
-/// a role refresh over the combined support (see role_support /
-/// refresh_roles). Expected O(dirty * d) work.
+/// (disjoint across regions); does NOT touch c.heads or c.roles, so
+/// concurrent calls on distinct regions of one RegionPartition are
+/// race-free. The caller merges resigned / declared into the sorted heads
+/// list, then refreshes roles over the combined support (see
+/// role_support / refresh_roles). Expected O(dirty * d) work.
 ClusterRepair repair_clustering_region(const graph::DynamicAdjacency& g,
                                        const EdgeDelta& region_delta,
-                                       cluster::Clustering& c,
-                                       HeadStatusOverlay& overlay);
-
-/// The same rules writing head status straight into `head_bits` (which
-/// must mirror c.heads on entry), for a caller that runs no other region
-/// concurrently — one region over the whole delta.
-ClusterRepair repair_clustering_region(const graph::DynamicAdjacency& g,
-                                       const EdgeDelta& region_delta,
-                                       cluster::Clustering& c,
-                                       graph::NodeBitset& head_bits);
+                                       cluster::Clustering& c);
 
 /// The support of the role predicate after a repair: head_changed ∪
 /// N(head_changed) ∪ touched, sorted-unique.

@@ -58,7 +58,6 @@ IncrementalPipeline::IncrementalPipeline(std::vector<geom::Point> positions,
                 "oracle mode must observe every tick synchronously; use "
                 "pipeline_depth 1");
   pool_ = std::make_unique<WorkerPool>(options_.threads);
-  backbone_.set_defer_trace(options_.pipeline_depth > 1);
   if (options_.oracle_check) oracle_previous_ = backbone_.clustering();
   set_obs(options_.obs);
 }
@@ -187,6 +186,9 @@ TickStats IncrementalPipeline::tick_sync() {
 
   TickStats stats = backbone_.apply(tracker_.adjacency(), delta, &partition_,
                                     pool_.get());
+  // Before the oracle check, so a mismatch dump's recorder tail holds
+  // this tick's stage spans.
+  backbone_.flush_trace();
 
   if (options_.oracle_check) {
     // Full rebuild from first principles: re-derive the topology from the

@@ -11,6 +11,7 @@
 #include <array>
 #include <cmath>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "exp/churn.hpp"
 #include "geom/unit_disk.hpp"
 #include "graph/dynamic_adjacency.hpp"
+#include "graph/graph.hpp"
 #include "incr/backbone.hpp"
 #include "incr/delta_tracker.hpp"
 #include "incr/edge_delta.hpp"
@@ -817,10 +819,13 @@ TEST(DeltaTrackerTest, ScopeLookupFollowsEachCommit) {
   EXPECT_EQ(tracker.scope_region(3), 0u);
 }
 
-TEST(ClusterRepairTest, MatchesFullLccUpdateOnRandomEdgeFlips) {
-  // The one-region repair (apply without a partition) against a full
-  // lcc_update from the previous clustering, one random edge flip at a
-  // time.
+/// The one-region repair (apply without a partition) against a full
+/// lcc_update from the previous clustering, over 300 rounds of
+/// `flips_per_round` random edge flips each; a pair flipped twice in one
+/// round cancels out of the diff_graphs delta. Counts the rounds that
+/// resigned two or more heads in one call into `multi_resign_rounds`.
+void check_repair_on_random_flips(int flips_per_round,
+                                  int& multi_resign_rounds) {
   Rng rng(55);
   const std::size_t n = 70;
   const double range = geom::range_for_average_degree(7.0, n, 100, 100);
@@ -832,38 +837,83 @@ TEST(ClusterRepairTest, MatchesFullLccUpdateOnRandomEdgeFlips) {
   ASSERT_EQ(backbone.clustering(), cluster::lowest_id_clustering(g0));
 
   for (int round = 0; round < 300; ++round) {
-    // Flip a random pair: remove the edge if present, add it otherwise.
-    auto u = static_cast<NodeId>(rng.index(n));
-    auto w = static_cast<NodeId>(rng.index(n));
-    if (u == w) continue;
-    if (u > w) std::swap(u, w);
-    EdgeDelta delta;
-    if (adj.has_edge(u, w)) {
-      adj.remove_edge(u, w);
-      delta.removed.push_back({u, w});
-    } else {
-      adj.add_edge(u, w);
-      delta.added.push_back({u, w});
+    const graph::Graph before = adj.freeze();
+    for (int flip = 0; flip < flips_per_round; ++flip) {
+      // Flip a random pair: remove the edge if present, add it otherwise.
+      const auto u = static_cast<NodeId>(rng.index(n));
+      const auto w = static_cast<NodeId>(rng.index(n));
+      if (u == w) continue;
+      if (adj.has_edge(u, w)) {
+        adj.remove_edge(u, w);
+      } else {
+        adj.add_edge(u, w);
+      }
     }
-    delta.touched = {u, w};
+    const graph::Graph after = adj.freeze();
+    const EdgeDelta delta = diff_graphs(before, after);
+    if (delta.empty()) continue;
 
     const cluster::Clustering previous = backbone.clustering();
     const TickStats stats = backbone.apply(adj, delta);
 
     cluster::LccDelta full_delta;
     const cluster::Clustering full =
-        cluster::lcc_update(adj.freeze(), previous, &full_delta);
+        cluster::lcc_update(after, previous, &full_delta);
     ASSERT_EQ(backbone.clustering(), full)
         << "repair diverged from lcc_update at round " << round;
     EXPECT_EQ(stats.cluster_churn.heads_resigned, full_delta.heads_resigned);
     EXPECT_EQ(stats.cluster_churn.heads_declared, full_delta.heads_declared);
     EXPECT_EQ(stats.cluster_churn.reaffiliations, full_delta.reaffiliations);
-    // The head bitset, tables, coverage, selections and CDS follow too.
+    // The heads list, tables, coverage, selections and CDS follow too.
     ASSERT_EQ(backbone.diff_against(core::build_static_backbone(
-                  adj.freeze(), full, core::CoverageMode::kTwoPointFiveHop)),
+                  after, full, core::CoverageMode::kTwoPointFiveHop)),
               "")
         << "backbone diverged from the rebuild at round " << round;
+    if (stats.cluster_churn.heads_resigned >= 2) ++multi_resign_rounds;
   }
+}
+
+TEST(ClusterRepairTest, MatchesFullLccUpdateOnRandomEdgeFlips) {
+  for (const int flips : {1, 12}) {
+    SCOPED_TRACE(std::to_string(flips) + " flips per round");
+    int multi_resign_rounds = 0;
+    check_repair_on_random_flips(flips, multi_resign_rounds);
+    // Batched flips resign several heads in one call, so a resignation
+    // is seen by the larger heads after it within the same scan.
+    if (flips > 1) {
+      EXPECT_GT(multi_resign_rounds, 0);
+    }
+  }
+}
+
+TEST(ClusterRepairTest, ResignationCascadeKeepsTheSurvivorBesideIt) {
+  // Path 0-1-2-3-4-5-6 clusters into heads 0, 2, 4, 6. One delta joins
+  // every pair of consecutive heads: 2 resigns to 0 and 6 to 4, but 4
+  // survives, because 2 has resigned by the time 4 is scanned. Member 3
+  // loses head 2 and joins 4.
+  const graph::Graph before = graph::make_path(7);
+  graph::DynamicAdjacency adj(before);
+  IncrementalBackbone backbone(adj, core::CoverageMode::kTwoPointFiveHop);
+  ASSERT_EQ(backbone.clustering().heads, (NodeSet{0, 2, 4, 6}));
+  const cluster::Clustering previous = backbone.clustering();
+
+  for (const auto& [u, w] : {std::pair<NodeId, NodeId>{0, 2}, {2, 4}, {4, 6}})
+    adj.add_edge(u, w);
+  const graph::Graph after = adj.freeze();
+  const TickStats stats = backbone.apply(adj, diff_graphs(before, after));
+
+  EXPECT_EQ(backbone.clustering().heads, (NodeSet{0, 4}));
+  EXPECT_EQ(backbone.clustering().head_of,
+            (std::vector<NodeId>{0, 0, 0, 4, 4, 4, 4}));
+  EXPECT_EQ(stats.cluster_churn.heads_resigned, 2u);
+  cluster::LccDelta full_delta;
+  EXPECT_EQ(backbone.clustering(),
+            cluster::lcc_update(after, previous, &full_delta));
+  EXPECT_EQ(full_delta.heads_resigned, 2u);
+  EXPECT_EQ(backbone.diff_against(core::build_static_backbone(
+                after, backbone.clustering(),
+                core::CoverageMode::kTwoPointFiveHop)),
+            "");
 }
 
 TEST(IncrementalBackboneTest, NoOpTickProducesZeroStats) {

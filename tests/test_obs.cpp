@@ -511,23 +511,58 @@ TEST(ObsChurnTest, SetObsToggleObservesWithoutPerturbing) {
   }
 }
 
+/// The "tick" argument of every exported Chrome-trace event named
+/// `name` in category "incr" whose `arg` argument is at least `min_arg`.
+std::vector<std::uint64_t> incr_event_ticks(const std::string& json,
+                                            const std::string& name,
+                                            const std::string& arg,
+                                            std::uint64_t min_arg) {
+  std::vector<std::uint64_t> ticks;
+  const std::string head = "{\"name\":\"" + name + "\",\"cat\":\"incr\"";
+  const auto value_of = [&](const std::string& key, std::size_t from) {
+    const std::string field = "\"" + key + "\":";
+    return std::stoull(json.substr(json.find(field, from) + field.size()));
+  };
+  for (std::size_t pos = json.find(head); pos != std::string::npos;
+       pos = json.find(head, pos + 1)) {
+    const std::size_t args = json.find("\"args\":", pos);
+    if (value_of(arg, args) >= min_arg) ticks.push_back(value_of("tick", args));
+  }
+  return ticks;
+}
+
 TEST(ObsChurnTest, OracleRunRecordsPipelineMetrics) {
-  exp::ChurnConfig config;
-  config.nodes = 40;
-  config.degree = 6.0;
-  config.ticks = 10;
-  config.move_fraction = 0.05;
-  config.seed = 11;
-  config.oracle_check = true;
-  obs::Session session;
-  config.obs = &session;
-  const exp::ChurnResult result = exp::run_churn(config);
-  EXPECT_EQ(result.ticks, 10u);
-  if (!obs::kEnabled) return;
-  const obs::MetricsSnapshot snap = session.registry.snapshot();
-  EXPECT_EQ(snap.counter_or("incr.ticks"), 10u);
-  // Every tick leaves a tick span plus phase spans in the recorder.
-  EXPECT_GE(session.trace.total_recorded(), 10u);
+  // Depth 1 with the oracle, then depth 2 without it: either way every
+  // tick with a non-empty delta must leave exactly one cluster_repair
+  // span in the recorder, flushed from the backbone's span buffer.
+  for (const std::size_t depth : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE("pipeline_depth " + std::to_string(depth));
+    exp::ChurnConfig config;
+    config.nodes = 40;
+    config.degree = 6.0;
+    config.ticks = 10;
+    config.move_fraction = 0.05;
+    config.seed = 11;
+    config.oracle_check = depth == 1;
+    config.pipeline_depth = depth;
+    obs::Session session;
+    config.obs = &session;
+    const exp::ChurnResult result = exp::run_churn(config);
+    EXPECT_EQ(result.ticks, 10u);
+    if (!obs::kEnabled) continue;
+    const obs::MetricsSnapshot snap = session.registry.snapshot();
+    EXPECT_EQ(snap.counter_or("incr.ticks"), 10u);
+
+    std::ostringstream trace;
+    session.trace.write_chrome_trace(trace);
+    const std::string json = trace.str();
+    EXPECT_EQ(incr_event_ticks(json, "tick", "links", 0).size(), 10u);
+    const std::vector<std::uint64_t> changed_ticks =
+        incr_event_ticks(json, "tick", "links", 1);
+    ASSERT_FALSE(changed_ticks.empty());
+    EXPECT_EQ(incr_event_ticks(json, "cluster_repair", "flips", 0),
+              changed_ticks);
+  }
 }
 
 }  // namespace
