@@ -33,22 +33,26 @@ std::int64_t Flags::get_int(const std::string& key,
   auto it = values_.find(key);
   if (it == values_.end()) return fallback;
   std::size_t pos = 0;
-  const std::int64_t v = std::stoll(it->second, &pos);
-  if (pos != it->second.size())
-    throw std::invalid_argument("--" + key + " expects an integer, got '" +
-                                it->second + "'");
-  return v;
+  try {
+    const std::int64_t v = std::stoll(it->second, &pos);
+    if (pos == it->second.size()) return v;
+  } catch (const std::logic_error&) {  // std::stoll's invalid/out_of_range
+  }
+  throw std::invalid_argument("--" + key + " expects an integer, got '" +
+                              it->second + "'");
 }
 
 double Flags::get_double(const std::string& key, double fallback) const {
   auto it = values_.find(key);
   if (it == values_.end()) return fallback;
   std::size_t pos = 0;
-  const double v = std::stod(it->second, &pos);
-  if (pos != it->second.size())
-    throw std::invalid_argument("--" + key + " expects a number, got '" +
-                                it->second + "'");
-  return v;
+  try {
+    const double v = std::stod(it->second, &pos);
+    if (pos == it->second.size()) return v;
+  } catch (const std::logic_error&) {  // std::stod's invalid/out_of_range
+  }
+  throw std::invalid_argument("--" + key + " expects a number, got '" +
+                              it->second + "'");
 }
 
 bool Flags::get_bool(const std::string& key, bool fallback) const {

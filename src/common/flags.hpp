@@ -17,10 +17,12 @@ class Flags {
   /// String value or `fallback` when the key is absent.
   std::string get(const std::string& key, const std::string& fallback) const;
 
-  /// Integer value or `fallback`; throws std::invalid_argument on non-ints.
+  /// Integer value or `fallback`; throws std::invalid_argument naming
+  /// the flag on non-ints and on values outside std::int64_t.
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
 
-  /// Real value or `fallback`; throws std::invalid_argument on non-numbers.
+  /// Real value or `fallback`; throws std::invalid_argument naming the
+  /// flag on non-numbers and on values outside double's range.
   double get_double(const std::string& key, double fallback) const;
 
   /// True if `--key` or `--key=anything-but-false/0` was given.

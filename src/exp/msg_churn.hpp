@@ -21,9 +21,9 @@ namespace manet::exp {
 
 /// One message-maintenance run. Embeds ChurnConfig for the shared
 /// topology/mobility/mode/seed knobs (pipeline_depth and rebuild_* are
-/// ignored: the protocol engine is sequential by nature — one message at
-/// a time is the model; `threads` applies to the crosscheck witness
-/// pipeline, whose state is bitwise thread-count-invariant).
+/// ignored; `threads` applies to the crosscheck witness pipeline, whose
+/// state is bitwise thread-count-invariant, and the protocol engine's
+/// own lanes are `engine_threads`).
 struct MsgChurnConfig {
   ChurnConfig base;
   /// Drive an incremental pipeline over the identical move sequence and
@@ -76,11 +76,11 @@ struct MsgChurnResult {
   // Mean per-phase breakdown of wall_ms_per_tick (bench reporting; the
   // remainder is accounting overhead). Deliver and node step are summed
   // across lanes under concurrent region execution, so deliver+node_step
-  // can exceed wall; commit and mirror run on the caller alone.
+  // can exceed wall; commit and the ledger drain run on the caller alone.
   double commit_ms_per_tick = 0.0;     ///< tracker commit + region build
   double deliver_ms_per_tick = 0.0;    ///< message delivery passes
   double node_step_ms_per_tick = 0.0;  ///< node code (timers + rounds)
-  double mirror_ms_per_tick = 0.0;     ///< mirror refresh (ledger drain)
+  double mirror_ms_per_tick = 0.0;     ///< ledger drain (clustering)
   /// Digest of the final maintained state — equal to run_churn's
   /// state_hash for the same ChurnConfig (and asserted equal every tick
   /// when crosscheck is on).

@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "common/assert.hpp"
+#include "common/lanes.hpp"
 
 namespace manet::exp {
 
@@ -41,7 +42,9 @@ stats::ReplicationPolicy bench_policy(std::size_t threads) {
   stats::ReplicationPolicy policy;  // 99% CI within +-5%, as in the paper
   policy.min_replications = 30;
   policy.max_replications = 800;
-  if (threads == 0) threads = std::thread::hardware_concurrency();
+  if (threads == 0)
+    threads = std::min<std::size_t>(kMaxLanes,
+                                    std::thread::hardware_concurrency());
   policy.threads = std::max<std::size_t>(1, threads);
   return policy;
 }

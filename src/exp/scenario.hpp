@@ -43,7 +43,7 @@ geom::UnitDiskNetwork make_network(const PaperScenario& scenario,
 /// a cap that keeps a full figure regeneration in the minutes range.
 /// `threads` > 1 evaluates replications on a worker pool (deterministic:
 /// results are bitwise identical to threads = 1; see stats::replicate).
-/// threads = 0 resolves to the hardware concurrency.
+/// threads = 0 resolves to the hardware concurrency, at most kMaxLanes.
 stats::ReplicationPolicy bench_policy(std::size_t threads = 1);
 
 }  // namespace manet::exp

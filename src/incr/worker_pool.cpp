@@ -4,6 +4,8 @@
 #include <chrono>
 #include <string>
 
+#include "common/assert.hpp"
+#include "common/lanes.hpp"
 #include "obs/session.hpp"
 
 namespace manet::incr {
@@ -36,6 +38,7 @@ struct WorkerPool::Ticket::Batch {
 };
 
 WorkerPool::WorkerPool(std::size_t lanes) : lanes_(lanes == 0 ? 1 : lanes) {
+  MANET_REQUIRE(lanes_ <= kMaxLanes, "worker pool lane count out of range");
   threads_.reserve(lanes_ - 1);
   for (std::size_t lane = 1; lane < lanes_; ++lane)
     threads_.emplace_back([this, lane] { worker_loop(lane); });

@@ -70,7 +70,8 @@ class WorkerPool {
     std::shared_ptr<Batch> batch_;
   };
 
-  /// `lanes` total execution lanes including the caller; clamped to 1.
+  /// `lanes` total execution lanes including the caller; 0 means 1.
+  /// Throws std::invalid_argument, starting no thread, above kMaxLanes.
   explicit WorkerPool(std::size_t lanes);
   ~WorkerPool();
   WorkerPool(const WorkerPool&) = delete;

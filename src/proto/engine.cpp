@@ -10,6 +10,7 @@
 
 #include "cluster/lcc.hpp"
 #include "common/assert.hpp"
+#include "graph/bitset.hpp"
 #include "obs/session.hpp"
 
 namespace manet::proto {
@@ -78,44 +79,33 @@ MaintenanceEngine::MaintenanceEngine(std::vector<geom::Point> positions,
 
   // Bootstrap: the converged construction-phase backbone over the
   // initial topology (exactly what the incremental engine starts from,
-  // so tick-0 hashes already agree). `seed`'s dense storage dies as
-  // soon as the mirror is interned, before the nodes are allocated.
+  // so tick-0 hashes already agree).
   core::StaticBackbone seed;
   {
     const graph::Graph g = tracker_.adjacency().freeze();
     seed = core::build_static_backbone(g, options_.mode);
   }
   clustering_ = std::move(seed.clustering);
-  gateways_ = std::move(seed.gateways);
-  selection_refs_.assign(n, 0);
-  for (const NodeId h : clustering_.heads)
-    for (const NodeId w : seed.selection[h].gateways) ++selection_refs_[w];
 
-  // The mirror: intern the seeded rows BEFORE the nodes exist, then
-  // drop the seed's dense O(n) storage — node seeding reads the rows
-  // back out of the store, and heads' coverage/selection move into a
-  // heads-only side list. The bootstrap peak-RSS transient is the
-  // store plus that compact list, not dense tables/coverage/selection
-  // vectors coexisting with a million live nodes.
-  mirror_hop1_.resize(n);
-  mirror_hop2_.resize(n);
-  head_slot_.assign(n, 0);
+  // Intern the seeded rows BEFORE the nodes exist, then drop the seed's
+  // dense O(n) storage: node seeding reads the rows back out of the
+  // store by ref, so the bootstrap peak-RSS transient is the store plus
+  // these refs, not dense tables/coverage/selection vectors coexisting
+  // with a million live nodes.
+  std::vector<RowRef> hop1(n), hop2(n);
   for (NodeId v = 0; v < n; ++v) {
-    mirror_hop1_[v] = store_.intern_hop1(seed.tables.ch_hop1[v]);
-    mirror_hop2_[v] = store_.intern_hop2(seed.tables.ch_hop2[v]);
-    if (!seed.coverage[v].empty() || !seed.selection[v].gateways.empty()) {
-      HeadMirror hm;
-      hm.cov2 = store_.intern_hop1(seed.coverage[v].two_hop);
-      hm.cov3 = store_.intern_hop1(seed.coverage[v].three_hop);
-      hm.sel = store_.intern_hop1(seed.selection[v].gateways);
-      head_slot_[v] = static_cast<std::uint32_t>(head_rows_.size()) + 1;
-      head_rows_.push_back(hm);
-    }
+    hop1[v] = store_.intern_hop1(seed.tables.ch_hop1[v]);
+    hop2[v] = store_.intern_hop2(seed.tables.ch_hop2[v]);
   }
-  // Node seeding below reads everything back out of the store by ref
-  // (the nodes no longer hold dense rows — their own rows, coverage and
-  // selection are interned refs sharing the mirror's slabs), so the
-  // whole dense seed dies here, before any node is allocated.
+  struct HeadSeed {
+    RowRef cov2, cov3, sel;
+  };
+  std::vector<HeadSeed> head_seed;  // parallel to clustering_.heads
+  head_seed.reserve(clustering_.heads.size());
+  for (const NodeId h : clustering_.heads)
+    head_seed.push_back({store_.intern_hop1(seed.coverage[h].two_hop),
+                         store_.intern_hop1(seed.coverage[h].three_hop),
+                         store_.intern_hop1(seed.selection[h].gateways)});
   seed = core::StaticBackbone{};
 
   topo_ = std::make_unique<AdjacencyTopology>(tracker_.adjacency());
@@ -129,33 +119,28 @@ MaintenanceEngine::MaintenanceEngine(std::vector<geom::Point> positions,
 
   // Seed every node's protocol state from the converged backbone: its
   // affiliation, its neighbors' affiliations and cached rows, its own
-  // rows, and (heads) coverage + selection — all as retained refs into
-  // the rows the mirror just interned, so the bootstrap never re-hashes
-  // row content and node caches share slabs with the mirror from the
-  // first byte.
+  // rows, and (heads) coverage + selection — all as refs into the rows
+  // interned above, so the bootstrap never re-hashes row content. Each
+  // node adopts the reference interning took for its own rows.
+  std::size_t head_index = 0;
   for (NodeId v = 0; v < n; ++v) {
     MaintenanceNode& nd = node_mut(v);
     nd.seed_clustering(clustering_.head_of[v], clustering_.roles[v]);
     const auto nb = tracker_.adjacency().neighbors(v);
     nd.reserve_neighbors(nb.size());
-    for (const NodeId w : nb) nd.seed_neighbor(w, clustering_.head_of[w],
-                                               mirror_hop1_[w],
-                                               mirror_hop2_[w]);
-    nd.seed_rows(mirror_hop1_[v], mirror_hop2_[v]);
+    for (const NodeId w : nb)
+      nd.seed_neighbor(w, clustering_.head_of[w], hop1[w], hop2[w]);
+    nd.seed_rows(hop1[v], hop2[v]);
     if (clustering_.is_head(v)) {
-      const std::uint32_t s = head_slot_[v];
-      const HeadMirror hm = s != 0 ? head_rows_[s - 1] : HeadMirror{};
-      nd.seed_head_rows(hm.cov2, hm.cov3, hm.sel);
+      const HeadSeed& hs = head_seed[head_index++];
+      nd.seed_head_rows(hs.cov2, hs.cov3, hs.sel);
     }
   }
   // Gateway-selection soft state: exactly the selected nodes hold an
   // entry for the selecting origin (seq 0 = the bootstrap flood).
-  for (const NodeId h : clustering_.heads) {
-    const std::uint32_t s = head_slot_[h];
-    const RowRef sel = s != 0 ? head_rows_[s - 1].sel : kEmptyRow;
-    for (const NodeId w : store_.hop1(sel))
-      node_mut(w).seed_origin(h, true, sel);
-  }
+  for (std::size_t i = 0; i < head_seed.size(); ++i)
+    for (const NodeId w : store_.hop1(head_seed[i].sel))
+      node_mut(w).seed_origin(clustering_.heads[i], true, head_seed[i].sel);
 
   if (options_.inject_stale_gateway_fault)
     for (NodeId v = 0; v < n; ++v) node_mut(v).inject_stale_gateway_fault();
@@ -250,7 +235,7 @@ MaintTickStats MaintenanceEngine::tick() {
 
   // The oracle's expected state must be derived from the *previous*
   // clustering (LCC repairs a structure, it does not rebuild one), so
-  // compute it before the drain overwrites the mirror.
+  // compute it before the drain overwrites head_of and roles.
   std::optional<graph::Graph> oracle_graph;
   core::StaticBackbone expected;
   if (options_.oracle_check) {
@@ -483,99 +468,38 @@ void MaintenanceEngine::drain_ledger(MaintTickStats& stats) {
   }
   ledger_.cluster_changed.clear();
 
+  // The rows themselves stay on the nodes; the tick only counts the
+  // distinct nodes that changed them.
   dedup(ledger_.rows_changed);
-  for (const NodeId v : ledger_.rows_changed) {
-    const MaintenanceNode& nd = node(v);
-    ++stats.rows_changed;
-    // The node's own rows are interned in the same store — the mirror
-    // just retains the node's ref (ref equality is content equality, so
-    // an unchanged ref means nothing to do).
-    const RowRef h1 = nd.hop1_ref();
-    if (h1 != mirror_hop1_[v]) {
-      store_.retain_hop1(h1);
-      store_.release_hop1(mirror_hop1_[v]);
-      mirror_hop1_[v] = h1;
-    }
-    const RowRef h2 = nd.hop2_ref();
-    if (h2 != mirror_hop2_[v]) {
-      store_.retain_hop2(h2);
-      store_.release_hop2(mirror_hop2_[v]);
-      mirror_hop2_[v] = h2;
-    }
-  }
+  stats.rows_changed = ledger_.rows_changed.size();
   ledger_.rows_changed.clear();
-
   dedup(ledger_.head_rows_changed);
-  for (const NodeId v : ledger_.head_rows_changed) {
-    const MaintenanceNode& nd = node(v);
-    ++stats.heads_refreshed;
-    const HeadRows refs = nd.head_refs();
-    const NodeSet& fresh = store_.hop1(refs.sel);
-    const NodeSet& stale = mirror_selection(v);
-    if (fresh != stale) {
-      for (const NodeId w : stale)
-        if (!contains_sorted(fresh, w) && --selection_refs_[w] == 0)
-          sorted_stale_ = true;
-      for (const NodeId w : fresh)
-        if (!contains_sorted(stale, w) && selection_refs_[w]++ == 0)
-          sorted_stale_ = true;
-    }
-    // Retain the node's three head refs into the slot; allocate it on
-    // first head refresh, recycle it when the node resigned (all rows
-    // empty).
-    const bool keep = !refs.empty();
-    std::uint32_t slot = head_slot_[v];
-    if (keep) {
-      if (slot == 0) {
-        if (!free_head_slots_.empty()) {
-          slot = free_head_slots_.back() + 1;
-          free_head_slots_.pop_back();
-        } else {
-          head_rows_.emplace_back();
-          slot = static_cast<std::uint32_t>(head_rows_.size());
-        }
-        head_slot_[v] = slot;
-      }
-      HeadMirror& hm = head_rows_[slot - 1];
-      const auto adopt = [this](RowRef& into, RowRef fresh_ref) {
-        if (into == fresh_ref) return;
-        store_.retain_hop1(fresh_ref);
-        store_.release_hop1(into);
-        into = fresh_ref;
-      };
-      adopt(hm.cov2, refs.cov2);
-      adopt(hm.cov3, refs.cov3);
-      adopt(hm.sel, refs.sel);
-    } else if (slot != 0) {
-      HeadMirror& hm = head_rows_[slot - 1];
-      store_.release_hop1(hm.cov2);
-      store_.release_hop1(hm.cov3);
-      store_.release_hop1(hm.sel);
-      hm = HeadMirror{};
-      free_head_slots_.push_back(slot - 1);
-      head_slot_[v] = 0;
-    }
-  }
+  stats.heads_refreshed = ledger_.head_rows_changed.size();
   ledger_.head_rows_changed.clear();
 }
 
 void MaintenanceEngine::refresh_sorted() const {
   if (!sorted_stale_) return;
   clustering_.heads.clear();
-  gateways_.clear();
-  for (NodeId v = 0; v < clustering_.head_of.size(); ++v) {
+  for (NodeId v = 0; v < clustering_.head_of.size(); ++v)
     if (clustering_.head_of[v] == v) clustering_.heads.push_back(v);
-    if (selection_refs_[v] > 0) gateways_.push_back(v);
-  }
   sorted_stale_ = false;
+}
+
+NodeSet MaintenanceEngine::gateways() const {
+  refresh_sorted();
+  graph::NodeBitset selected(size());
+  for (const NodeId h : clustering_.heads)
+    for (const NodeId w : node(h).selection_gateways()) selected.set(w);
+  return selected.to_node_set();
 }
 
 std::uint64_t MaintenanceEngine::state_hash() const {
   // Same fold as core::backbone_state_hash — field order and length
-  // prefixes are the contract — but read through the interned mirror
-  // instead of materializing dense tables/coverage/selection vectors.
+  // prefixes are the contract — but read off the nodes instead of
+  // materializing dense tables/coverage/selection vectors.
   refresh_sorted();
-  const std::size_t n = clustering_.head_of.size();
+  const std::size_t n = size();
   std::uint64_t h = 14695981039346656037ULL;
   h = core::state_hash_nodes(h, clustering_.heads);
   h = core::state_hash_mix(h, clustering_.head_of.size());
@@ -583,23 +507,22 @@ std::uint64_t MaintenanceEngine::state_hash() const {
   for (const auto role : clustering_.roles)
     h = core::state_hash_mix(h, static_cast<std::uint64_t>(role));
   for (NodeId v = 0; v < n; ++v)
-    h = core::state_hash_nodes(h, mirror_hop1(v));
+    h = core::state_hash_nodes(h, node(v).hop1_row());
   for (NodeId v = 0; v < n; ++v) {
-    const auto& row = mirror_hop2(v);
+    const auto& row = node(v).hop2_row();
     h = core::state_hash_mix(h, row.size());
     for (const auto& e : row)
       h = core::state_hash_mix(h, (std::uint64_t{e.head} << 32) | e.via);
   }
   for (NodeId v = 0; v < n; ++v) {
-    const std::uint32_t s = head_slot_[v];
-    const HeadMirror hm = s != 0 ? head_rows_[s - 1] : HeadMirror{};
-    h = core::state_hash_nodes(h, store_.hop1(hm.cov2));
-    h = core::state_hash_nodes(h, store_.hop1(hm.cov3));
+    h = core::state_hash_nodes(h, node(v).coverage_two_hop());
+    h = core::state_hash_nodes(h, node(v).coverage_three_hop());
   }
   for (NodeId v = 0; v < n; ++v)
-    h = core::state_hash_nodes(h, mirror_selection(v));
-  h = core::state_hash_nodes(h, gateways_);
-  h = core::state_hash_nodes(h, cds());
+    h = core::state_hash_nodes(h, node(v).selection_gateways());
+  const NodeSet gw = gateways();
+  h = core::state_hash_nodes(h, gw);
+  h = core::state_hash_nodes(h, set_union(clustering_.heads, gw));
   return h;
 }
 
@@ -646,37 +569,38 @@ std::string MaintenanceEngine::diff_against(const core::StaticBackbone& oracle,
     }
   }
   for (NodeId v = 0; v < n; ++v) {
-    if (!std::ranges::equal(mirror_hop1(v), oracle.tables.ch_hop1[v])) {
+    const MaintenanceNode& nd = node(v);
+    if (!std::ranges::equal(nd.hop1_row(), oracle.tables.ch_hop1[v])) {
       *divergent = v;
       os << "ch_hop1[" << v << "] differs";
       return os.str();
     }
-    if (!std::ranges::equal(mirror_hop2(v), oracle.tables.ch_hop2[v])) {
+    if (!std::ranges::equal(nd.hop2_row(), oracle.tables.ch_hop2[v])) {
       *divergent = v;
       os << "ch_hop2[" << v << "] differs";
       return os.str();
     }
   }
   for (NodeId v = 0; v < n; ++v) {
-    const std::uint32_t s = head_slot_[v];
-    const HeadMirror hm = s != 0 ? head_rows_[s - 1] : HeadMirror{};
-    if (store_.hop1(hm.cov2) != oracle.coverage[v].two_hop ||
-        store_.hop1(hm.cov3) != oracle.coverage[v].three_hop) {
+    const MaintenanceNode& nd = node(v);
+    if (nd.coverage_two_hop() != oracle.coverage[v].two_hop ||
+        nd.coverage_three_hop() != oracle.coverage[v].three_hop) {
       *divergent = v;
       os << "coverage[" << v << "] differs";
       return os.str();
     }
-    if (mirror_selection(v) != oracle.selection[v].gateways) {
+    if (nd.selection_gateways() != oracle.selection[v].gateways) {
       *divergent = v;
       os << "selection[" << v << "] differs";
       return os.str();
     }
   }
-  if (gateways_ != oracle.gateways) {
+  const NodeSet gw = gateways();
+  if (gw != oracle.gateways) {
     os << "gateway unions differ";
     return os.str();
   }
-  if (cds() != oracle.cds) {
+  if (set_union(clustering_.heads, gw) != oracle.cds) {
     os << "CDS differs";
     return os.str();
   }
@@ -702,14 +626,15 @@ std::string MaintenanceEngine::check_gateway_flags(const graph::Graph& g,
       if (e.selected) return e.origin;
     return kInvalidNode;
   };
+  const NodeSet gw = gateways();
   for (NodeId v = 0; v < g.order(); ++v) {
     const MaintenanceNode& nd = node(v);
-    const bool truth = selection_refs_[v] > 0;
+    const bool truth = contains_sorted(gw, v);
     const bool flag = nd.gateway_flag();
     if (truth && !flag) {
       *divergent = v;
       for (const NodeId h : clustering_.heads)
-        if (contains_sorted(mirror_selection(h), v)) {
+        if (contains_sorted(node(h).selection_gateways(), v)) {
           *origin = h;
           break;
         }

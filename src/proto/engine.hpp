@@ -5,10 +5,10 @@
 // One tick = commit the staged moves (adjacency overlay updates in
 // place; the simulator reads it through a Topology adapter), fire every
 // node's HELLO timer, run the simulator to quiescence, then drain the
-// nodes' change ledger into a hashable mirror (clustering, tables,
-// coverage, selections, gateway union) in O(changes). The mirror exists
-// so state_hash() and the oracle diff never rescan all n nodes — the
-// protocol's own messages already told us exactly what moved.
+// nodes' change ledger into the dense clustering (head_of, roles) in
+// O(changes). Tables, coverage and selections stay where the protocol
+// keeps them, on the nodes: state_hash() and the oracle diff fold the
+// nodes' own state.
 //
 // Oracle mode rebuilds the expected state from scratch every tick
 // (lcc_update over the previous clustering + build_static_backbone) and
@@ -100,7 +100,7 @@ struct MaintTickStats {
   double commit_ms = 0.0;     ///< tracker commit, region build included
   double deliver_ms = 0.0;    ///< delivery passes (inbox arena fills)
   double node_step_ms = 0.0;  ///< node code: on_timer + on_round
-  double mirror_ms = 0.0;     ///< ledger drain into the hashable mirror
+  double mirror_ms = 0.0;     ///< ledger drain into the dense clustering
 };
 
 /// The message-driven maintained backbone of a mobile unit-disk network.
@@ -116,37 +116,21 @@ class MaintenanceEngine {
   void stage_move(NodeId v, geom::Point p) { tracker_.stage_move(v, p); }
 
   /// One mobility tick: commit moves, beacon, run the protocol to
-  /// quiescence, refresh the mirror. Throws std::logic_error on an
+  /// quiescence, drain the change ledger. Throws std::logic_error on an
   /// oracle mismatch (oracle_check mode).
   MaintTickStats tick();
 
-  // ---- Maintained state (the hashable mirror) ----
+  // ---- Maintained state ----
   const cluster::Clustering& clustering() const {
     refresh_sorted();
     return clustering_;
   }
-  /// Mirror CH_HOP1/CH_HOP2 row of `v` (interned; content-shared with
-  /// the nodes' caches).
-  const NodeSet& mirror_hop1(NodeId v) const {
-    return store_.hop1(mirror_hop1_[v]);
-  }
-  const std::vector<core::Hop2Entry>& mirror_hop2(NodeId v) const {
-    return store_.hop2(mirror_hop2_[v]);
-  }
-  /// Mirror selection set of head `v` (empty for non-heads).
-  const NodeSet& mirror_selection(NodeId v) const {
-    const std::uint32_t s = head_slot_[v];
-    return store_.hop1(s != 0 ? head_rows_[s - 1].sel : kEmptyRow);
-  }
-  /// Union of all selected gateways (maintained by reference counts).
-  const NodeSet& gateways() const {
-    refresh_sorted();
-    return gateways_;
-  }
+  /// Union of the heads' gateway selections, read off the head nodes.
+  NodeSet gateways() const;
   /// The SI-CDS: clusterheads ∪ gateways.
   NodeSet cds() const {
     refresh_sorted();
-    return set_union(clustering_.heads, gateways_);
+    return set_union(clustering_.heads, gateways());
   }
 
   /// FNV-1a digest of the maintained state — bitwise-identical to
@@ -166,7 +150,7 @@ class MaintenanceEngine {
   const MaintenanceNode& node(NodeId v) const;
   std::uint64_t ticks() const { return ticks_; }
 
-  /// Field-by-field comparison of the mirror against a from-scratch
+  /// Field-by-field comparison of the nodes' state against a from-scratch
   /// rebuild; empty string on bitwise equality. The overload reports the
   /// first divergent node (kInvalidNode for whole-set diffs with no
   /// single witness) so forensics can walk its causal history.
@@ -194,8 +178,8 @@ class MaintenanceEngine {
 
   MaintenanceNode& node_mut(NodeId v);
   void drain_ledger(MaintTickStats& stats);
-  /// Rebuilds the sorted head and gateway lists from their membership
-  /// flags if a drain changed either since the last read.
+  /// Rebuilds the sorted head list from head_of if a drain flipped a
+  /// head since the last read.
   void refresh_sorted() const;
   /// The sharded tick body: region-scoped commit, concurrent region
   /// runs, deterministic merge. Fills stats.link_changes and returns
@@ -217,37 +201,14 @@ class MaintenanceEngine {
   std::unique_ptr<net::Topology> topo_;
   std::unique_ptr<net::Simulator> sim_;
 
-  // The hashable mirror. Same VALUES as incr::IncrementalBackbone's
-  // accessors (state_hash() replicates core::backbone_state_hash
-  // byte-for-byte), but interned storage: per-node table rows are
-  // RowStore refs content-shared with the node caches (a mirror row
-  // costs 8 bytes, not a second copy), and the head-only coverage/
-  // selection rows live in slot-compacted entries of three refs each —
-  // at n = 10^6 this keeps the whole mirror near 20 B/node where the
-  // dense vectors cost ~390 (see DESIGN §9/S33).
-  //
-  // Membership of the head set is head_of[v] == v, of the gateway union
-  // selection_refs_[v] > 0; the drain updates only those flags. The
-  // sorted lists clustering_.heads and gateways_ are built from them on
-  // read (sorted_stale_): a head flip costs O(1) and the next read O(n),
-  // which the state hash and the oracle diff spend anyway.
+  // The tick-start clustering the commit's growth tiers and the
+  // oracle's lcc_update need, updated by the drain. Head status is
+  // head_of[v] == v; the drain flips only that, and the sorted
+  // clustering_.heads is rebuilt on read (sorted_stale_): a head flip
+  // costs O(1) and the next read O(n), which the state hash and the
+  // oracle diff spend anyway.
   mutable cluster::Clustering clustering_;  ///< heads: see sorted_stale_
   mutable bool sorted_stale_ = false;
-  std::vector<RowRef> mirror_hop1_;  ///< per-node CH_HOP1 row
-  std::vector<RowRef> mirror_hop2_;  ///< per-node CH_HOP2 row
-  /// One head's mirror rows: coverage halves + selection gateways (the
-  /// only selection field any observable reads).
-  struct HeadMirror {
-    RowRef cov2 = kEmptyRow;  ///< Coverage::two_hop
-    RowRef cov3 = kEmptyRow;  ///< Coverage::three_hop
-    RowRef sel = kEmptyRow;   ///< GatewaySelection::gateways
-  };
-  std::vector<std::uint32_t> head_slot_;  ///< slot + 1, 0 = no head rows
-  std::vector<HeadMirror> head_rows_;
-  std::vector<std::uint32_t> free_head_slots_;
-  /// selection_refs_[v] = number of heads whose selection contains v.
-  std::vector<std::uint32_t> selection_refs_;
-  mutable NodeSet gateways_;  ///< {v : selection_refs_[v] > 0}
 
   // ---- Region-sharded execution (EngineOptions::threads > 0) ----
   std::vector<std::uint32_t> deg_;     ///< current degree per node
@@ -258,7 +219,7 @@ class MaintenanceEngine {
   std::vector<net::RegionRun> region_runs_;
   /// Per-active-region change ledgers (deque: growth never moves the
   /// entries nodes hold pointers to). Drained region-ascending into
-  /// ledger_ at merge, so the mirror refresh is order-deterministic.
+  /// ledger_ at merge, so the drain is order-deterministic.
   std::deque<Ledger> region_ledgers_;
   std::vector<KernelScratch> lane_scratch_;  ///< one per lane
   std::unique_ptr<incr::WorkerPool> pool_;  ///< threads >= 1 only

@@ -129,17 +129,12 @@ void MaintenanceNode::seed_neighbor(NodeId id, NodeId head_of, RowRef hop1,
 }
 
 void MaintenanceNode::seed_rows(RowRef hop1, RowRef hop2) {
-  store_->retain_hop1(hop1);
-  store_->retain_hop2(hop2);
   my_hop1_ = hop1;
   my_hop2_ = hop2;
 }
 
 void MaintenanceNode::seed_head_rows(RowRef cov2, RowRef cov3, RowRef sel) {
-  store_->retain_hop1(cov2);
-  store_->retain_hop1(cov3);
-  store_->retain_hop1(sel);
-  store_->retain_hop1(sel);  // once for sel, once for last_flooded
+  store_->retain_hop1(sel);  // sel adopts the caller's ref, last_flooded this
   head_rows_.cov2 = cov2;
   head_rows_.cov3 = cov3;
   head_rows_.sel = sel;

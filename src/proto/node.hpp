@@ -61,9 +61,10 @@
 
 namespace manet::proto {
 
-/// Change notifications the nodes push to the engine (so the engine can
-/// refresh its hashable mirror in O(changes) instead of rescanning all n
-/// nodes every tick). Ids may repeat; the engine dedups.
+/// Change notifications the nodes push to the engine, so its drain
+/// updates the dense clustering and counts the tick's row and head
+/// refreshes in O(changes) instead of rescanning all n nodes every tick.
+/// Ids may repeat; the engine dedups.
 struct Ledger {
   std::vector<NodeId> cluster_changed;  ///< head_of and/or role changed
   std::vector<NodeId> rows_changed;     ///< CH_HOP1/CH_HOP2 row changed
@@ -137,10 +138,9 @@ struct OriginCache {
 /// Head-only working state: coverage halves, selection gateways, and
 /// what was last flooded — four interned refs, 16 bytes inline on every
 /// node. PR 9 hoisted the dense structs (~150 bytes of vectors) behind
-/// a heads-only pointer; interning collapses them further, drops the
-/// per-head allocation, and shares slabs with the engine mirror (whose
-/// rows are the same content). The greedy's SelectionStep trace is no
-/// longer retained between reselects — no observable reads it (mirror,
+/// a heads-only pointer; interning collapses them further and drops the
+/// per-head allocation. The greedy's SelectionStep trace is not
+/// retained between reselects — no observable reads it (state hash,
 /// oracle diff and floods consume only coverage halves + the gateway
 /// set), and ref equality is content equality, so change detection
 /// stays exact. All refs released on resignation (the selection
@@ -153,8 +153,7 @@ struct HeadRows {
   RowRef last_flooded = kEmptyRow;  ///< selection last flooded
 
   /// No head state at all (ref 0 is the canonical empty row, so a head
-  /// with genuinely empty coverage and selection also reads as empty —
-  /// exactly the condition under which the mirror recycles its slot).
+  /// with genuinely empty coverage and selection also reads as empty).
   bool empty() const {
     return cov2 == kEmptyRow && cov3 == kEmptyRow && sel == kEmptyRow;
   }
@@ -182,8 +181,9 @@ class MaintenanceNode final : public net::NodeProcess {
 
   // ---- Bootstrap (engine-seeded; nodes join a converged backbone) ----
   // Row-shaped state arrives as refs into the shared store (the engine
-  // already interned the converged rows for its mirror); each call
-  // retains what it keeps, so the bootstrap never re-hashes content.
+  // interned the converged rows once), so the bootstrap never re-hashes
+  // content. seed_rows and seed_head_rows adopt the reference the
+  // engine's intern took; the neighbor and origin caches retain theirs.
   void seed_clustering(NodeId head, cluster::Role role);
   /// Reserve the neighbor arrays exactly before seeding: one-at-a-time
   /// inserts double capacity, and at mean degree ~6 the overshoot is
@@ -218,7 +218,7 @@ class MaintenanceNode final : public net::NodeProcess {
   bool awake() const override { return awake_; }
   bool done() const override { return !awake_; }
 
-  // ---- State accessors (engine mirror refresh + tests) ----
+  // ---- State accessors (engine drain, state hash, oracle diff) ----
   NodeId head() const { return head_; }
   bool is_head() const { return head_ == id_; }
   cluster::Role role() const { return role_; }
@@ -227,12 +227,6 @@ class MaintenanceNode final : public net::NodeProcess {
   const std::vector<core::Hop2Entry>& hop2_row() const {
     return store_->hop2(my_hop2_);
   }
-  /// Interned refs of the node's own rows (the engine mirror retains
-  /// these directly instead of re-interning content).
-  RowRef hop1_ref() const { return my_hop1_; }
-  RowRef hop2_ref() const { return my_hop2_; }
-  /// The head-only interned refs (all kEmptyRow on non-heads).
-  HeadRows head_refs() const { return head_rows_; }
   const NodeSet& coverage_two_hop() const {
     return store_->hop1(head_rows_.cov2);
   }

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/assert.hpp"
+#include "common/lanes.hpp"
 
 namespace manet::stats {
 namespace {
@@ -94,6 +95,8 @@ ReplicationResult replicate(
                 "need >= 2 replications for a confidence interval");
   MANET_REQUIRE(policy.min_replications <= policy.max_replications,
                 "min_replications must not exceed max_replications");
+  MANET_REQUIRE(policy.threads <= kMaxLanes,
+                "replication thread count out of range");
 
   if (policy.threads > 1)
     return replicate_parallel(policy, metric_count, sample);

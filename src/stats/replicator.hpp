@@ -27,7 +27,8 @@ struct ReplicationPolicy {
   /// must be safe to invoke concurrently for distinct replication indices
   /// (each replication deriving its own Rng stream from the index, as the
   /// exp module does); samples are still reduced in replication order, so
-  /// results are bitwise identical to the sequential path.
+  /// results are bitwise identical to the sequential path. At most
+  /// kMaxLanes (common/lanes.hpp).
   std::size_t threads = 1;
 };
 

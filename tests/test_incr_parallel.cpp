@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -47,6 +48,13 @@ TEST(WorkerPoolTest, RunsEveryJobExactlyOnce) {
   for (std::size_t j = 0; j < kJobs; ++j) EXPECT_EQ(hits[j].load(), 1);
   // The caller always participates (lane 0 drains at least one job).
   EXPECT_GT(lane_used[0].load(), 0);
+}
+
+// A lane count past kMaxLanes (`--threads=-1` cast to SIZE_MAX) is
+// rejected before the constructor starts any thread.
+TEST(WorkerPoolTest, RejectsLaneCountAboveBound) {
+  EXPECT_THROW(WorkerPool pool(std::numeric_limits<std::size_t>::max()),
+               std::invalid_argument);
 }
 
 TEST(WorkerPoolTest, SingleLaneRunsInlineInOrder) {

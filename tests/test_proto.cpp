@@ -158,6 +158,37 @@ TEST(ProtoEngine, RowStoreRecyclesSlotsUnderSustainedHeadChurn) {
   EXPECT_EQ(store.chunks_hop2(), chunks2);
 }
 
+// Every interned row goes back to the store once nothing holds it: a
+// connected ladder scatters into 16 isolated nodes, after which every
+// node is a head with empty rows, coverage, selection and caches — so
+// both live counts must return to zero. A reference the bootstrap or
+// the protocol keeps and never releases leaves a row alive here.
+TEST(ProtoEngine, RowStoreEmptiesWhenEveryLinkBreaks) {
+  std::vector<geom::Point> ladder;
+  for (NodeId v = 0; v < 16; ++v)
+    ladder.push_back({2.0 + v / 2, 2.0 + v % 2});
+  for (const core::CoverageMode mode :
+       {core::CoverageMode::kTwoPointFiveHop, core::CoverageMode::kThreeHop}) {
+    for (const std::size_t threads : {std::size_t{0}, std::size_t{1}}) {
+      SCOPED_TRACE(testing::Message() << "threads " << threads << ", mode "
+                                      << static_cast<int>(mode));
+      proto::EngineOptions opts = oracle_options(mode);
+      opts.threads = threads;
+      proto::MaintenanceEngine engine(ladder, 1.5, 40, 40, opts);
+      EXPECT_GT(engine.store().live_hop1(), 0u);
+      EXPECT_GT(engine.store().live_hop2(), 0u);
+
+      for (NodeId v = 0; v < 16; ++v)
+        engine.stage_move(v, {2.0 + 9.0 * (v % 4), 2.0 + 9.0 * (v / 4)});
+      engine.tick();
+      engine.tick();
+      EXPECT_EQ(engine.clustering().heads.size(), 16u);
+      EXPECT_EQ(engine.store().live_hop1(), 0u);
+      EXPECT_EQ(engine.store().live_hop2(), 0u);
+    }
+  }
+}
+
 // A member drifting between clusters re-affiliates without disturbing
 // either head (rule 2 keep/join path).
 TEST(ProtoEngine, MemberHandoffBetweenClusters) {
@@ -519,8 +550,11 @@ TEST(ProtoSharded, NoCrossRegionMessageWithinTick) {
 // beacons (round, node, type, trace id, parent id, depth, payload
 // summary). The beacons are left out because which of them the sharded
 // tick materializes is an execution detail; everything they cause is in.
+// A second digest folds every tick's drain counts: a node that skips a
+// ledger push changes no state the hash reads, only these stats.
 struct ShardedSoak {
   std::uint64_t digest = 14695981039346656037ULL;
+  std::uint64_t stats_digest = 14695981039346656037ULL;
   std::size_t scope_nodes = 0;  ///< active regions' scopes, summed over ticks
   std::size_t timed_nodes = 0;
   std::size_t woken_nodes = 0;
@@ -574,6 +608,17 @@ ShardedSoak run_observed_sharded_soak(const exp::ChurnConfig& base,
     out.timed_nodes += stats.timed_nodes;
     out.woken_nodes += stats.woken_nodes;
     h = core::state_hash_mix(h, engine.state_hash());
+    std::uint64_t& sh = out.stats_digest;
+    for (const std::uint64_t x :
+         {std::uint64_t{stats.rounds}, std::uint64_t{stats.link_changes},
+          std::uint64_t{stats.head_changes}, std::uint64_t{stats.role_changes},
+          std::uint64_t{stats.rows_changed},
+          std::uint64_t{stats.heads_refreshed},
+          std::uint64_t{stats.expired_links},
+          std::uint64_t{stats.stale_ages.size()}})
+      sh = core::state_hash_mix(sh, x);
+    for (const std::uint32_t age : stats.stale_ages)
+      sh = core::state_hash_mix(sh, age);
   }
   EXPECT_EQ(session.journal.total_recorded(), session.journal.size())
       << "the journal evicted events; the digest would be partial";
@@ -599,21 +644,26 @@ ShardedSoak run_observed_sharded_soak(const exp::ChurnConfig& base,
 // Golden digests of the sharded engine's observable behavior, recorded
 // with every scope node running the beacon round: leaving nodes dormant
 // may drop journaled beacons but nothing else, at one thread or two.
-// The soaks must also time fewer nodes than their scopes hold and wake
-// some dormant ones, or they would not exercise the dormant path.
+// The stats goldens were recorded while the engine still mirrored every
+// row it counted. The soaks must also time fewer nodes than their
+// scopes hold and wake some dormant ones, or they would not exercise
+// the dormant path.
 TEST(ProtoSharded, JournalDigestMatchesGolden) {
   if (!obs::kEnabled) GTEST_SKIP() << "obs compiled out";
   struct Case {
     const char* name;
     exp::ChurnConfig base;
     std::uint64_t golden;
+    std::uint64_t stats_golden;
   };
   exp::ChurnConfig waypoint =
       sharded_base(exp::ChurnConfig::Model::kWaypoint, 17);
   waypoint.ticks = 80;
   const Case cases[] = {
-      {"waypoint seed 17", waypoint, 0x18482cb6c82efec9ULL},
-      {"dense seed 23", dense_sharded_base(), 0xa617aa58ef18a05bULL},
+      {"waypoint seed 17", waypoint, 0x18482cb6c82efec9ULL,
+       0x277190da09c009a3ULL},
+      {"dense seed 23", dense_sharded_base(), 0xa617aa58ef18a05bULL,
+       0xf5ffd132cfa5994dULL},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
@@ -621,6 +671,10 @@ TEST(ProtoSharded, JournalDigestMatchesGolden) {
     const ShardedSoak two = run_observed_sharded_soak(c.base, 2);
     EXPECT_EQ(one.digest, c.golden) << "0x" << std::hex << one.digest;
     EXPECT_EQ(two.digest, c.golden) << "0x" << std::hex << two.digest;
+    EXPECT_EQ(one.stats_digest, c.stats_golden)
+        << "0x" << std::hex << one.stats_digest;
+    EXPECT_EQ(two.stats_digest, c.stats_golden)
+        << "0x" << std::hex << two.stats_digest;
     EXPECT_GT(one.woken_nodes, 0u);
     EXPECT_LT(one.timed_nodes, one.scope_nodes);
     EXPECT_EQ(two.scope_nodes, one.scope_nodes);

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 #include "common/rng.hpp"
@@ -142,6 +143,19 @@ TEST(ReplicatorTest, ParallelPropagatesCallbackExceptions) {
                   out.push_back(rep % 2 ? 1.0 : 1000.0);
                 }),
       std::runtime_error);
+}
+
+// A thread count past kMaxLanes is rejected before the first batch
+// starts its workers.
+TEST(ReplicatorTest, RejectsThreadCountAboveBound) {
+  ReplicationPolicy policy;
+  policy.threads = std::numeric_limits<std::size_t>::max();
+  policy.min_replications = policy.max_replications = 2;
+  EXPECT_THROW(
+      replicate(policy, 1, [](std::size_t, std::vector<double>& out) {
+        out.push_back(0.0);
+      }),
+      std::invalid_argument);
 }
 
 TEST(ReplicatorTest, RejectsBadPolicyAndArity) {

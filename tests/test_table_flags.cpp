@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "common/flags.hpp"
 #include "common/table.hpp"
@@ -76,9 +77,30 @@ TEST(FlagsTest, PositionalArguments) {
 }
 
 TEST(FlagsTest, RejectsMalformedNumbers) {
-  const auto f = make_flags({"--nodes=abc", "--degree=1.2.3"});
+  const auto f = make_flags({"--nodes=abc", "--degree=1.2.3",
+                             "--ticks=99999999999999999999",
+                             "--move-frac=1e999"});
   EXPECT_THROW(f.get_int("nodes", 0), std::invalid_argument);
   EXPECT_THROW(f.get_double("degree", 0.0), std::invalid_argument);
+  EXPECT_THROW(f.get_int("ticks", 0), std::invalid_argument);
+  EXPECT_THROW(f.get_double("move-frac", 0.0), std::invalid_argument);
+  // Each rejection names its flag, not the parser ("stoll").
+  const auto what = [](const auto& parse) {
+    try {
+      parse();
+    } catch (const std::exception& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  EXPECT_NE(what([&] { f.get_int("nodes", 0); }).find("--nodes "),
+            std::string::npos);
+  EXPECT_NE(what([&] { f.get_double("degree", 0.0); }).find("--degree "),
+            std::string::npos);
+  EXPECT_NE(what([&] { f.get_int("ticks", 0); }).find("--ticks "),
+            std::string::npos);
+  EXPECT_NE(what([&] { f.get_double("move-frac", 0.0); }).find("--move-frac "),
+            std::string::npos);
 }
 
 }  // namespace
