@@ -1,7 +1,5 @@
 #include "broadcast/si_cds.hpp"
 
-#include <algorithm>
-
 #include "common/assert.hpp"
 
 namespace manet::broadcast {
@@ -15,11 +13,9 @@ BroadcastStats si_cds_broadcast(const graph::Graph& g, const NodeSet& cds,
   std::vector<char> in_cds(g.order(), 0);
   for (NodeId v : cds)
     if (v < g.order()) in_cds[v] = 1;
-  // forward_nodes doubles as the FIFO: a node is queued on its first copy
-  // (so at most once), transmits in queue order, and the set is sorted
-  // once at the end.
-  NodeSet& queue = stats.forward_nodes;
-  queue.push_back(source);
+  // FIFO of transmitters: the source, then each CDS member on its first
+  // copy (so at most once), transmitting in queue order.
+  NodeSet queue{source};
   stats.received[source] = 1;
   stats.first_copy_hops[source] = 0;
   for (std::size_t next = 0; next < queue.size(); ++next) {
@@ -32,7 +28,11 @@ BroadcastStats si_cds_broadcast(const graph::Graph& g, const NodeSet& cds,
     }
   }
   stats.transmissions = queue.size();
-  std::sort(queue.begin(), queue.end());
+  // The transmitters are the source and every reached CDS member: gather
+  // them in ascending id from the flags instead of sorting the queue.
+  for (NodeId v = 0; v < g.order(); ++v)
+    if (v == source || (in_cds[v] && stats.received[v]))
+      stats.forward_nodes.push_back(v);
   finalize(stats, "si_cds");
   return stats;
 }

@@ -12,22 +12,22 @@ namespace {
 
 /// Per-broadcast mutable state. The per-node arrays are sized once per
 /// call, so a broadcast costs O(n) to set up plus its transmissions times
-/// their degree, plus each head's selection.
+/// their degree, plus each head's selection. Nothing is allocated per
+/// relay: a relay's trace entry names its origin's stored forward set.
 struct Session {
   const graph::Graph& g;
   const DynamicBackbone& bb;
   const DynamicBroadcastOptions& options;
   BroadcastResult result;
-  /// Relay dedup, one flag per (origin head, forward node) pair. A node
-  /// relays at most once per origin: refusing the second origin outright
-  /// could strand that origin's second-hop relays (they learn their
-  /// forward-node role only from the first hop's relay), while relaying
-  /// per-origin keeps the total transmission count linear and delivery
-  /// airtight. The forward-node *set* — the paper's metric — still counts
-  /// a node once. F(h) owns relayed[first_slot[h] + k] for its k-th
-  /// member. Only relays consult it: heads and the source's handoff
-  /// transmit exactly once by construction.
-  std::vector<std::size_t> first_slot;
+  /// Relay dedup, one flag per (origin head, forward node) pair, parallel
+  /// to result.forward_sets. A node relays at most once per origin:
+  /// refusing the second origin outright could strand that origin's
+  /// second-hop relays (they learn their forward-node role only from the
+  /// first hop's relay), while relaying per-origin keeps the total
+  /// transmission count linear and delivery airtight. The forward-node
+  /// *set* — the paper's metric — still counts a node once. Only relays
+  /// consult it: heads and the source's handoff transmit exactly once by
+  /// construction.
   std::vector<char> relayed;
   std::vector<char> head_processed;
   /// sent[v]: v transmitted at least once (the forward-node set).
@@ -43,7 +43,6 @@ struct Session {
     result.received.assign(g.order(), 0);
     result.first_copy_hops.assign(g.order(),
                                   std::numeric_limits<std::uint32_t>::max());
-    first_slot.assign(g.order(), 0);
     head_processed.assign(g.order(), 0);
     sent.assign(g.order(), 0);
     pruned_by.assign(g.order(), kInvalidNode);
@@ -51,10 +50,10 @@ struct Session {
 
   /// Queues a transmission. result.trace doubles as the FIFO: run()
   /// simulates the entries in the order they are appended here.
-  void transmit(NodeId sender, NodeId origin_head, NodeSet forward_set) {
-    result.received[sender] = 1;  // the sender trivially holds the packet
-    sent[sender] = 1;
-    result.trace.push_back({sender, origin_head, std::move(forward_set)});
+  void transmit(const Transmission& t) {
+    result.received[t.sender] = 1;  // the sender trivially holds the packet
+    sent[t.sender] = 1;
+    result.trace.push_back(t);
   }
 
   /// Clusterhead `h` processes its first copy; `relay` is the node it
@@ -86,40 +85,46 @@ struct Session {
     keep(bb.coverage[h].two_hop, remaining.two_hop);
     keep(bb.coverage[h].three_hop, remaining.three_hop);
 
-    auto sel = select_gateways(g, bb.clustering, bb.tables, h, remaining,
-                               scratch);
-    first_slot[h] = relayed.size();
-    relayed.resize(relayed.size() + sel.gateways.size(), 0);
+    const NodeSet gateways =
+        select_gateways(g, bb.clustering, bb.tables, h, remaining, scratch)
+            .gateways;
+    NodeSet& stored = result.forward_sets;
+    const std::size_t begin = stored.size();
+    MANET_REQUIRE(begin + gateways.size() <=
+                      std::numeric_limits<std::uint32_t>::max(),
+                  "forward sets exceed 2^32 entries");
+    stored.insert(stored.end(), gateways.begin(), gateways.end());
+    relayed.resize(stored.size(), 0);
     // Every head locally broadcasts once, even with an empty forward set,
     // to reach its own cluster members.
-    transmit(h, h, std::move(sel.gateways));
+    transmit({h, h, static_cast<std::uint32_t>(begin),
+              static_cast<std::uint32_t>(gateways.size())});
   }
 
-  /// Delivers trace entry `i` to `receiver`. Both branches may append to
-  /// the trace, so the entry is re-read by index, never held by reference
-  /// across a transmit().
-  void deliver(std::size_t i, NodeId receiver) {
-    const NodeId sender = result.trace[i].sender;
-    const NodeId origin = result.trace[i].origin_head;
-    if (!result.received[receiver])
-      result.first_copy_hops[receiver] = result.first_copy_hops[sender] + 1;
-    result.received[receiver] = 1;
-    if (bb.clustering.is_head(receiver)) {
-      head_process(receiver, sender, origin);
-      return;
+  /// Delivers transmission `t` to every neighbor of its sender. Heads
+  /// process the packet; the other neighbors relay (once per origin) when
+  /// F(origin) names them. Neighbor rows and forward sets are both
+  /// sorted, so one cursor walks F(origin) alongside the row. `t` is a
+  /// copy and F(origin) is read by index: head processing appends to the
+  /// trace and to forward_sets, and either may reallocate.
+  void deliver(const Transmission t) {
+    std::size_t k = t.forward_begin;
+    const std::size_t end = k + t.forward_size;
+    const NodeSet& stored = result.forward_sets;
+    for (NodeId nb : g.neighbors(t.sender)) {
+      if (!result.received[nb])
+        result.first_copy_hops[nb] = result.first_copy_hops[t.sender] + 1;
+      result.received[nb] = 1;
+      if (bb.clustering.is_head(nb)) {  // gateways are never heads
+        head_process(nb, t.sender, t.origin_head);
+        continue;
+      }
+      while (k < end && stored[k] < nb) ++k;
+      if (k == end || stored[k] != nb || relayed[k]) continue;
+      relayed[k] = 1;
+      // Relays carry the forward set and origin metadata unchanged.
+      transmit({nb, t.origin_head, t.forward_begin, t.forward_size});
     }
-    // Forward nodes relay onward, once per origin; the forward set and
-    // origin metadata are carried unchanged by relays.
-    const NodeSet& forward_set = result.trace[i].forward_set;
-    const auto it =
-        std::lower_bound(forward_set.begin(), forward_set.end(), receiver);
-    if (it == forward_set.end() || *it != receiver) return;
-    char& done = relayed[first_slot[origin] +
-                         static_cast<std::size_t>(it - forward_set.begin())];
-    if (done) return;
-    done = 1;
-    NodeSet copy = forward_set;
-    transmit(receiver, origin, std::move(copy));
   }
 
   void run(NodeId source) {
@@ -129,10 +134,10 @@ struct Session {
     } else {
       // Step 1: the source hands the packet to its clusterhead. The
       // transmission physically reaches every neighbor.
-      transmit(source, kInvalidNode, {});
+      transmit({source, kInvalidNode, 0, 0});
     }
     for (std::size_t i = 0; i < result.trace.size(); ++i)
-      for (NodeId nb : g.neighbors(result.trace[i].sender)) deliver(i, nb);
+      deliver(result.trace[i]);
     // The forward-node set: every node that transmitted at least once,
     // gathered in ascending order from the per-node marks.
     for (NodeId v = 0; v < g.order(); ++v)
@@ -174,7 +179,10 @@ BroadcastResult dynamic_broadcast(const graph::Graph& g,
                                   NodeId source,
                                   const DynamicBroadcastOptions& options) {
   MANET_REQUIRE(source < g.order(), "source out of range");
-  MANET_REQUIRE(backbone.clustering.head_of.size() == g.order(),
+  MANET_REQUIRE(backbone.clustering.head_of.size() == g.order() &&
+                    backbone.coverage.size() == g.order() &&
+                    backbone.tables.ch_hop1.size() == g.order() &&
+                    backbone.tables.ch_hop2.size() == g.order(),
                 "backbone does not match graph");
   Session session(g, backbone, options);
   session.run(source);

@@ -23,6 +23,8 @@
 // is the set of nodes that transmitted.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -45,12 +47,17 @@ struct DynamicBroadcastOptions {
   bool relay_exclusion = true;
 };
 
-/// One transmission in the broadcast trace.
+/// One transmission in the broadcast trace (16 B, no heap block). The
+/// forward set F(origin) riding on the packet is not copied into it: it
+/// lives once in BroadcastResult::forward_sets, and every relay of an
+/// origin names the same range as that origin head's own transmission.
 struct Transmission {
   NodeId sender;
-  NodeId origin_head;   ///< head whose selection this packet carries
-                        ///< (kInvalidNode for a non-head source's handoff)
-  NodeSet forward_set;  ///< F(origin) riding on the packet
+  NodeId origin_head;           ///< head whose selection this packet carries
+                                ///< (kInvalidNode for a non-head source's
+                                ///< handoff, whose forward set is empty)
+  std::uint32_t forward_begin;  ///< F(origin) = forward_sets[begin, +size)
+  std::uint32_t forward_size;
 };
 
 /// Result of one dynamic broadcast.
@@ -58,12 +65,20 @@ struct BroadcastResult {
   NodeSet forward_nodes;           ///< nodes that transmitted
   std::vector<char> received;      ///< per-node delivery flag
   std::vector<Transmission> trace; ///< transmissions in simulation order
+  /// Every processed head's forward set F(h), sorted, stored end to end
+  /// in head-processing order; transmissions index into it.
+  NodeSet forward_sets;
   bool delivered_all = false;
   /// Relay hops at which each node received its first copy (0 for the
   /// source; max value = never reached).
   std::vector<std::uint32_t> first_copy_hops;
 
   std::size_t forward_count() const { return forward_nodes.size(); }
+  /// F(origin) riding on `t`; valid while this result lives unmodified.
+  std::span<const NodeId> forward_set(const Transmission& t) const {
+    return std::span<const NodeId>(forward_sets)
+        .subspan(t.forward_begin, t.forward_size);
+  }
   /// Largest first-copy hop count among reached nodes.
   std::uint32_t latency_hops() const;
 };

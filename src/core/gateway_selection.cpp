@@ -37,9 +37,12 @@ std::size_t covered_count(std::span<const NodeId> s,
 
 /// The greedy itself, the one kernel behind every selection. With
 /// `explain` null (every production caller) it records nothing but the
-/// gateways; explain_gateways passes a trace to fill.
-GatewaySelection greedy(const LocalSelectionView& view,
-                        const Coverage& targets, SelectionScratch& scratch,
+/// gateways; explain_gateways passes a trace to fill. It is instantiated
+/// for the abstract LocalSelectionView and for the final
+/// TablesSelectionView, whose row lookups then compile to direct calls.
+template <class View>
+GatewaySelection greedy(const View& view, const Coverage& targets,
+                        SelectionScratch& scratch,
                         SelectionExplanation* explain) {
   GatewaySelection sel;
   // Remaining-target membership and the accumulating gateway set live in
@@ -170,6 +173,12 @@ GatewaySelection select_gateways_local(const LocalSelectionView& view,
 }
 
 GatewaySelection select_gateways_local(const LocalSelectionView& view,
+                                       const Coverage& targets,
+                                       SelectionScratch& scratch) {
+  return greedy(view, targets, scratch, nullptr);
+}
+
+GatewaySelection select_gateways_local(const TablesSelectionView& view,
                                        const Coverage& targets,
                                        SelectionScratch& scratch) {
   return greedy(view, targets, scratch, nullptr);

@@ -153,6 +153,11 @@ GatewaySelection select_gateways_local(const LocalSelectionView& view,
                                        const Coverage& targets,
                                        SelectionScratch& scratch);
 
+/// Same kernel over the shared tables, without virtual row lookups.
+GatewaySelection select_gateways_local(const TablesSelectionView& view,
+                                       const Coverage& targets,
+                                       SelectionScratch& scratch);
+
 /// Checks that `selection` actually connects `head` to every target (each
 /// 2-hop target adjacent to a selected neighbor of head; each 3-hop target
 /// reached by a selected pair). Empty string when valid.

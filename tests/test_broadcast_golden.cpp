@@ -122,7 +122,7 @@ std::uint64_t fold(std::uint64_t h, const core::BroadcastResult& r) {
   for (const core::Transmission& t : r.trace) {
     h = state_hash_mix(h, t.sender);
     h = state_hash_mix(h, t.origin_head);
-    h = state_hash_nodes(h, t.forward_set);
+    h = state_hash_nodes(h, r.forward_set(t));
   }
   h = fold_flags(h, r.received);
   h = fold_hops(h, r.first_copy_hops);

@@ -65,6 +65,20 @@ TEST(SiCdsTest, WorksWithAnyCds) {
   const auto s = si_cds_broadcast(g, {1, 2, 3}, 0);
   EXPECT_TRUE(s.delivered_all);
   EXPECT_EQ(s.forward_nodes, (NodeSet{0, 1, 2, 3}));
+
+  // Two paths, 0-1-2-3-4 and 5-6-7, a CDS with members in both and one id
+  // beyond the graph. Only the source and the CDS members it reaches
+  // forward, listed in ascending id whatever order they transmitted in.
+  const auto split =
+      graph::make_graph(8, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {5, 6}, {6, 7}});
+  const NodeSet cds{1, 2, 3, 6, 99};
+  const auto from_member = si_cds_broadcast(split, cds, 3);
+  EXPECT_FALSE(from_member.delivered_all);
+  EXPECT_EQ(from_member.forward_nodes, (NodeSet{1, 2, 3}));
+  EXPECT_EQ(from_member.transmissions, from_member.forward_count());
+  const auto from_outsider = si_cds_broadcast(split, cds, 7);
+  EXPECT_EQ(from_outsider.forward_nodes, (NodeSet{6, 7}));
+  EXPECT_EQ(from_outsider.transmissions, from_outsider.forward_count());
 }
 
 TEST(DominantPruningTest, PathDelivers) {

@@ -4,6 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <set>
+#include <utility>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "core/static_backbone.hpp"
 #include "geom/unit_disk.hpp"
@@ -12,6 +18,12 @@
 
 namespace manet::core {
 namespace {
+
+/// F(origin) riding on `t`, as a set.
+NodeSet forward_set_of(const BroadcastResult& r, const Transmission& t) {
+  const auto f = r.forward_set(t);
+  return {f.begin(), f.end()};
+}
 
 class Figure3Dynamic : public ::testing::Test {
  protected:
@@ -35,7 +47,7 @@ TEST_F(Figure3Dynamic, SourceSelectionMatchesPaper) {
   ASSERT_FALSE(r.trace.empty());
   EXPECT_EQ(r.trace[0].sender, 0u);
   EXPECT_EQ(r.trace[0].origin_head, 0u);
-  EXPECT_EQ(r.trace[0].forward_set, (NodeSet{5, 6}));
+  EXPECT_EQ(forward_set_of(r, r.trace[0]), (NodeSet{5, 6}));
 }
 
 TEST_F(Figure3Dynamic, Head3SelectsOnlyNode9) {
@@ -44,7 +56,7 @@ TEST_F(Figure3Dynamic, Head3SelectsOnlyNode9) {
   const auto r = dynamic_broadcast(g_, bb_, 0);
   for (const auto& t : r.trace) {
     if (t.sender == 2u && t.origin_head == 2u) {
-      EXPECT_EQ(t.forward_set, (NodeSet{8}));
+      EXPECT_EQ(forward_set_of(r, t), (NodeSet{8}));
     }
   }
 }
@@ -113,6 +125,20 @@ TEST(DynamicEdgeCases, TriangleOfFigure5) {
   EXPECT_EQ(from_member.forward_count(), 2u);  // source + its head
 }
 
+TEST(DynamicEdgeCases, RejectsBackboneOfAnotherSize) {
+  const auto g = graph::make_path(9);
+  auto truncated = build_dynamic_backbone(g, CoverageMode::kTwoPointFiveHop);
+  truncated.coverage.resize(1);
+  EXPECT_THROW(dynamic_broadcast(g, truncated, 0), std::invalid_argument);
+
+  const auto small = graph::make_path(5);
+  auto mixed = build_dynamic_backbone(g, CoverageMode::kTwoPointFiveHop);
+  mixed.tables =
+      build_neighbor_tables(small, cluster::lowest_id_clustering(small),
+                            CoverageMode::kTwoPointFiveHop);
+  EXPECT_THROW(dynamic_broadcast(g, mixed, 0), std::invalid_argument);
+}
+
 TEST(DynamicEdgeCases, PathBroadcastReachesBothEnds) {
   const auto g = graph::make_path(9);
   const auto bb = build_dynamic_backbone(g, CoverageMode::kTwoPointFiveHop);
@@ -138,6 +164,52 @@ struct DynParam {
 
 class DynamicSweep : public ::testing::TestWithParam<DynParam> {};
 
+/// The trace rules of a broadcast that reached every head: each head
+/// transmits once, as its own origin; a relay carries its origin head's
+/// stored forward set, is named in it, and relays for that origin once;
+/// the heads' forward sets fill forward_sets exactly; and the forward-node
+/// set is the sorted distinct senders.
+void expect_relay_invariants(const DynamicBackbone& bb,
+                             const BroadcastResult& r) {
+  constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+  const cluster::Clustering& c = bb.clustering;
+  std::vector<std::size_t> head_entry(c.head_of.size(), kNone);
+  std::size_t head_forward_total = 0;
+  for (std::size_t i = 0; i < r.trace.size(); ++i) {
+    const Transmission& t = r.trace[i];
+    if (!c.is_head(t.sender)) continue;
+    EXPECT_EQ(head_entry[t.sender], kNone) << "head " << t.sender;
+    head_entry[t.sender] = i;
+    EXPECT_EQ(t.origin_head, t.sender);
+    head_forward_total += t.forward_size;
+  }
+  for (NodeId h : c.heads) EXPECT_NE(head_entry[h], kNone) << "head " << h;
+  EXPECT_EQ(head_forward_total, r.forward_sets.size());
+
+  std::set<std::pair<NodeId, NodeId>> pairs;  // (origin, sender)
+  NodeSet senders;
+  for (const Transmission& t : r.trace) {
+    EXPECT_TRUE(pairs.insert({t.origin_head, t.sender}).second)
+        << "origin " << t.origin_head << " sender " << t.sender;
+    senders.push_back(t.sender);
+    if (c.is_head(t.sender)) continue;
+    if (t.origin_head == kInvalidNode) {  // the non-head source's handoff
+      EXPECT_EQ(t.forward_size, 0u);
+      continue;
+    }
+    ASSERT_LT(t.origin_head, head_entry.size());
+    ASSERT_NE(head_entry[t.origin_head], kNone) << "origin " << t.origin_head;
+    const Transmission& own = r.trace[head_entry[t.origin_head]];
+    EXPECT_EQ(t.forward_begin, own.forward_begin) << "sender " << t.sender;
+    EXPECT_EQ(t.forward_size, own.forward_size) << "sender " << t.sender;
+    const auto f = r.forward_set(t);
+    EXPECT_TRUE(std::binary_search(f.begin(), f.end(), t.sender))
+        << "sender " << t.sender;
+  }
+  normalize(senders);
+  EXPECT_EQ(r.forward_nodes, senders);
+}
+
 TEST_P(DynamicSweep, FullDeliveryFromEverySource) {
   const auto [n, d, seed, mode] = GetParam();
   Rng rng(seed);
@@ -152,6 +224,8 @@ TEST_P(DynamicSweep, FullDeliveryFromEverySource) {
     ASSERT_TRUE(r.delivered_all) << "source " << s;
     // All heads forward; forward count at least covers the heads.
     EXPECT_GE(r.forward_count(), bb.clustering.heads.size());
+    SCOPED_TRACE(::testing::Message() << "source " << s);
+    expect_relay_invariants(bb, r);
   }
 }
 
