@@ -14,7 +14,9 @@ Coverage build_coverage(const graph::Graph& g, const cluster::Clustering& c,
   MANET_REQUIRE(head < g.order(), "node id out of range");
   MANET_REQUIRE(c.is_head(head), "coverage is defined for clusterheads");
   // Row kernel shared with the incremental engine (table_kernels.hpp).
-  return coverage_row(g, tables, head, g.order());
+  CoverageScratch scratch;
+  return coverage_row(TablesView<graph::Graph>{g, c, tables}, head, g.order(),
+                      scratch);
 }
 
 std::vector<Coverage> build_all_coverage(const graph::Graph& g,
@@ -24,7 +26,8 @@ std::vector<Coverage> build_all_coverage(const graph::Graph& g,
   // One scratch across all heads: per-head bitset allocation/zeroing is
   // O(n) each, O(n·heads) over a full build (see CoverageScratch).
   CoverageScratch scratch;
-  for (NodeId h : c.heads) out[h] = coverage_row(g, tables, h, g.order(), scratch);
+  const TablesView<graph::Graph> view{g, c, tables};
+  for (NodeId h : c.heads) out[h] = coverage_row(view, h, g.order(), scratch);
   return out;
 }
 

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/assert.hpp"
+#include "core/table_kernels.hpp"
 
 namespace manet::core {
 namespace {
@@ -85,20 +86,18 @@ struct Session {
     keep(bb.coverage[h].two_hop, remaining.two_hop);
     keep(bb.coverage[h].three_hop, remaining.three_hop);
 
-    const NodeSet gateways =
-        select_gateways(g, bb.clustering, bb.tables, h, remaining, scratch)
-            .gateways;
+    // F(h) lands straight in its stored place, after every earlier head's.
     NodeSet& stored = result.forward_sets;
     const std::size_t begin = stored.size();
-    MANET_REQUIRE(begin + gateways.size() <=
-                      std::numeric_limits<std::uint32_t>::max(),
+    select_gateways_local(TablesView<graph::Graph>{g, bb.clustering, bb.tables},
+                          h, remaining, scratch, stored);
+    MANET_REQUIRE(stored.size() <= std::numeric_limits<std::uint32_t>::max(),
                   "forward sets exceed 2^32 entries");
-    stored.insert(stored.end(), gateways.begin(), gateways.end());
     relayed.resize(stored.size(), 0);
     // Every head locally broadcasts once, even with an empty forward set,
     // to reach its own cluster members.
     transmit({h, h, static_cast<std::uint32_t>(begin),
-              static_cast<std::uint32_t>(gateways.size())});
+              static_cast<std::uint32_t>(stored.size() - begin)});
   }
 
   /// Delivers transmission `t` to every neighbor of its sender. Heads

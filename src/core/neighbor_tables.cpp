@@ -30,18 +30,19 @@ NeighborTables build_neighbor_tables(const graph::Graph& g,
   MANET_REQUIRE(c.head_of.size() == n, "clustering does not match graph");
 
   NeighborTables t{mode, RowTable<NodeId>(n), RowTable<Hop2Entry>(n)};
+  const TablesView<graph::Graph> view{g, c, t};
   // Row kernels shared with the incremental engine (table_kernels.hpp):
   // CH_HOP1 first (CH_HOP2 rows read the neighbors' CH_HOP1 rows). One
   // buffer per table carries every row, so the build allocates nothing
   // per row.
   NodeSet hop1;
   for (NodeId v = 0; v < n; ++v) {
-    hop1_row(g, c, v, hop1);
+    hop1_row(view, v, hop1);
     t.ch_hop1.assign(v, hop1);
   }
   std::vector<Hop2Entry> hop2;
   for (NodeId v = 0; v < n; ++v) {
-    hop2_row(g, c, mode, t.ch_hop1, v, hop2);
+    hop2_row(view, mode, v, hop2);
     t.ch_hop2.assign(v, hop2);
   }
   return t;

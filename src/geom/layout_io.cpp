@@ -16,8 +16,9 @@ std::vector<Point> read_positions(std::istream& in) {
   std::size_t count = 0;
   if (!(in >> count))
     throw std::invalid_argument("positions: missing count header");
+  // Grow as points arrive, not by the header: a count the input cannot
+  // back must fail as truncated input, not as an allocation.
   std::vector<Point> out;
-  out.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     Point p;
     if (!(in >> p.x >> p.y))

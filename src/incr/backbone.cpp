@@ -186,9 +186,11 @@ bool IncrementalBackbone::reselect_head(const graph::DynamicAdjacency& g,
                                         core::CoverageScratch& scratch,
                                         core::SelectionScratch& sel_scratch,
                                         std::vector<GatewayRef>& refs) {
-  core::Coverage cov = core::coverage_row(g, tables_, h, g.order(), scratch);
-  core::GatewaySelection sel = core::select_gateways_local(
-      core::TablesSelectionView(g.neighbors(h), tables_), cov, sel_scratch);
+  const core::TablesView<graph::DynamicAdjacency> view{g, clustering_,
+                                                       tables_};
+  core::Coverage cov = core::coverage_row(view, h, g.order(), scratch);
+  core::GatewaySelection sel;
+  core::select_gateways_local(view, h, cov, sel_scratch, sel.gateways);
   // Both gateway lists are sorted: one merge walk yields old \ new as
   // releases and new \ old as new references.
   const NodeSet& before = selection_[h].gateways;
@@ -357,10 +359,12 @@ TickStats IncrementalBackbone::apply(const graph::DynamicAdjacency& g,
     run(chunks.size(), [&](std::size_t ci, std::size_t lane) {
       timed(lane, "hop1_chunk", chunks[ci].second, [&] {
         const auto [begin, count] = chunks[ci];
+        const core::TablesView<graph::DynamicAdjacency> view{g, clustering_,
+                                                             tables_};
         NodeSet row;
         for (std::size_t i = begin; i < begin + count; ++i) {
           const NodeId v = hop1_dirty[i];
-          core::hop1_row(g, clustering_, v, row);
+          core::hop1_row(view, v, row);
           if (!std::ranges::equal(row, tables_.ch_hop1[v]))
             changed[ci].add(v, row);
         }
@@ -392,11 +396,12 @@ TickStats IncrementalBackbone::apply(const graph::DynamicAdjacency& g,
     run(chunks.size(), [&](std::size_t ci, std::size_t lane) {
       timed(lane, "hop2_chunk", chunks[ci].second, [&] {
         const auto [begin, count] = chunks[ci];
+        const core::TablesView<graph::DynamicAdjacency> view{g, clustering_,
+                                                             tables_};
         std::vector<core::Hop2Entry> row;
         for (std::size_t i = begin; i < begin + count; ++i) {
           const NodeId v = hop2_dirty[i];
-          core::hop2_row(g, clustering_, tables_.mode, tables_.ch_hop1, v,
-                         row);
+          core::hop2_row(view, tables_.mode, v, row);
           if (!std::ranges::equal(row, tables_.ch_hop2[v]))
             changed[ci].add(v, row);
         }

@@ -19,8 +19,9 @@
 //    selection stage far smaller than the worst-case 3-hop ball).
 //
 // Rows inside the balls are recomputed with the exact per-row kernels
-// the batch path uses (core/table_kernels.hpp,
-// core::select_gateways_local), everything else keeps its cached value,
+// the batch path uses (core/table_kernels.hpp and
+// core::select_gateways_local, read through core::TablesView over the
+// mutable adjacency), everything else keeps its cached value,
 // so after every tick the whole structure is bit-identical to a
 // from-scratch core::build_static_backbone over the current topology and
 // clustering (asserted by the pipeline's oracle mode and the

@@ -37,6 +37,26 @@ std::size_t lattice_dim(double extent, double cell) {
   return std::max<std::size_t>(1, static_cast<std::size_t>(cells));
 }
 
+// A NaN or infinite coordinate has no cell (its cast to an index would
+// be undefined), so positions are checked on the way in.
+void require_finite(const geom::Point& p) {
+  MANET_REQUIRE(std::isfinite(p.x) && std::isfinite(p.y),
+                "node positions must be finite");
+}
+
+std::vector<geom::Point> require_finite(std::vector<geom::Point> positions) {
+  for (const geom::Point& p : positions) require_finite(p);
+  return positions;
+}
+
+// floor(scaled) clamped into [0, dim), in double before the integer
+// cast, so a far but finite position lands on a border cell.
+std::size_t clamp_cell(double scaled, std::size_t dim) {
+  if (!(scaled > 0.0)) return 0;
+  if (scaled >= static_cast<double>(dim - 1)) return dim - 1;
+  return static_cast<std::size_t>(scaled);
+}
+
 std::size_t pow2_at_least(std::size_t n) {
   std::size_t cap = 16;
   while (cap < n) cap <<= 1;
@@ -70,7 +90,7 @@ std::vector<T> merge_sorted(std::vector<std::vector<T>>& parts) {
 DeltaTracker::DeltaTracker(std::vector<geom::Point> positions, double range,
                            double width, double height, geom::GridIndex index,
                            bool streaming_build)
-    : positions_(std::move(positions)),
+    : positions_(require_finite(std::move(positions))),
       adjacency_(streaming_build
                      ? geom::unit_disk_graph_streaming(positions_, range, index)
                      : geom::unit_disk_graph(positions_, range, index)),
@@ -120,14 +140,8 @@ DeltaTracker::DeltaTracker(std::vector<geom::Point> positions, double range,
 
 std::uint64_t DeltaTracker::cell_key(const geom::Point& p) const {
   // Out-of-box positions clamp onto the border cells, like SpatialGrid.
-  const std::size_t col =
-      p.x <= 0.0 ? 0
-                 : std::min(cols_ - 1,
-                            static_cast<std::size_t>(p.x * inv_cell_x_));
-  const std::size_t row =
-      p.y <= 0.0 ? 0
-                 : std::min(rows_ - 1,
-                            static_cast<std::size_t>(p.y * inv_cell_y_));
+  const std::size_t col = clamp_cell(p.x * inv_cell_x_, cols_);
+  const std::size_t row = clamp_cell(p.y * inv_cell_y_, rows_);
   return static_cast<std::uint64_t>(row) * cols_ + col;
 }
 
@@ -207,6 +221,7 @@ void DeltaTracker::maybe_compact() {
 
 void DeltaTracker::stage_move(NodeId v, geom::Point p) {
   MANET_REQUIRE(v < positions_.size(), "node id out of range");
+  require_finite(p);
   positions_[v] = p;  // last staged position wins
   if (!is_staged_[v]) {
     is_staged_[v] = 1;

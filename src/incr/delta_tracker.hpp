@@ -120,6 +120,7 @@ class DeltaTracker {
   /// adjacency = unit-disk graph of `positions` at `range`. The working
   /// space [0, width] x [0, height] fixes the cell geometry; positions
   /// outside it are clamped onto border cells (matching SpatialGrid).
+  /// Coordinates must be finite (std::invalid_argument otherwise).
   /// `index` picks the cell storage (kAuto: dense until the lattice
   /// outgrows the dense clamp). `streaming_build` constructs the
   /// initial adjacency through unit_disk_graph_streaming — same graph,
@@ -146,7 +147,8 @@ class DeltaTracker {
   const graph::DynamicAdjacency& adjacency() const { return adjacency_; }
 
   /// Stages a position update for `v`. Repeated stages for the same node
-  /// before commit() keep the last position. O(1).
+  /// before commit() keep the last position. `p` must be finite; far
+  /// positions clamp onto border cells like the constructor's. O(1).
   void stage_move(NodeId v, geom::Point p);
 
   /// Number of staged (not yet committed) moves.

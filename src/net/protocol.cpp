@@ -3,37 +3,43 @@
 #include <algorithm>
 
 #include "common/assert.hpp"
+#include "core/table_kernels.hpp"
 
 namespace manet::net {
-namespace {
 
-/// LocalSelectionView over the node's received-message stores.
-class ReceivedView final : public core::LocalSelectionView {
- public:
-  ReceivedView(const NodeSet& neighbors,
-               const std::map<NodeId, NodeSet>& hop1,
-               const std::map<NodeId, std::vector<core::Hop2Entry>>& hop2)
-      : neighbors_(neighbors), hop1_(hop1), hop2_(hop2) {}
+/// The shared core kernels' view (core/table_kernels.hpp) over the
+/// node's neighbor list and received-message stores. The kernels only
+/// ever query the node itself and its neighbors.
+struct BackboneNode::View {
+  const BackboneNode& node;
 
-  std::span<const NodeId> neighbors() const override { return neighbors_; }
-  std::span<const NodeId> hop1(NodeId v) const override {
-    const auto it = hop1_.find(v);
-    if (it == hop1_.end()) return {};
+  std::span<const NodeId> neighbors(NodeId v) const {
+    MANET_ASSERT(v == node.id_, "kernel asked for a non-local adjacency row");
+    return node.neighbors_;
+  }
+  bool has_edge(NodeId u, NodeId w) const {
+    MANET_ASSERT(u == node.id_, "kernel asked for a non-local edge");
+    return contains_sorted(node.neighbors_, w);
+  }
+  /// As announced by x (self included; kInvalidNode before that).
+  NodeId head_of(NodeId x) const {
+    if (x == node.id_) return node.head_;
+    const auto it = node.neighbor_head_.find(x);
+    return it != node.neighbor_head_.end() ? it->second : kInvalidNode;
+  }
+  bool is_head(NodeId x) const { return head_of(x) == x; }
+  /// Payloads received from neighbor x (empty if none).
+  std::span<const NodeId> hop1(NodeId x) const {
+    const auto it = node.hop1_received_.find(x);
+    if (it == node.hop1_received_.end()) return {};
     return it->second;
   }
-  std::span<const core::Hop2Entry> hop2(NodeId v) const override {
-    const auto it = hop2_.find(v);
-    if (it == hop2_.end()) return {};
+  std::span<const core::Hop2Entry> hop2(NodeId x) const {
+    const auto it = node.hop2_received_.find(x);
+    if (it == node.hop2_received_.end()) return {};
     return it->second;
   }
-
- private:
-  const NodeSet& neighbors_;
-  const std::map<NodeId, NodeSet>& hop1_;
-  const std::map<NodeId, std::vector<core::Hop2Entry>>& hop2_;
 };
-
-}  // namespace
 
 BackboneNode::BackboneNode(NodeId id, core::CoverageMode mode)
     : id_(id), mode_(mode) {}
@@ -113,8 +119,7 @@ void BackboneNode::try_send_hop1(Mailbox& out) {
   if (hop1_sent_ || !role_.has_value() || is_head()) return;
   // Every neighbor must have announced its role.
   if (neighbor_head_.size() != neighbors_.size()) return;
-  for (const auto& [w, h] : neighbor_head_)
-    if (h == w) insert_sorted(my_hop1_, w);
+  core::hop1_row(View{*this}, id_, my_hop1_);
   hop1_sent_ = true;
   out.send(ChHop1Msg{my_hop1_});
 }
@@ -123,19 +128,7 @@ void BackboneNode::try_send_hop2(Mailbox& out) {
   if (hop2_sent_ || !hop1_sent_) return;
   // CH_HOP1 must have arrived from every non-head neighbor.
   if (hop1_received_.size() != non_head_neighbor_count()) return;
-  for (const auto& [x, heads] : hop1_received_) {
-    if (mode_ == core::CoverageMode::kTwoPointFiveHop) {
-      const NodeId head_of_x = neighbor_head_.at(x);
-      if (!contains_sorted(neighbors_, head_of_x))
-        my_hop2_.push_back({head_of_x, x});
-    } else {
-      for (NodeId w : heads)
-        if (!contains_sorted(neighbors_, w)) my_hop2_.push_back({w, x});
-    }
-  }
-  std::sort(my_hop2_.begin(), my_hop2_.end());
-  my_hop2_.erase(std::unique(my_hop2_.begin(), my_hop2_.end()),
-                 my_hop2_.end());
+  core::hop2_row(View{*this}, mode_, id_, my_hop2_);
   hop2_sent_ = true;
   out.send(ChHop2Msg{my_hop2_});
 }
@@ -156,14 +149,15 @@ void BackboneNode::try_select(Mailbox& out) {
       if (e.head != id_ && !contains_sorted(coverage_.two_hop, e.head))
         insert_sorted(coverage_.three_hop, e.head);
 
-  selection_ = core::select_gateways_local(
-      ReceivedView(neighbors_, hop1_received_, hop2_received_), coverage_);
+  core::SelectionScratch scratch;
+  core::select_gateways_local(View{*this}, id_, coverage_, scratch,
+                              selection_.gateways);
   selected_sent_ = true;
   if (!selection_.gateways.empty())
     out.send(GatewayMsg{id_, selection_.gateways, 2});
 }
 
-core::GatewaySelection BackboneNode::select_for_broadcast(
+NodeSet BackboneNode::select_for_broadcast(
     NodeId relay, NodeId upstream, const NodeSet& upstream_cov) {
   core::Coverage remaining = coverage_;
   if (upstream != kInvalidNode) {
@@ -181,8 +175,10 @@ core::GatewaySelection BackboneNode::select_for_broadcast(
       remaining.three_hop = set_difference(remaining.three_hop, it->second);
     }
   }
-  return core::select_gateways_local(
-      ReceivedView(neighbors_, hop1_received_, hop2_received_), remaining);
+  NodeSet gateways;
+  core::SelectionScratch scratch;
+  core::select_gateways_local(View{*this}, id_, remaining, scratch, gateways);
+  return gateways;
 }
 
 void BackboneNode::on_data(const Message& m, Mailbox& out) {
@@ -191,10 +187,10 @@ void BackboneNode::on_data(const Message& m, Mailbox& out) {
   if (is_head()) {
     if (head_data_processed_) return;
     head_data_processed_ = true;
-    const auto sel =
-        select_for_broadcast(m.from, data.origin_head, data.coverage);
     data_sent_ = true;
-    out.send(DataMsg{id_, coverage_.all(), sel.gateways});
+    out.send(DataMsg{id_, coverage_.all(),
+                     select_for_broadcast(m.from, data.origin_head,
+                                          data.coverage)});
     return;
   }
   // A named forward node relays once per origin.
@@ -215,8 +211,8 @@ MessageBody BackboneNode::make_broadcast_packet() {
   if (is_head()) {
     MANET_REQUIRE(selected_sent_, "head has not built its coverage yet");
     head_data_processed_ = true;
-    const auto sel = select_for_broadcast(kInvalidNode, kInvalidNode, {});
-    return DataMsg{id_, coverage_.all(), sel.gateways};
+    return DataMsg{id_, coverage_.all(),
+                   select_for_broadcast(kInvalidNode, kInvalidNode, {})};
   }
   // Member handoff: physically a broadcast; the head picks it up.
   return DataMsg{kInvalidNode, {}, {}};
@@ -292,8 +288,6 @@ DistributedBroadcast run_distributed_broadcast(const graph::Graph& g,
   sim.run();  // construction phase to quiescence
 
   auto& src = dynamic_cast<BackboneNode&>(sim.process(source));
-  const std::size_t construction_msgs = sim.counts().total();
-  (void)construction_msgs;
   sim.inject(source, src.make_broadcast_packet());
   DistributedBroadcast result;
   result.rounds = sim.run();  // broadcast phase

@@ -18,6 +18,11 @@
 //   6. gateway      — selected nodes mark themselves backbone members and
 //                     forward the GATEWAY message while TTL remains.
 //
+// Phases 3-5 run the shared core kernels (core::hop1_row,
+// core::hop2_row, the greedy) over the node's kernel view of what it
+// received, so every row and selection is computed as the batch path
+// computes it.
+//
 // The integration tests assert that the emergent clustering, tables,
 // coverage sets, selections and backbone equal the centralized reference
 // for every topology tried — and the message totals back the paper's
@@ -68,6 +73,9 @@ class BackboneNode final : public NodeProcess {
   void reset_broadcast_state();
 
  private:
+  /// The core kernels' view of this node's received messages.
+  struct View;
+
   void try_decide_role(Mailbox& out);
   void try_send_hop1(Mailbox& out);
   void try_send_hop2(Mailbox& out);
@@ -100,9 +108,8 @@ class BackboneNode final : public NodeProcess {
   NodeSet forwarded_gateway_origins_;
 
   void on_data(const Message& m, Mailbox& out);
-  core::GatewaySelection select_for_broadcast(NodeId relay,
-                                              NodeId upstream,
-                                              const NodeSet& upstream_cov);
+  NodeSet select_for_broadcast(NodeId relay, NodeId upstream,
+                               const NodeSet& upstream_cov);
 
   bool data_received_ = false;
   bool data_sent_ = false;

@@ -10,75 +10,6 @@
 namespace manet::proto {
 namespace {
 
-// ---- View adapters: the shared core kernels over the message caches ----
-//
-// The kernels only ever query the owning node itself (its row, its
-// coverage) plus its cached neighbors, so a node's local knowledge is
-// exactly the adjacency/clustering slice they need.
-
-/// Adjacency restricted to the node's own neighborhood.
-struct SelfAdj {
-  const MaintenanceNode& node;
-  NodeId self;
-
-  std::span<const NodeId> neighbors(NodeId v) const {
-    MANET_ASSERT(v == self, "kernel asked for a non-local adjacency row");
-    return {node.neighbors().data(), node.neighbors().size()};
-  }
-  bool has_edge(NodeId u, NodeId w) const {
-    MANET_ASSERT(u == self, "kernel asked for a non-local edge");
-    return contains_sorted(node.neighbors(), w);
-  }
-};
-
-/// head_of[] lookups out of the neighbor caches (plus the node itself).
-struct HeadOfProxy {
-  const MaintenanceNode* node;
-  NodeId operator[](NodeId x) const { return node->cached_head_of(x); }
-};
-
-struct ClustView {
-  HeadOfProxy head_of;
-  bool is_head(NodeId v) const { return head_of[v] == v; }
-};
-
-/// hop1[x] / ch_hop1[x] lookups out of the neighbor caches.
-struct Hop1Proxy {
-  const MaintenanceNode* node;
-  const NodeSet& operator[](NodeId x) const { return node->cached_hop1(x); }
-};
-
-struct Hop2Proxy {
-  const MaintenanceNode* node;
-  const std::vector<core::Hop2Entry>& operator[](NodeId x) const {
-    return node->cached_hop2(x);
-  }
-};
-
-struct TablesView {
-  Hop1Proxy ch_hop1;
-  Hop2Proxy ch_hop2;
-};
-
-/// The gateway-selection greedy's view of the cached CH_HOP1/CH_HOP2
-/// payloads (same shape net::protocol uses for construction).
-class CacheSelectionView final : public core::LocalSelectionView {
- public:
-  explicit CacheSelectionView(const MaintenanceNode& node) : node_(node) {}
-  std::span<const NodeId> neighbors() const override {
-    return node_.neighbors();
-  }
-  std::span<const NodeId> hop1(NodeId v) const override {
-    return node_.cached_hop1(v);
-  }
-  std::span<const core::Hop2Entry> hop2(NodeId v) const override {
-    return node_.cached_hop2(v);
-  }
-
- private:
-  const MaintenanceNode& node_;
-};
-
 /// Counts the sends of a replayed quiet round (there must be none).
 class CountingMailbox final : public net::Mailbox {
  public:
@@ -87,6 +18,39 @@ class CountingMailbox final : public net::Mailbox {
 };
 
 }  // namespace
+
+/// The shared core kernels' view (core/table_kernels.hpp) over the
+/// message caches. The kernels only ever query the owning node itself
+/// (its row, its coverage) plus its cached neighbors, so a node's local
+/// knowledge is exactly the slice they need.
+struct MaintenanceNode::View {
+  const MaintenanceNode& node;
+
+  std::span<const NodeId> neighbors(NodeId v) const {
+    MANET_ASSERT(v == node.id_, "kernel asked for a non-local adjacency row");
+    return node.neighbor_ids_;
+  }
+  bool has_edge(NodeId u, NodeId w) const {
+    MANET_ASSERT(u == node.id_, "kernel asked for a non-local edge");
+    return contains_sorted(node.neighbor_ids_, w);
+  }
+  /// As cached from x's messages (self included).
+  NodeId head_of(NodeId x) const {
+    if (x == node.id_) return node.head_;
+    const NeighborCache* nb = node.find_neighbor(x);
+    return nb != nullptr ? nb->head_of : kInvalidNode;
+  }
+  bool is_head(NodeId x) const { return head_of(x) == x; }
+  /// Last payloads cached from neighbor x (empty if none).
+  std::span<const NodeId> hop1(NodeId x) const {
+    const NeighborCache* nb = node.find_neighbor(x);
+    return node.store_->hop1(nb != nullptr ? nb->hop1 : kEmptyRow);
+  }
+  std::span<const core::Hop2Entry> hop2(NodeId x) const {
+    const NeighborCache* nb = node.find_neighbor(x);
+    return node.store_->hop2(nb != nullptr ? nb->hop2 : kEmptyRow);
+  }
+};
 
 MaintenanceNode::MaintenanceNode(NodeId id, core::CoverageMode mode,
                                  std::size_t universe, Ledger* ledger,
@@ -170,23 +134,6 @@ void MaintenanceNode::clear_origins() {
   if (origins_ == nullptr) return;
   for (const auto& e : *origins_) store_->release_hop1(e.payload);
   origins_.reset();
-}
-
-NodeId MaintenanceNode::cached_head_of(NodeId x) const {
-  if (x == id_) return head_;
-  const NeighborCache* nb = find_neighbor(x);
-  return nb != nullptr ? nb->head_of : kInvalidNode;
-}
-
-const NodeSet& MaintenanceNode::cached_hop1(NodeId w) const {
-  const NeighborCache* nb = find_neighbor(w);
-  return store_->hop1(nb != nullptr ? nb->hop1 : kEmptyRow);
-}
-
-const std::vector<core::Hop2Entry>& MaintenanceNode::cached_hop2(
-    NodeId w) const {
-  const NeighborCache* nb = find_neighbor(w);
-  return store_->hop2(nb != nullptr ? nb->hop2 : kEmptyRow);
 }
 
 NeighborCache* MaintenanceNode::find_neighbor(NodeId w) {
@@ -680,12 +627,11 @@ void MaintenanceNode::settle_rows(net::Mailbox& out) {
       ledger_->rows_changed.push_back(id_);
     }
   } else {
-    const SelfAdj adj{*this, id_};
-    const ClustView clust{HeadOfProxy{this}};
+    const View view{*this};
     NodeSet h1;
-    core::hop1_row(adj, clust, id_, h1);
+    core::hop1_row(view, id_, h1);
     std::vector<core::Hop2Entry> h2;
-    core::hop2_row(adj, clust, mode_, Hop1Proxy{this}, id_, h2);
+    core::hop2_row(view, mode_, id_, h2);
     // Intern-then-compare: ref equality is content equality, so an
     // unchanged row re-finds its slot (+1/-1 on the same refcount) and
     // the change test is two integer compares, not a row diff.
@@ -742,16 +688,14 @@ void MaintenanceNode::maybe_reselect(net::Mailbox& out) {
   // dispatched until then).
   if (inputs_this_round_) return;
 
-  const SelfAdj adj{*this, id_};
-  const TablesView tables{Hop1Proxy{this}, Hop2Proxy{this}};
+  const View view{*this};
   core::Coverage cov =
-      core::coverage_row(adj, tables, id_, universe_, scratch_->cov);
-  const CacheSelectionView view(*this);
-  core::GatewaySelection sel =
-      core::select_gateways_local(view, cov, scratch_->sel);
+      core::coverage_row(view, id_, universe_, scratch_->cov);
+  NodeSet sel;
+  core::select_gateways_local(view, id_, cov, scratch_->sel, sel);
   const RowRef c2 = store_->intern_hop1(cov.two_hop);
   const RowRef c3 = store_->intern_hop1(cov.three_hop);
-  const RowRef sl = store_->intern_hop1(sel.gateways);
+  const RowRef sl = store_->intern_hop1(sel);
   if (c2 != head_rows_.cov2 || c3 != head_rows_.cov3 ||
       sl != head_rows_.sel)
     ledger_->head_rows_changed.push_back(id_);

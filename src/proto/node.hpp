@@ -250,15 +250,10 @@ class MaintenanceNode final : public net::NodeProcess {
   /// fault; never set outside tests.
   void inject_stale_gateway_fault() { fault_stale_gateway_ = true; }
 
-  // ---- Cache lookups for the kernel view adapters ----
-  /// head_of of `x` as cached from its messages (self included).
-  NodeId cached_head_of(NodeId x) const;
-  /// Last CH_HOP1 payload cached from neighbor `w` (empty if none).
-  const NodeSet& cached_hop1(NodeId w) const;
-  /// Last CH_HOP2 payload cached from neighbor `w` (empty if none).
-  const std::vector<core::Hop2Entry>& cached_hop2(NodeId w) const;
-
  private:
+  /// The core kernels' view of this node's caches (node.cpp).
+  struct View;
+
   // Repair-state constants for NeighborCache::r1/r2 and self.
   enum : std::uint8_t { kNone = 0, kPending = 1, kSurvived = 2,
                         kResigned = 3, kFinal = 2 };

@@ -118,9 +118,10 @@ TEST(CoverageEdgeCases, LongPathGetsThreeHopEntries) {
 }
 
 TEST(CoverageScratchTest, ScratchKernelMatchesScratchlessAndComesBackClean) {
-  // The reusable-scratch coverage_row must be bit-identical to the
-  // scratch-less overload and must return its bitsets fully cleared, or
-  // the next head computed with the same scratch inherits stale bits.
+  // coverage_row on a scratch reused across heads must be bit-identical
+  // to a fresh scratch per head and must return its bitsets fully
+  // cleared, or the next head computed with the same scratch inherits
+  // stale bits.
   Rng rng(99);
   geom::UnitDiskConfig cfg;
   cfg.nodes = 120;
@@ -131,11 +132,12 @@ TEST(CoverageScratchTest, ScratchKernelMatchesScratchlessAndComesBackClean) {
   for (const auto mode :
        {CoverageMode::kTwoPointFiveHop, CoverageMode::kThreeHop}) {
     const auto t = build_neighbor_tables(net->graph, c, mode);
+    const TablesView<graph::Graph> view{net->graph, c, t};
     CoverageScratch scratch;  // deliberately shared across all heads
     for (NodeId h : c.heads) {
-      const Coverage with_scratch =
-          coverage_row(net->graph, t, h, cfg.nodes, scratch);
-      const Coverage fresh = coverage_row(net->graph, t, h, cfg.nodes);
+      const Coverage with_scratch = coverage_row(view, h, cfg.nodes, scratch);
+      CoverageScratch fresh_scratch;
+      const Coverage fresh = coverage_row(view, h, cfg.nodes, fresh_scratch);
       EXPECT_EQ(with_scratch.two_hop, fresh.two_hop) << "head " << h;
       EXPECT_EQ(with_scratch.three_hop, fresh.three_hop) << "head " << h;
       for (std::size_t v = 0; v < cfg.nodes; ++v) {

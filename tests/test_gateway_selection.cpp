@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "core/table_kernels.hpp"
 #include "geom/unit_disk.hpp"
 #include "paper_fixtures.hpp"
 
@@ -211,7 +212,10 @@ TEST_P(SelectionSweep, ExplainMatchesProductionOnPrunedTargets) {
   // The production call (no trace, reused scratch — the SD-CDS and repair
   // shape) and the explain call run one kernel: same gateways on the full
   // coverage and on the random subsets SD passes after pruning, and the
-  // trace accounts for every gateway.
+  // trace accounts for every gateway. The kernel itself appends: SD-CDS
+  // collects every head's selection in one buffer, so each call must add
+  // exactly its gateways, keep what came before and return the scratch
+  // clean.
   const auto [n, d, seed, mode] = GetParam();
   Rng rng(seed);
   geom::UnitDiskConfig cfg;
@@ -223,6 +227,9 @@ TEST_P(SelectionSweep, ExplainMatchesProductionOnPrunedTargets) {
   const auto t = build_neighbor_tables(net->graph, c, mode);
   const auto cov = build_all_coverage(net->graph, c, t);
   SelectionScratch scratch;
+  const TablesView<graph::Graph> view{net->graph, c, t};
+  NodeSet appended{kInvalidNode};  // shared by every call below
+  NodeSet expected = appended;     // ...and what it must hold after each
   Rng pick(seed + 1000);
   const auto subset = [&](const NodeSet& all) {
     NodeSet kept;
@@ -242,6 +249,14 @@ TEST_P(SelectionSweep, ExplainMatchesProductionOnPrunedTargets) {
       EXPECT_EQ(traced_gateways(ex), sel.gateways) << "head " << h;
       EXPECT_EQ(validate_selection(net->graph, c, h, target, sel), "")
           << "head " << h;
+
+      select_gateways_local(view, h, target, scratch, appended);
+      expected.insert(expected.end(), sel.gateways.begin(),
+                      sel.gateways.end());
+      ASSERT_EQ(appended, expected) << "head " << h;
+      EXPECT_TRUE(scratch.remaining2.none()) << "head " << h;
+      EXPECT_TRUE(scratch.remaining3.none()) << "head " << h;
+      EXPECT_TRUE(scratch.gateways.none()) << "head " << h;
     }
   }
 }

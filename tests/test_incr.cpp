@@ -10,7 +10,9 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -728,6 +730,50 @@ TEST(DeltaTrackerTest, RestagingSameNodeKeepsLastPosition) {
             (std::vector<std::pair<NodeId, NodeId>>{{0, 2}, {1, 2}}));
   EXPECT_TRUE(delta.removed.empty());
   EXPECT_EQ(tracker.positions()[2], (geom::Point{22, 10}));
+}
+
+TEST(DeltaTrackerTest, RejectsNonFinitePositions) {
+  // A NaN or infinite coordinate has no cell: both ways in refuse it.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<geom::Point> pts{{10, 10}, {20, 10}, {90, 90}};
+  DeltaTracker tracker(pts, 15.0, 100, 100);
+  for (const geom::Point bad : {geom::Point{kNaN, 3}, geom::Point{kInf, 3},
+                                geom::Point{-kInf, 3}, geom::Point{3, kNaN},
+                                geom::Point{3, kInf}, geom::Point{3, -kInf}}) {
+    EXPECT_THROW(tracker.stage_move(1, bad), std::invalid_argument);
+    std::vector<geom::Point> layout = pts;
+    layout[1] = bad;
+    EXPECT_THROW(DeltaTracker(layout, 15.0, 100, 100), std::invalid_argument);
+  }
+  EXPECT_EQ(tracker.staged_count(), 0u);
+  EXPECT_EQ(tracker.positions()[1], (geom::Point{20, 10}));
+}
+
+TEST(DeltaTrackerTest, FarPositionsClampOntoTheBorder) {
+  // A far but finite position lands on a border cell: it loses every
+  // link, the overlay stays the unit-disk graph, and moving back
+  // restores the links.
+  const std::vector<geom::Point> pts{{10, 10}, {20, 10}, {22, 12}, {90, 90}};
+  for (const auto index : {geom::GridIndex::kDense, geom::GridIndex::kSparse}) {
+    std::vector<geom::Point> positions = pts;
+    DeltaTracker tracker(positions, 15.0, 100, 100, index);
+    ASSERT_TRUE(tracker.adjacency().has_edge(0, 1));
+    ASSERT_TRUE(tracker.adjacency().has_edge(1, 2));
+    positions[1] = {1e300, 3};
+    tracker.stage_move(1, positions[1]);
+    tracker.commit();
+    EXPECT_EQ(tracker.adjacency().degree(1), 0u);
+    EXPECT_EQ(tracker.adjacency().freeze().edges(),
+              geom::unit_disk_graph(positions, 15.0).edges());
+    positions[1] = pts[1];
+    tracker.stage_move(1, positions[1]);
+    tracker.commit();
+    EXPECT_TRUE(tracker.adjacency().has_edge(0, 1));
+    EXPECT_TRUE(tracker.adjacency().has_edge(1, 2));
+    EXPECT_EQ(tracker.adjacency().freeze().edges(),
+              geom::unit_disk_graph(pts, 15.0).edges());
+  }
 }
 
 // The scope-lookup lifetime cases run on a sparse 100x100-cell lattice

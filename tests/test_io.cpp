@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "common/rng.hpp"
 #include "geom/layout_io.hpp"
@@ -88,6 +89,12 @@ TEST(LayoutIoTest, RejectsTruncatedInput) {
   EXPECT_THROW(read_positions(truncated), std::invalid_argument);
   std::stringstream empty;
   EXPECT_THROW(read_positions(empty), std::invalid_argument);
+  // Counts the input cannot back (2^62, SIZE_MAX) are truncated input
+  // too, not an allocation failure.
+  for (const char* header : {"4611686018427387904", "18446744073709551615"}) {
+    std::stringstream huge(std::string(header) + "\n1 2\n");
+    EXPECT_THROW(read_positions(huge), std::invalid_argument) << header;
+  }
 }
 
 }  // namespace
