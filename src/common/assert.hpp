@@ -3,7 +3,7 @@
 // MANET_REQUIRE validates preconditions on public API boundaries and is
 // always on; it throws std::invalid_argument so tests can assert on misuse.
 // MANET_ASSERT checks internal invariants; it throws std::logic_error and
-// is compiled out in NDEBUG-with-MANETCAST_NO_ASSERT builds.
+// is on in every build.
 #pragma once
 
 #include <sstream>
@@ -36,12 +36,8 @@ namespace manet::detail {
       ::manet::detail::throw_require(#expr, __FILE__, __LINE__, (msg)); \
   } while (false)
 
-#if defined(MANETCAST_NO_ASSERT)
-#define MANET_ASSERT(expr, msg) ((void)0)
-#else
 #define MANET_ASSERT(expr, msg)                                        \
   do {                                                                 \
     if (!(expr))                                                       \
       ::manet::detail::throw_assert(#expr, __FILE__, __LINE__, (msg)); \
   } while (false)
-#endif

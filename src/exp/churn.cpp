@@ -25,17 +25,6 @@ double ms_since(Clock::time_point start) {
       .count();
 }
 
-// Hashes the maintained state through the backbone's accessors — field
-// for field the same digest as hashing a materialize() copy, without the
-// full O(n) duplication of tables and coverage (which would double peak
-// RSS right at the end of a memory-audited run). The fold itself lives
-// in core/state_hash.hpp so the message-driven engine (src/proto) lands
-// on the bitwise-identical digest.
-std::uint64_t hash_backbone(const incr::IncrementalBackbone& b) {
-  return core::backbone_state_hash(b.clustering(), b.tables(), b.coverage(),
-                                   b.selection(), b.gateways(), b.cds());
-}
-
 }  // namespace
 
 std::string model_name(ChurnConfig::Model model) {
@@ -155,7 +144,9 @@ ChurnResult run_churn(const ChurnConfig& config) {
   result.mean_rows_recomputed /= ticks;
   result.mean_heads_reselected /= ticks;
   result.mean_regions /= ticks;
-  result.state_hash = hash_backbone(pipeline.backbone());
+  // Through the view, not a materialize() copy, which would double peak
+  // RSS right at the end of a memory-audited run.
+  result.state_hash = core::backbone_state_hash(pipeline.backbone().view());
   result.peak_rss_bytes = peak_rss_bytes();
   result.connected = mix.connected();
   result.connect_attempts_used = mix.connect_attempts_used();

@@ -26,11 +26,6 @@ double ms_since(Clock::time_point start) {
       .count();
 }
 
-std::uint64_t hash_backbone(const incr::IncrementalBackbone& b) {
-  return core::backbone_state_hash(b.clustering(), b.tables(), b.coverage(),
-                                   b.selection(), b.gateways(), b.cds());
-}
-
 }  // namespace
 
 MsgChurnResult run_msg_churn(const MsgChurnConfig& config) {
@@ -48,7 +43,6 @@ MsgChurnResult run_msg_churn(const MsgChurnConfig& config) {
   eopts.grid = base.grid;
   eopts.streaming_build = base.streaming_build;
   eopts.obs = base.obs;
-  eopts.max_rounds_per_tick = config.max_rounds_per_tick;
   eopts.threads = config.engine_threads;
   eopts.inject_stale_gateway_fault = config.inject_stale_gateway_fault;
   proto::MaintenanceEngine engine(mix.positions(), mix.range(), base.width,
@@ -64,7 +58,8 @@ MsgChurnResult run_msg_churn(const MsgChurnConfig& config) {
     popts.threads = base.threads;
     witness.emplace(mix.positions(), mix.range(), base.width, base.height,
                     popts);
-    MANET_ASSERT(engine.state_hash() == hash_backbone(witness->backbone()),
+    MANET_ASSERT(engine.state_hash() ==
+                     core::backbone_state_hash(witness->backbone().view()),
                  "maintenance and incremental engines disagree at tick 0");
   }
 
@@ -101,7 +96,8 @@ MsgChurnResult run_msg_churn(const MsgChurnConfig& config) {
 
     if (witness) {
       witness->tick();
-      const std::uint64_t expect = hash_backbone(witness->backbone());
+      const std::uint64_t expect =
+          core::backbone_state_hash(witness->backbone().view());
       const std::uint64_t got = engine.state_hash();
       if (got != expect)
         throw std::logic_error(

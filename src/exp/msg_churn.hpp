@@ -38,8 +38,6 @@ struct MsgChurnConfig {
   /// larger). The burst tick's round count measures reconvergence after
   /// a correlated topology shock.
   double burst_fraction = 0.0;
-  /// Simulator livelock guard, per tick.
-  std::uint32_t max_rounds_per_tick = 100000;
   /// Region-sharded engine execution (proto::EngineOptions::threads):
   /// 0 = the classic sequential simulator loop, k >= 1 = active repair
   /// regions as independent scoped simulations on k lanes. State hash

@@ -49,7 +49,11 @@ std::vector<std::pair<NodeId, NodeId>> Graph::edges() const {
   return out;
 }
 
-GraphBuilder::GraphBuilder(std::size_t order) : order_(order) {}
+GraphBuilder::GraphBuilder(std::size_t order) : order_(order) {
+  // Ids are NodeId and kInvalidNode is reserved, so no larger order can
+  // be addressed (and order + 1 offsets must not wrap).
+  MANET_REQUIRE(order <= kInvalidNode, "graph order exceeds the NodeId range");
+}
 
 GraphBuilder& GraphBuilder::edge(NodeId u, NodeId v) {
   MANET_REQUIRE(u < order_ && v < order_, "edge endpoint out of range");

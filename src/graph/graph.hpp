@@ -63,6 +63,7 @@ class Graph {
 class GraphBuilder {
  public:
   /// Creates a builder for a graph on `order` vertices (ids [0, order)).
+  /// Throws std::invalid_argument when `order` exceeds kInvalidNode.
   explicit GraphBuilder(std::size_t order);
 
   /// Adds the undirected edge {u, v}. Self-loops are rejected; duplicate

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <span>
-#include <sstream>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -536,38 +535,9 @@ core::StaticBackbone IncrementalBackbone::materialize() const {
   return b;
 }
 
-std::string IncrementalBackbone::diff_against(
-    const core::StaticBackbone& oracle) const {
-  std::ostringstream err;
-  if (!(clustering_ == oracle.clustering)) {
-    err << "clustering mismatch vs full rebuild";
-    return err.str();
-  }
-  if (tables_.mode != oracle.tables.mode ||
-      tables_.ch_hop1 != oracle.tables.ch_hop1 ||
-      tables_.ch_hop2 != oracle.tables.ch_hop2) {
-    err << "neighbor-table mismatch vs full rebuild";
-    return err.str();
-  }
-  for (NodeId v = 0; v < clustering_.head_of.size(); ++v) {
-    if (!(coverage_[v] == oracle.coverage[v])) {
-      err << "coverage mismatch at node " << v;
-      return err.str();
-    }
-    if (!(selection_[v] == oracle.selection[v])) {
-      err << "gateway-selection mismatch at head " << v;
-      return err.str();
-    }
-  }
-  if (gateways() != oracle.gateways) {
-    err << "gateway-union mismatch vs full rebuild";
-    return err.str();
-  }
-  if (cds() != oracle.cds) {
-    err << "CDS mismatch vs full rebuild";
-    return err.str();
-  }
-  return {};
+core::BackboneRef IncrementalBackbone::view() const {
+  return core::BackboneRef(clustering_, tables_, coverage_, selection_,
+                           gateways(), cds());
 }
 
 }  // namespace manet::incr

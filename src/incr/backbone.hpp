@@ -31,7 +31,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "cluster/lcc.hpp"
@@ -40,6 +39,7 @@
 #include "core/coverage.hpp"
 #include "core/gateway_selection.hpp"
 #include "core/neighbor_tables.hpp"
+#include "core/state_hash.hpp"
 #include "core/static_backbone.hpp"
 #include "core/table_kernels.hpp"
 #include "graph/bitset.hpp"
@@ -141,10 +141,9 @@ class IncrementalBackbone {
   /// Copies the maintained state into the batch StaticBackbone shape.
   core::StaticBackbone materialize() const;
 
-  /// Compares every maintained structure against a full-rebuild oracle.
-  /// Returns an empty string on bitwise equality, else a description of
-  /// the first mismatch.
-  std::string diff_against(const core::StaticBackbone& oracle) const;
+  /// The backbone view (core/state_hash.hpp) over the maintained state,
+  /// with gateways() and cds() read once off the membership bitset.
+  core::BackboneRef view() const;
 
  private:
   /// Pre-resolved metric handles (inert when no session is attached).

@@ -1,10 +1,12 @@
 #include "incr/pipeline.hpp"
 
 #include <iostream>
+#include <string>
 #include <utility>
 
 #include "cluster/lcc.hpp"
 #include "common/assert.hpp"
+#include "core/state_hash.hpp"
 #include "core/static_backbone.hpp"
 #include "geom/unit_disk.hpp"
 #include "obs/session.hpp"
@@ -210,7 +212,8 @@ TickStats IncrementalPipeline::tick_sync() {
         cluster::lcc_update(frozen, oracle_previous_);
     const core::StaticBackbone oracle = core::build_static_backbone(
         frozen, oracle_clustering, options_.mode);
-    const std::string mismatch = backbone_.diff_against(oracle);
+    const std::string mismatch =
+        core::diff_backbones(backbone_.view(), core::BackboneRef(oracle));
     if (!mismatch.empty())
       dump_flight_recorder(options_.obs, tick_index_, delta, mismatch);
     MANET_REQUIRE(mismatch.empty(), "incr oracle: " + mismatch);

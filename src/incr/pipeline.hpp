@@ -8,9 +8,9 @@
 // Each tick's delta is partitioned into independent dirty regions
 // (DeltaTracker) and repaired by IncrementalBackbone::apply on a
 // persistent WorkerPool, which at threads = 1 runs every job inline on
-// the caller. The maintained state — and therefore materialize(), metric
-// snapshots and every downstream artifact — is bitwise identical at any
-// thread count (the determinism soaks and the oracle pin this).
+// the caller. The maintained state — and therefore backbone().view(),
+// metric snapshots and every downstream artifact — is bitwise identical
+// at any thread count (the determinism soaks and the oracle pin this).
 #pragma once
 
 #include <memory>
@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "core/neighbor_tables.hpp"
-#include "core/static_backbone.hpp"
 #include "geom/point.hpp"
 #include "incr/backbone.hpp"
 #include "incr/delta_tracker.hpp"
@@ -116,9 +115,6 @@ class IncrementalPipeline {
 
   /// CSR snapshot of the maintained topology.
   graph::Graph freeze_graph() const { return tracker_.adjacency().freeze(); }
-
-  /// Copies the maintained state into the batch StaticBackbone shape.
-  core::StaticBackbone materialize() const { return backbone_.materialize(); }
 
  private:
   /// Double-buffered per-tick state for pipelined mode: while tick t's

@@ -4,12 +4,15 @@
 #include <chrono>
 #include <iostream>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
 #include "cluster/lcc.hpp"
 #include "common/assert.hpp"
+#include "core/state_hash.hpp"
+#include "core/static_backbone.hpp"
 #include "graph/bitset.hpp"
 #include "obs/session.hpp"
 
@@ -45,6 +48,9 @@ constexpr std::size_t kShardGrowthMemberCells = 4;
 /// 1 keeps the mover's whole neighborhood in its scope.
 constexpr std::size_t kShardGrowthQuietCells = 1;
 
+/// Simulator livelock guard, per tick.
+constexpr std::uint32_t kMaxRoundsPerTick = 100000;
+
 double ms_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - t0)
@@ -67,6 +73,36 @@ class MaintenanceEngine::AdjacencyTopology final : public net::Topology {
 
  private:
   const graph::DynamicAdjacency& adj_;
+};
+
+class MaintenanceEngine::View {
+ public:
+  explicit View(const MaintenanceEngine& engine) : engine_(engine) {}
+
+  core::CoverageMode mode() const { return engine_.mode(); }
+  const cluster::Clustering& clustering() const {
+    return engine_.clustering();
+  }
+  std::span<const NodeId> hop1(NodeId v) const {
+    return engine_.node(v).hop1_row();
+  }
+  std::span<const core::Hop2Entry> hop2(NodeId v) const {
+    return engine_.node(v).hop2_row();
+  }
+  std::span<const NodeId> coverage_two_hop(NodeId v) const {
+    return engine_.node(v).coverage_two_hop();
+  }
+  std::span<const NodeId> coverage_three_hop(NodeId v) const {
+    return engine_.node(v).coverage_three_hop();
+  }
+  std::span<const NodeId> selection(NodeId v) const {
+    return engine_.node(v).selection_gateways();
+  }
+  NodeSet gateways() const { return engine_.gateways(); }
+  NodeSet cds() const { return engine_.cds(); }
+
+ private:
+  const MaintenanceEngine& engine_;
 };
 
 MaintenanceEngine::MaintenanceEngine(std::vector<geom::Point> positions,
@@ -228,7 +264,7 @@ MaintTickStats MaintenanceEngine::tick() {
     stats.commit_ms = ms_since(commit_t0);
     stats.link_changes = delta.added.size() + delta.removed.size();
     sim_->trigger_timers();
-    stats.rounds = sim_->run(options_.max_rounds_per_tick);
+    stats.rounds = sim_->run(kMaxRoundsPerTick);
   } else {
     stats.rounds = run_sharded_tick(stats);
   }
@@ -269,7 +305,8 @@ MaintTickStats MaintenanceEngine::tick() {
   if (options_.oracle_check) {
     NodeId divergent = kInvalidNode;
     NodeId origin = kInvalidNode;
-    std::string diff = diff_against(expected, &divergent);
+    std::string diff = core::diff_backbones(
+        View(*this), core::BackboneRef(expected), &divergent);
     if (diff.empty())
       diff = check_gateway_flags(*oracle_graph, &divergent, &origin);
     if (!diff.empty()) {
@@ -379,7 +416,7 @@ std::uint32_t MaintenanceEngine::run_sharded_tick(MaintTickStats& stats) {
     const auto in_scope = [this, region](NodeId v) {
       return tracker_.scope_region(v) == region;
     };
-    sim_->run_region(rr, in_scope, bind, wake, options_.max_rounds_per_tick);
+    sim_->run_region(rr, in_scope, bind, wake, kMaxRoundsPerTick);
   };
   pool_->run(A, run_one);
 
@@ -495,123 +532,7 @@ NodeSet MaintenanceEngine::gateways() const {
 }
 
 std::uint64_t MaintenanceEngine::state_hash() const {
-  // Same fold as core::backbone_state_hash — field order and length
-  // prefixes are the contract — but read off the nodes instead of
-  // materializing dense tables/coverage/selection vectors.
-  refresh_sorted();
-  const std::size_t n = size();
-  std::uint64_t h = 14695981039346656037ULL;
-  h = core::state_hash_nodes(h, clustering_.heads);
-  h = core::state_hash_mix(h, clustering_.head_of.size());
-  for (const NodeId v : clustering_.head_of) h = core::state_hash_mix(h, v);
-  for (const auto role : clustering_.roles)
-    h = core::state_hash_mix(h, static_cast<std::uint64_t>(role));
-  for (NodeId v = 0; v < n; ++v)
-    h = core::state_hash_nodes(h, node(v).hop1_row());
-  for (NodeId v = 0; v < n; ++v) {
-    const auto& row = node(v).hop2_row();
-    h = core::state_hash_mix(h, row.size());
-    for (const auto& e : row)
-      h = core::state_hash_mix(h, (std::uint64_t{e.head} << 32) | e.via);
-  }
-  for (NodeId v = 0; v < n; ++v) {
-    h = core::state_hash_nodes(h, node(v).coverage_two_hop());
-    h = core::state_hash_nodes(h, node(v).coverage_three_hop());
-  }
-  for (NodeId v = 0; v < n; ++v)
-    h = core::state_hash_nodes(h, node(v).selection_gateways());
-  const NodeSet gw = gateways();
-  h = core::state_hash_nodes(h, gw);
-  h = core::state_hash_nodes(h, set_union(clustering_.heads, gw));
-  return h;
-}
-
-std::string MaintenanceEngine::diff_against(
-    const core::StaticBackbone& oracle) const {
-  NodeId ignored = kInvalidNode;
-  return diff_against(oracle, &ignored);
-}
-
-std::string MaintenanceEngine::diff_against(const core::StaticBackbone& oracle,
-                                            NodeId* divergent) const {
-  *divergent = kInvalidNode;
-  refresh_sorted();
-  std::ostringstream os;
-  if (clustering_.heads != oracle.clustering.heads) {
-    // Witness: the first id on exactly one side of the symmetric diff.
-    for (const NodeId h : clustering_.heads)
-      if (!contains_sorted(oracle.clustering.heads, h)) {
-        *divergent = h;
-        break;
-      }
-    if (*divergent == kInvalidNode)
-      for (const NodeId h : oracle.clustering.heads)
-        if (!contains_sorted(clustering_.heads, h)) {
-          *divergent = h;
-          break;
-        }
-    os << "clusterhead sets differ (" << clustering_.heads.size()
-       << " maintained vs " << oracle.clustering.heads.size() << " oracle)";
-    return os.str();
-  }
-  const std::size_t n = clustering_.head_of.size();
-  for (NodeId v = 0; v < n; ++v) {
-    if (clustering_.head_of[v] != oracle.clustering.head_of[v]) {
-      *divergent = v;
-      os << "head_of[" << v << "]: " << clustering_.head_of[v] << " vs "
-         << oracle.clustering.head_of[v];
-      return os.str();
-    }
-    if (clustering_.roles[v] != oracle.clustering.roles[v]) {
-      *divergent = v;
-      os << "role[" << v << "] differs";
-      return os.str();
-    }
-  }
-  for (NodeId v = 0; v < n; ++v) {
-    const MaintenanceNode& nd = node(v);
-    if (!std::ranges::equal(nd.hop1_row(), oracle.tables.ch_hop1[v])) {
-      *divergent = v;
-      os << "ch_hop1[" << v << "] differs";
-      return os.str();
-    }
-    if (!std::ranges::equal(nd.hop2_row(), oracle.tables.ch_hop2[v])) {
-      *divergent = v;
-      os << "ch_hop2[" << v << "] differs";
-      return os.str();
-    }
-  }
-  for (NodeId v = 0; v < n; ++v) {
-    const MaintenanceNode& nd = node(v);
-    if (nd.coverage_two_hop() != oracle.coverage[v].two_hop ||
-        nd.coverage_three_hop() != oracle.coverage[v].three_hop) {
-      *divergent = v;
-      os << "coverage[" << v << "] differs";
-      return os.str();
-    }
-    if (nd.selection_gateways() != oracle.selection[v].gateways) {
-      *divergent = v;
-      os << "selection[" << v << "] differs";
-      return os.str();
-    }
-  }
-  const NodeSet gw = gateways();
-  if (gw != oracle.gateways) {
-    os << "gateway unions differ";
-    return os.str();
-  }
-  if (set_union(clustering_.heads, gw) != oracle.cds) {
-    os << "CDS differs";
-    return os.str();
-  }
-  return "";
-}
-
-std::string MaintenanceEngine::check_gateway_flags(
-    const graph::Graph& g) const {
-  NodeId ignored_node = kInvalidNode;
-  NodeId ignored_origin = kInvalidNode;
-  return check_gateway_flags(g, &ignored_node, &ignored_origin);
+  return core::backbone_state_hash(View(*this));
 }
 
 std::string MaintenanceEngine::check_gateway_flags(const graph::Graph& g,

@@ -7,8 +7,9 @@
 // node's HELLO timer, run the simulator to quiescence, then drain the
 // nodes' change ledger into the dense clustering (head_of, roles) in
 // O(changes). Tables, coverage and selections stay where the protocol
-// keeps them, on the nodes: state_hash() and the oracle diff fold the
-// nodes' own state.
+// keeps them, on the nodes: a private backbone view (core/state_hash.hpp)
+// reads them there, and state_hash() and the oracle diff are the shared
+// core fold and diff over that view.
 //
 // Oracle mode rebuilds the expected state from scratch every tick
 // (lcc_update over the previous clustering + build_static_backbone) and
@@ -25,8 +26,6 @@
 
 #include "cluster/lowest_id.hpp"
 #include "common/ids.hpp"
-#include "core/state_hash.hpp"
-#include "core/static_backbone.hpp"
 #include "core/table_kernels.hpp"
 #include "geom/point.hpp"
 #include "geom/spatial_grid.hpp"
@@ -57,8 +56,6 @@ struct EngineOptions {
   /// plus the simulator's `net.*` instrumentation). Must outlive the
   /// engine. nullptr = unobserved.
   obs::Session* obs = nullptr;
-  /// Simulator livelock guard, per tick.
-  std::uint32_t max_rounds_per_tick = 100000;
   /// Region-sharded tick execution. 0 = the classic sequential
   /// simulator loop over all n nodes. >= 1 runs each tick's active
   /// repair regions as independent scoped simulations on an
@@ -133,9 +130,8 @@ class MaintenanceEngine {
     return set_union(clustering_.heads, gateways());
   }
 
-  /// FNV-1a digest of the maintained state — bitwise-identical to
-  /// exp::run_churn's digest of the incremental engine over the same
-  /// move sequence (core::backbone_state_hash contract).
+  /// core::backbone_state_hash of the nodes' state — bitwise-identical
+  /// to the incremental engine's digest over the same move sequence.
   std::uint64_t state_hash() const;
 
   const incr::DeltaTracker& tracker() const { return tracker_; }
@@ -150,24 +146,15 @@ class MaintenanceEngine {
   const MaintenanceNode& node(NodeId v) const;
   std::uint64_t ticks() const { return ticks_; }
 
-  /// Field-by-field comparison of the nodes' state against a from-scratch
-  /// rebuild; empty string on bitwise equality. The overload reports the
-  /// first divergent node (kInvalidNode for whole-set diffs with no
-  /// single witness) so forensics can walk its causal history.
-  std::string diff_against(const core::StaticBackbone& oracle) const;
-  std::string diff_against(const core::StaticBackbone& oracle,
-                           NodeId* divergent) const;
-
   /// Gateway-flag soft-state consistency: a selected node's flag must be
   /// set; an unselected node's flag must be clear in 3-hop mode (exact
   /// GC), and in 2.5-hop mode any stale set flag must come only from
   /// origins that cannot refresh the node — a live head outside the
   /// node's current 2-hop ball, or an ex-head whose retraction flood
   /// fired out of the node's earshot. Empty string when consistent. `g`
-  /// is the current topology (god's-eye ball check).
-  std::string check_gateway_flags(const graph::Graph& g) const;
-  /// Overload reporting the inconsistent node and the selecting origin
-  /// whose soft state went stale (kInvalidNode when not applicable).
+  /// is the current topology (god's-eye ball check). Reports the
+  /// inconsistent node and the selecting origin whose soft state went
+  /// stale (kInvalidNode when not applicable).
   std::string check_gateway_flags(const graph::Graph& g, NodeId* divergent,
                                   NodeId* origin) const;
 
@@ -175,6 +162,8 @@ class MaintenanceEngine {
 
  private:
   class AdjacencyTopology;
+  /// The backbone view (core/state_hash.hpp) over the nodes' state.
+  class View;
 
   MaintenanceNode& node_mut(NodeId v);
   void drain_ledger(MaintTickStats& stats);

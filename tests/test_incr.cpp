@@ -20,6 +20,7 @@
 #include "cluster/lcc.hpp"
 #include "cluster/lowest_id.hpp"
 #include "common/rng.hpp"
+#include "core/state_hash.hpp"
 #include "core/static_backbone.hpp"
 #include "exp/churn.hpp"
 #include "geom/unit_disk.hpp"
@@ -911,8 +912,10 @@ void check_repair_on_random_flips(int flips_per_round,
     EXPECT_EQ(stats.cluster_churn.heads_declared, full_delta.heads_declared);
     EXPECT_EQ(stats.cluster_churn.reaffiliations, full_delta.reaffiliations);
     // The heads list, tables, coverage, selections and CDS follow too.
-    ASSERT_EQ(backbone.diff_against(core::build_static_backbone(
-                  after, full, core::CoverageMode::kTwoPointFiveHop)),
+    ASSERT_EQ(core::diff_backbones(
+                  backbone.view(),
+                  core::BackboneRef(core::build_static_backbone(
+                      after, full, core::CoverageMode::kTwoPointFiveHop))),
               "")
         << "backbone diverged from the rebuild at round " << round;
     if (stats.cluster_churn.heads_resigned >= 2) ++multi_resign_rounds;
@@ -956,9 +959,11 @@ TEST(ClusterRepairTest, ResignationCascadeKeepsTheSurvivorBesideIt) {
   EXPECT_EQ(backbone.clustering(),
             cluster::lcc_update(after, previous, &full_delta));
   EXPECT_EQ(full_delta.heads_resigned, 2u);
-  EXPECT_EQ(backbone.diff_against(core::build_static_backbone(
-                after, backbone.clustering(),
-                core::CoverageMode::kTwoPointFiveHop)),
+  EXPECT_EQ(core::diff_backbones(
+                backbone.view(),
+                core::BackboneRef(core::build_static_backbone(
+                    after, backbone.clustering(),
+                    core::CoverageMode::kTwoPointFiveHop))),
             "");
 }
 

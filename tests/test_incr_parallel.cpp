@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/state_hash.hpp"
 #include "exp/churn.hpp"
 #include "geom/unit_disk.hpp"
 #include "incr/backbone.hpp"
@@ -259,7 +260,7 @@ TEST(ParallelOracleTest, WaypointMotionThreads4) {
 TEST(ParallelDeterminismTest, LockstepStateIdenticalAcrossThreadCounts) {
   // Three pipelines fed identical move streams at threads 1 / 2 / 8;
   // after every tick the maintained structures must be bit-identical
-  // (diff_against checks clustering, tables, coverage, selections, CDS).
+  // (diff_backbones checks clustering, tables, coverage, selections, CDS).
   Rng rng(815);
   const std::size_t n = 1000;
   const double range = geom::range_for_average_degree(6.0, n, 100, 100);
@@ -287,9 +288,11 @@ TEST(ParallelDeterminismTest, LockstepStateIdenticalAcrossThreadCounts) {
     const TickStats s1 = p1.tick();
     const TickStats s2 = p2.tick();
     const TickStats s8 = p8.tick();
-    ASSERT_EQ(p1.backbone().diff_against(p2.materialize()), "")
+    ASSERT_EQ(
+        core::diff_backbones(p1.backbone().view(), p2.backbone().view()), "")
         << "threads=2 diverged at tick " << t;
-    ASSERT_EQ(p1.backbone().diff_against(p8.materialize()), "")
+    ASSERT_EQ(
+        core::diff_backbones(p1.backbone().view(), p8.backbone().view()), "")
         << "threads=8 diverged at tick " << t;
     // Tick accounting is part of the determinism contract too.
     EXPECT_EQ(s1.link_changes, s2.link_changes);
@@ -348,9 +351,9 @@ TEST(ParallelDeterminismTest, LockstepApplyIdenticalAcrossPartitionAndPool) {
     const TickStats s_whole = whole.apply(g, d);
     const TickStats s_regions = regions.apply(g, d, &partition);
     const TickStats s_pooled = pooled.apply(g, d, &partition, &pool4);
-    ASSERT_EQ(whole.diff_against(regions.materialize()), "")
+    ASSERT_EQ(core::diff_backbones(whole.view(), regions.view()), "")
         << "one-lane partitioned repair diverged at tick " << t;
-    ASSERT_EQ(whole.diff_against(pooled.materialize()), "")
+    ASSERT_EQ(core::diff_backbones(whole.view(), pooled.view()), "")
         << "four-lane partitioned repair diverged at tick " << t;
     expect_same_tick_stats(s_whole, s_regions, t);
     expect_same_tick_stats(s_whole, s_pooled, t);
@@ -431,8 +434,12 @@ TEST(PipelinedDeterminismTest, LockstepPipelinedMatchesSequential) {
   }
   piped1_links += piped1.drain().link_changes;
   piped8_links += piped8.drain().link_changes;
-  EXPECT_EQ(sync.backbone().diff_against(piped1.materialize()), "");
-  EXPECT_EQ(sync.backbone().diff_against(piped8.materialize()), "");
+  EXPECT_EQ(
+      core::diff_backbones(sync.backbone().view(), piped1.backbone().view()),
+      "");
+  EXPECT_EQ(
+      core::diff_backbones(sync.backbone().view(), piped8.backbone().view()),
+      "");
   EXPECT_EQ(sync_links, piped1_links);
   EXPECT_EQ(sync_links, piped8_links);
   EXPECT_GT(sync_links, 0u);

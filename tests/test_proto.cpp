@@ -31,11 +31,6 @@
 namespace manet {
 namespace {
 
-std::uint64_t hash_backbone(const incr::IncrementalBackbone& b) {
-  return core::backbone_state_hash(b.clustering(), b.tables(), b.coverage(),
-                                   b.selection(), b.gateways(), b.cds());
-}
-
 proto::EngineOptions oracle_options(core::CoverageMode mode) {
   proto::EngineOptions o;
   o.mode = mode;
@@ -52,7 +47,8 @@ TEST(ProtoEngine, BootstrapMatchesIncrementalEngine) {
     incr::PipelineOptions popts;
     popts.mode = mode;
     incr::IncrementalPipeline pipeline(pts, 1.5, 20, 5, popts);
-    EXPECT_EQ(engine.state_hash(), hash_backbone(pipeline.backbone()));
+    EXPECT_EQ(engine.state_hash(),
+              core::backbone_state_hash(pipeline.backbone().view()));
   }
 }
 
