@@ -104,13 +104,11 @@ int main(int argc, char** argv) {
   std::fputs(table.render().c_str(), stdout);
   std::puts("\nExpected: flood = n; every pruned protocol well below it; "
             "SD dynamic below SI static.");
-  if (obs::kEnabled) {
-    // Every protocol run above recorded its broadcast.* counters and the
-    // shared forward-set/delivery/latency histograms ambiently.
-    const std::string metrics_path = artifact_path(
-        flags, flags.get("json", "BENCH_broadcast_metrics.json"));
-    obs::global_registry().snapshot().write_json_file(metrics_path);
-    std::printf("obs metrics written to %s\n", metrics_path.c_str());
-  }
+  // Every protocol run above recorded its broadcast.* counters and the
+  // shared forward-set/delivery/latency histograms ambiently.
+  const std::string metrics_path = artifact_path(
+      flags, flags.get("json", "BENCH_broadcast_metrics.json"));
+  obs::global_registry().snapshot().write_json_file(metrics_path);
+  std::printf("obs metrics written to %s\n", metrics_path.c_str());
   return 0;
 }

@@ -27,7 +27,7 @@
 //        --warmup=<k> (untimed leading ticks per section; lets the
 //        session's rings reach capacity before timing starts),
 //        --check (exit 1 if either overhead exceeds --max-overhead,
-//        default 3%; only meaningful when the layer is compiled in),
+//        default 3%),
 //        --json=<path> (default BENCH_obs_overhead.json under
 //        --out-dir).
 #include <algorithm>
@@ -170,9 +170,9 @@ int main(int argc, char** argv) {
       artifact_path(flags, flags.get("json", "BENCH_obs_overhead.json"));
 
   std::puts("manetcast :: obs_overhead — flight recorder on vs off");
-  std::printf("obs layer compiled %s; n=%zu ticks=%zu reps=%zu (paired "
-              "ticks, median of per-rep medians)\n",
-              obs::kEnabled ? "in" : "out", n, ticks, reps);
+  std::printf("n=%zu ticks=%zu reps=%zu (paired ticks, median of per-rep "
+              "medians)\n",
+              n, ticks, reps);
 
   // ---- Section 1: the snapshot-driven incremental pipeline ----
   geom::UnitDiskConfig net;
@@ -246,8 +246,7 @@ int main(int argc, char** argv) {
 
   {
     std::ofstream out(json_path);
-    out << "{\"obs_enabled\": " << (obs::kEnabled ? "true" : "false")
-        << ", \"nodes\": " << n << ", \"ticks\": " << ticks
+    out << "{\"nodes\": " << n << ", \"ticks\": " << ticks
         << ", \"reps\": " << reps
         << ", \"plain_us_per_tick\": " << incr_res.plain_med
         << ", \"instrumented_us_per_tick\": " << incr_res.instr_med
@@ -260,7 +259,7 @@ int main(int argc, char** argv) {
   }
   std::printf("written to %s\n", json_path.c_str());
 
-  if (check && obs::kEnabled) {
+  if (check) {
     bool failed = false;
     if (incr_res.overhead_pct > max_overhead) {
       std::fprintf(stderr,

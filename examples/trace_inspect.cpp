@@ -1,6 +1,6 @@
 // Query CLI over the protocol event journal (obs::Journal JSONL, as
-// written by `bench/msg_maintenance --journal-out=...` or
-// Journal::write_jsonl_file).
+// written by `bench/churn_maintenance --engine=proto --journal-out=...`
+// or Journal::write_jsonl_file).
 //
 // The journal records every transmission of the maintenance protocol
 // with its causal envelope (trace id, parent id, wave depth), so repair
@@ -204,10 +204,6 @@ int run_demo(const Flags& flags) {
   session.journal.for_each(
       [&](const obs::JournalEvent& e) { events.push_back(e); });
   std::puts("demo: 4-node head merge (node 2 drifts next to cluster 0-1)\n");
-  if (events.empty() && !obs::kEnabled) {
-    std::puts("observability compiled out (-DMANET_OBS=OFF) — no journal");
-    return 0;
-  }
   const int rc = inspect(events, flags);
   if (!events.empty() && !flags.has("trace-id") && !flags.get_bool("deepest")) {
     std::puts("\ndeepest repair wave:");

@@ -66,7 +66,6 @@ void finalize(BroadcastStats& stats, std::string_view protocol) {
 }
 
 void record_run(std::string_view protocol, const BroadcastStats& stats) {
-  if (!obs::kEnabled) return;
   auto& r = obs::global_registry();
   // Histograms shared across protocols: distribution of forward-set
   // sizes, delivery ratio in permille (integral, so snapshots stay

@@ -40,8 +40,7 @@ void finalize(BroadcastStats& stats);
 
 /// finalize() plus ambient instrumentation: records the run into the
 /// process-wide obs registry under `broadcast.<protocol>.*` counters and
-/// the shared forward-set/delivery/latency histograms. A no-op when the
-/// observability layer is compiled out.
+/// the shared forward-set/delivery/latency histograms.
 void finalize(BroadcastStats& stats, std::string_view protocol);
 
 /// Records an already-finalized run into the global registry (what the

@@ -8,10 +8,10 @@
 // coverage_three_hop(v) and selection(v) (empty off the heads).
 //
 // core::BackboneRef implements it over dense per-node vectors: a
-// StaticBackbone through its constructor, incr::IncrementalBackbone
-// through view(). proto::MaintenanceEngine implements it privately by
-// reading each node's own state. Every engine that claims to hold the
-// same structure must land on the same digest, so the fold's field
+// StaticBackbone through its constructor, incr::IncrementalBackbone and
+// incr::IncrementalPipeline through view(). proto::MaintenanceEngine's
+// view() reads each node's own state. Every engine that claims to hold
+// the same structure must land on the same digest, so the fold's field
 // order and length prefixes are part of the contract.
 #pragma once
 

@@ -2,10 +2,9 @@
 // unit-disk layout, a mobility model, and per-tick mover sampling, all
 // on fixed rng streams derived from ChurnConfig::seed. Every consumer
 // constructed from the same config replays a bit-identical move
-// sequence — which is what lets run_msg_churn drive the message-driven
-// maintenance engine (src/proto) and the snapshot-driven incremental
-// pipeline (src/incr) over the *same* trajectory and demand state-hash
-// equality after every tick.
+// sequence — which is what lets run_churn drive either maintenance
+// engine (src/incr or src/proto), and its crosscheck witness, over the
+// *same* trajectory and demand state-hash equality after every tick.
 #pragma once
 
 #include <optional>

@@ -17,6 +17,10 @@ Graph read_edge_list(std::istream& in) {
   std::size_t order = 0;
   if (!(in >> order))
     throw std::invalid_argument("edge list: missing order header");
+  if (order > kMaxEdgeListOrder)
+    throw std::invalid_argument("edge list: order " + std::to_string(order) +
+                                " exceeds the maximum of " +
+                                std::to_string(kMaxEdgeListOrder));
   GraphBuilder builder(order);
   NodeId u, v;
   while (in >> u >> v) builder.edge(u, v);  // builder validates endpoints

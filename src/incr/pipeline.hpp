@@ -85,6 +85,8 @@ class IncrementalPipeline {
     return tracker_.adjacency();
   }
   const IncrementalBackbone& backbone() const { return backbone_; }
+  /// The backbone view (core/state_hash.hpp) of the maintained state.
+  core::BackboneRef view() const { return backbone_.view(); }
   const cluster::Clustering& clustering() const {
     return backbone_.clustering();
   }

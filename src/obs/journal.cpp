@@ -11,9 +11,7 @@ namespace manet::obs {
 
 Journal::Journal(std::size_t capacity) : capacity_(capacity) {
   MANET_REQUIRE(capacity_ > 0, "journal needs a positive capacity");
-#if MANET_OBS_ENABLED
   ring_.reserve(std::min<std::size_t>(capacity_, 1024));
-#endif
 }
 
 void Journal::clear() {

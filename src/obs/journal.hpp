@@ -15,7 +15,6 @@
 // type names) that outlive the journal.
 //
 // Not thread-safe: one journal per instrumented sequential engine.
-// Compiled out entirely with -DMANET_OBS=OFF.
 #pragma once
 
 #include <cstdint>
@@ -23,10 +22,6 @@
 #include <optional>
 #include <string>
 #include <vector>
-
-#ifndef MANET_OBS_ENABLED
-#define MANET_OBS_ENABLED 1
-#endif
 
 namespace manet::obs {
 
@@ -57,13 +52,7 @@ class Journal {
   explicit Journal(std::size_t capacity = kDefaultCapacity);
 
   /// Engine-tick epoch stamped on subsequent record() calls.
-  void set_tick(std::uint64_t tick) {
-#if MANET_OBS_ENABLED
-    tick_ = tick;
-#else
-    (void)tick;
-#endif
-  }
+  void set_tick(std::uint64_t tick) { tick_ = tick; }
   std::uint64_t current_tick() const { return tick_; }
 
   /// Inline: this is the only per-transmission work on the simulator's
@@ -71,7 +60,6 @@ class Journal {
   void record(std::uint32_t round, std::uint32_t node, const char* type,
               std::uint64_t trace_id, std::uint64_t parent_id,
               std::uint32_t depth, std::uint64_t a, std::uint64_t b) {
-#if MANET_OBS_ENABLED
     const JournalEvent e{tick_, round, node, type, trace_id, parent_id,
                          depth,  a,     b};
     if (ring_.size() < capacity_) {
@@ -92,16 +80,6 @@ class Journal {
     }
     if (++next_ == capacity_) next_ = 0;
     ++total_;
-#else
-    (void)round;
-    (void)node;
-    (void)type;
-    (void)trace_id;
-    (void)parent_id;
-    (void)depth;
-    (void)a;
-    (void)b;
-#endif
   }
 
   std::size_t size() const { return ring_.size(); }

@@ -113,32 +113,21 @@ std::string MetricsSnapshot::to_text() const {
 }
 
 Counter Registry::counter(std::string_view name) {
-#if MANET_OBS_ENABLED
   const std::lock_guard<std::mutex> lock(mu_);
   const auto [it, inserted] = counters_.try_emplace(std::string(name));
   (void)inserted;
   return Counter(&it->second);
-#else
-  (void)name;
-  return Counter();
-#endif
 }
 
 Gauge Registry::gauge(std::string_view name) {
-#if MANET_OBS_ENABLED
   const std::lock_guard<std::mutex> lock(mu_);
   const auto [it, inserted] = gauges_.try_emplace(std::string(name));
   (void)inserted;
   return Gauge(&it->second);
-#else
-  (void)name;
-  return Gauge();
-#endif
 }
 
 Histogram Registry::histogram(std::string_view name,
                               std::vector<std::uint64_t> edges) {
-#if MANET_OBS_ENABLED
   MANET_REQUIRE(!edges.empty(), "histogram needs at least one bucket edge");
   MANET_REQUIRE(std::is_sorted(edges.begin(), edges.end()) &&
                     std::adjacent_find(edges.begin(), edges.end()) ==
@@ -155,15 +144,9 @@ Histogram Registry::histogram(std::string_view name,
       it->second.buckets[i].store(0, std::memory_order_relaxed);
   }
   return Histogram(&it->second);
-#else
-  (void)name;
-  (void)edges;
-  return Histogram();
-#endif
 }
 
 void Registry::reset() {
-#if MANET_OBS_ENABLED
   const std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, cell] : counters_)
     cell.store(0, std::memory_order_relaxed);
@@ -175,12 +158,10 @@ void Registry::reset() {
     cells.count.store(0, std::memory_order_relaxed);
     cells.sum.store(0, std::memory_order_relaxed);
   }
-#endif
 }
 
 MetricsSnapshot Registry::snapshot() const {
   MetricsSnapshot snap;
-#if MANET_OBS_ENABLED
   const std::lock_guard<std::mutex> lock(mu_);
   snap.counters.reserve(counters_.size());
   for (const auto& [name, cell] : counters_)
@@ -200,7 +181,6 @@ MetricsSnapshot Registry::snapshot() const {
     h.sum = cells.sum.load(std::memory_order_relaxed);
     snap.histograms.push_back(std::move(h));
   }
-#endif
   return snap;
 }
 

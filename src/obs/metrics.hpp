@@ -13,8 +13,8 @@
 //    counts. Integer atomic adds commute, so concurrent recording (e.g.
 //    under stats::ReplicationPolicy::threads) cannot perturb a
 //    snapshot.
-//  * Compiled out entirely with -DMANET_OBS=OFF: handles become inert,
-//    record calls compile to nothing, registries stay empty.
+//  * A default-constructed handle is inert: recording through it is one
+//    null check, which is all an unobserved engine pays.
 #pragma once
 
 #include <algorithm>
@@ -27,26 +27,15 @@
 #include <string_view>
 #include <vector>
 
-#ifndef MANET_OBS_ENABLED
-#define MANET_OBS_ENABLED 1
-#endif
-
 namespace manet::obs {
 
-/// True when the observability layer is compiled in (MANET_OBS=ON).
-inline constexpr bool kEnabled = MANET_OBS_ENABLED != 0;
-
 /// Monotonic event count. Handle into a Registry cell; copyable, inert
-/// when default-constructed or compiled out.
+/// when default-constructed.
 class Counter {
  public:
   Counter() = default;
   void add(std::uint64_t n = 1) const noexcept {
-#if MANET_OBS_ENABLED
     if (cell_) cell_->fetch_add(n, std::memory_order_relaxed);
-#else
-    (void)n;
-#endif
   }
 
  private:
@@ -61,11 +50,7 @@ class Gauge {
  public:
   Gauge() = default;
   void set(std::int64_t v) const noexcept {
-#if MANET_OBS_ENABLED
     if (cell_) cell_->store(v, std::memory_order_relaxed);
-#else
-    (void)v;
-#endif
   }
 
  private:
@@ -90,7 +75,6 @@ class Histogram {
  public:
   Histogram() = default;
   void record(std::uint64_t value) const noexcept {
-#if MANET_OBS_ENABLED
     if (!cells_) return;
     const auto& e = cells_->edges;
     const auto idx = static_cast<std::size_t>(
@@ -98,16 +82,12 @@ class Histogram {
     cells_->buckets[idx].fetch_add(1, std::memory_order_relaxed);
     cells_->count.fetch_add(1, std::memory_order_relaxed);
     cells_->sum.fetch_add(value, std::memory_order_relaxed);
-#else
-    (void)value;
-#endif
   }
 
   /// Records `count` identical samples in O(1) — the flush half of the
   /// accumulate-locally-flush-per-tick pattern hot loops use to keep
   /// per-event instrumentation off their critical path.
   void record_many(std::uint64_t value, std::uint64_t count) const noexcept {
-#if MANET_OBS_ENABLED
     if (!cells_ || count == 0) return;
     const auto& e = cells_->edges;
     const auto idx = static_cast<std::size_t>(
@@ -115,10 +95,6 @@ class Histogram {
     cells_->buckets[idx].fetch_add(count, std::memory_order_relaxed);
     cells_->count.fetch_add(count, std::memory_order_relaxed);
     cells_->sum.fetch_add(value * count, std::memory_order_relaxed);
-#else
-    (void)value;
-    (void)count;
-#endif
   }
 
  private:

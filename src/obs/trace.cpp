@@ -13,24 +13,17 @@ namespace manet::obs {
 TraceRecorder::TraceRecorder(std::size_t capacity)
     : capacity_(capacity), epoch_(std::chrono::steady_clock::now()) {
   MANET_REQUIRE(capacity_ > 0, "trace recorder needs a positive capacity");
-#if MANET_OBS_ENABLED
   ring_.reserve(std::min<std::size_t>(capacity_, 1024));
-#endif
 }
 
 std::uint64_t TraceRecorder::now_ns() const {
-#if MANET_OBS_ENABLED
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - epoch_)
           .count());
-#else
-  return 0;
-#endif
 }
 
 void TraceRecorder::push(const TraceEvent& e) {
-#if MANET_OBS_ENABLED
   if (ring_.size() < capacity_) {
     ring_.push_back(e);
   } else {
@@ -38,9 +31,6 @@ void TraceRecorder::push(const TraceEvent& e) {
   }
   if (++next_ == capacity_) next_ = 0;
   ++total_;
-#else
-  (void)e;
-#endif
 }
 
 void TraceRecorder::instant(const char* cat, const char* name,

@@ -15,7 +15,6 @@
 // JSON-safe characters.
 //
 // Not thread-safe: one recorder per instrumented single-threaded engine.
-// Compiled out entirely with -DMANET_OBS=OFF.
 #pragma once
 
 #include <chrono>
@@ -23,10 +22,6 @@
 #include <iosfwd>
 #include <string>
 #include <vector>
-
-#ifndef MANET_OBS_ENABLED
-#define MANET_OBS_ENABLED 1
-#endif
 
 namespace manet::obs {
 
@@ -132,7 +127,6 @@ class TraceRecorder {
 /// in mid-span once the phase knows it (e.g. rows recomputed).
 class Span {
  public:
-#if MANET_OBS_ENABLED
   Span(TraceRecorder* rec, const char* cat, const char* name,
        std::uint64_t tick, const char* arg_name = nullptr)
       : rec_(rec), cat_(cat), name_(name), arg_name_(arg_name), tick_(tick) {
@@ -145,6 +139,9 @@ class Span {
   }
   void set_arg(std::uint64_t v) { arg_ = v; }
 
+  Span(const Span&) = delete;
+  Span& operator=(const Span&) = delete;
+
  private:
   TraceRecorder* rec_;
   const char* cat_;
@@ -153,15 +150,6 @@ class Span {
   std::uint64_t tick_;
   std::uint64_t start_ns_ = 0;
   std::uint64_t arg_ = 0;
-#else
-  Span(TraceRecorder*, const char*, const char*, std::uint64_t,
-       const char* = nullptr) {}
-  void set_arg(std::uint64_t) {}
-#endif
-
- public:
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
 };
 
 }  // namespace manet::obs

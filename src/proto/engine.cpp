@@ -75,36 +75,6 @@ class MaintenanceEngine::AdjacencyTopology final : public net::Topology {
   const graph::DynamicAdjacency& adj_;
 };
 
-class MaintenanceEngine::View {
- public:
-  explicit View(const MaintenanceEngine& engine) : engine_(engine) {}
-
-  core::CoverageMode mode() const { return engine_.mode(); }
-  const cluster::Clustering& clustering() const {
-    return engine_.clustering();
-  }
-  std::span<const NodeId> hop1(NodeId v) const {
-    return engine_.node(v).hop1_row();
-  }
-  std::span<const core::Hop2Entry> hop2(NodeId v) const {
-    return engine_.node(v).hop2_row();
-  }
-  std::span<const NodeId> coverage_two_hop(NodeId v) const {
-    return engine_.node(v).coverage_two_hop();
-  }
-  std::span<const NodeId> coverage_three_hop(NodeId v) const {
-    return engine_.node(v).coverage_three_hop();
-  }
-  std::span<const NodeId> selection(NodeId v) const {
-    return engine_.node(v).selection_gateways();
-  }
-  NodeSet gateways() const { return engine_.gateways(); }
-  NodeSet cds() const { return engine_.cds(); }
-
- private:
-  const MaintenanceEngine& engine_;
-};
-
 MaintenanceEngine::MaintenanceEngine(std::vector<geom::Point> positions,
                                      double range, double width,
                                      double height, EngineOptions options)
@@ -306,7 +276,7 @@ MaintTickStats MaintenanceEngine::tick() {
     NodeId divergent = kInvalidNode;
     NodeId origin = kInvalidNode;
     std::string diff = core::diff_backbones(
-        View(*this), core::BackboneRef(expected), &divergent);
+        view(), core::BackboneRef(expected), &divergent);
     if (diff.empty())
       diff = check_gateway_flags(*oracle_graph, &divergent, &origin);
     if (!diff.empty()) {
@@ -532,7 +502,7 @@ NodeSet MaintenanceEngine::gateways() const {
 }
 
 std::uint64_t MaintenanceEngine::state_hash() const {
-  return core::backbone_state_hash(View(*this));
+  return core::backbone_state_hash(view());
 }
 
 std::string MaintenanceEngine::check_gateway_flags(const graph::Graph& g,

@@ -7,9 +7,9 @@
 // node's HELLO timer, run the simulator to quiescence, then drain the
 // nodes' change ledger into the dense clustering (head_of, roles) in
 // O(changes). Tables, coverage and selections stay where the protocol
-// keeps them, on the nodes: a private backbone view (core/state_hash.hpp)
-// reads them there, and state_hash() and the oracle diff are the shared
-// core fold and diff over that view.
+// keeps them, on the nodes: the backbone view (core/state_hash.hpp,
+// view()) reads them there, and state_hash() and the oracle diff are the
+// shared core fold and diff over that view.
 //
 // Oracle mode rebuilds the expected state from scratch every tick
 // (lcc_update over the previous clustering + build_static_backbone) and
@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -130,6 +131,10 @@ class MaintenanceEngine {
     return set_union(clustering_.heads, gateways());
   }
 
+  /// The backbone view (core/state_hash.hpp) over the nodes' state.
+  class View;
+  View view() const;
+
   /// core::backbone_state_hash of the nodes' state — bitwise-identical
   /// to the incremental engine's digest over the same move sequence.
   std::uint64_t state_hash() const;
@@ -162,8 +167,6 @@ class MaintenanceEngine {
 
  private:
   class AdjacencyTopology;
-  /// The backbone view (core/state_hash.hpp) over the nodes' state.
-  class View;
 
   MaintenanceNode& node_mut(NodeId v);
   void drain_ledger(MaintTickStats& stats);
@@ -228,5 +231,41 @@ class MaintenanceEngine {
   std::uint64_t stale_age_max_ = 0;  ///< run max fed to the gauge
   std::uint32_t active_run_ = 0;     ///< consecutive non-quiet ticks so far
 };
+
+/// Reads each node's own rows, coverage and selection; holds a reference
+/// to the engine, so read it while the engine is between ticks.
+class MaintenanceEngine::View {
+ public:
+  explicit View(const MaintenanceEngine& engine) : engine_(engine) {}
+
+  core::CoverageMode mode() const { return engine_.mode(); }
+  const cluster::Clustering& clustering() const {
+    return engine_.clustering();
+  }
+  std::span<const NodeId> hop1(NodeId v) const {
+    return engine_.node(v).hop1_row();
+  }
+  std::span<const core::Hop2Entry> hop2(NodeId v) const {
+    return engine_.node(v).hop2_row();
+  }
+  std::span<const NodeId> coverage_two_hop(NodeId v) const {
+    return engine_.node(v).coverage_two_hop();
+  }
+  std::span<const NodeId> coverage_three_hop(NodeId v) const {
+    return engine_.node(v).coverage_three_hop();
+  }
+  std::span<const NodeId> selection(NodeId v) const {
+    return engine_.node(v).selection_gateways();
+  }
+  NodeSet gateways() const { return engine_.gateways(); }
+  NodeSet cds() const { return engine_.cds(); }
+
+ private:
+  const MaintenanceEngine& engine_;
+};
+
+inline MaintenanceEngine::View MaintenanceEngine::view() const {
+  return View(*this);
+}
 
 }  // namespace manet::proto

@@ -93,6 +93,69 @@ TEST(ChurnRunnerTest, ExhaustedConnectBudgetIsReportedOrFatal) {
   EXPECT_THROW(run_churn(config), std::invalid_argument);
 }
 
+TEST(ChurnRunnerTest, BothEnginesReproduceHeadTotals) {
+  // Run totals of both engines on one workload, recorded when each
+  // engine still had a runner of its own. Comparing the engines with
+  // each other would pass even if the shared loop fed both a different
+  // move sequence or counted a field twice.
+  ChurnConfig config;
+  config.nodes = 150;
+  config.degree = 6.0;
+  config.ticks = 60;
+  config.move_fraction = 0.04;
+  config.seed = 2026;
+  config.connect_attempts = 5;
+  config.model = ChurnConfig::Model::kWaypoint;
+  config.mode = core::CoverageMode::kTwoPointFiveHop;
+  config.rebuild_baseline = false;
+  const auto per_tick = [](double total) { return total / 60.0; };
+  const auto per_node_tick = [](double total) { return total / 9000.0; };
+
+  const ChurnResult incr = run_churn(config);
+  config.engine = ChurnConfig::Engine::kProto;
+  config.threads = 0;
+  const ChurnResult proto = run_churn(config);
+
+  for (const ChurnResult& r : {incr, proto}) {
+    EXPECT_EQ(r.state_hash, 0x83a96566588608f9ULL);
+    EXPECT_DOUBLE_EQ(r.mean_link_changes, per_tick(322));
+    EXPECT_DOUBLE_EQ(r.mean_head_changes, per_tick(74));
+    EXPECT_DOUBLE_EQ(r.mean_role_changes, per_tick(78));
+  }
+  EXPECT_DOUBLE_EQ(incr.mean_backbone_changes, per_tick(197));
+  EXPECT_DOUBLE_EQ(incr.mean_coverage_changes, per_tick(266));
+  EXPECT_DOUBLE_EQ(incr.mean_rows_recomputed, per_tick(1888));
+  EXPECT_DOUBLE_EQ(incr.mean_heads_reselected, per_tick(477));
+
+  EXPECT_DOUBLE_EQ(proto.mean_rounds, per_tick(466));
+  EXPECT_EQ(proto.max_rounds, 12u);
+  EXPECT_DOUBLE_EQ(proto.mean_rows_changed, per_tick(474));
+  EXPECT_DOUBLE_EQ(proto.mean_heads_refreshed, per_tick(352));
+  EXPECT_DOUBLE_EQ(proto.deliveries_rate, per_node_tick(74823));
+  EXPECT_DOUBLE_EQ(proto.hello_rate, per_node_tick(9000));
+  EXPECT_DOUBLE_EQ(proto.repair_rate, per_node_tick(206));
+  EXPECT_DOUBLE_EQ(proto.rows_rate, per_node_tick(859));
+  EXPECT_DOUBLE_EQ(proto.gateway_rate, per_node_tick(2882));
+  EXPECT_DOUBLE_EQ(proto.total_rate, per_node_tick(12947));
+}
+
+TEST(ChurnRunnerTest, RejectsContradictoryConfigs) {
+  ChurnConfig config;
+  config.nodes = 40;
+  config.ticks = 2;
+  config.rebuild_baseline = false;
+  config.pipeline_depth = 2;
+  config.crosscheck = true;
+  EXPECT_THROW(run_churn(config), std::invalid_argument);
+  config.crosscheck = false;
+  config.engine = ChurnConfig::Engine::kProto;
+  EXPECT_THROW(run_churn(config), std::invalid_argument);
+  config.pipeline_depth = 1;
+  config.engine = ChurnConfig::Engine::kIncr;
+  config.inject_stale_gateway_fault = true;
+  EXPECT_THROW(run_churn(config), std::invalid_argument);
+}
+
 TEST(Fig6RunnerTest, ShapesMatchThePaper) {
   const auto rows = run_fig6(small_scenario(), test_policy(), 2026);
   ASSERT_EQ(rows.size(), 4u);

@@ -51,11 +51,15 @@ TEST(EdgeListIoTest, RejectsMalformedInput) {
   EXPECT_THROW(read_edge_list(out_of_range), std::invalid_argument);
   std::stringstream self_loop("3\n1 1\n");
   EXPECT_THROW(read_edge_list(self_loop), std::invalid_argument);
-  // Orders past the NodeId range are refused before anything is sized by
-  // them: SIZE_MAX (also what "-1" reads as) wraps order + 1 to zero.
-  for (const char* order : {"18446744073709551615\n", "-1\n",
-                            "4611686018427387904\n", "4294967296\n"}) {
-    std::stringstream huge(order);
+  // Orders above kMaxEdgeListOrder are refused before anything is sized
+  // by them: SIZE_MAX (also what "-1" reads as) wraps order + 1 to zero,
+  // and orders just inside the NodeId range would ask for 32 GiB.
+  for (const std::string& order :
+       {std::string("18446744073709551615"), std::string("-1"),
+        std::string("4611686018427387904"), std::string("4294967296"),
+        std::string("4294967295"), std::string("4294967294"),
+        std::to_string(kMaxEdgeListOrder + 1)}) {
+    std::stringstream huge(order + "\n");
     EXPECT_THROW(read_edge_list(huge), std::invalid_argument) << order;
   }
 }

@@ -24,7 +24,6 @@ namespace manet {
 namespace {
 
 TEST(ObsRegistryTest, CountersGaugesHistogramsRoundTrip) {
-  if (!obs::kEnabled) GTEST_SKIP() << "obs compiled out";
   obs::Registry reg;
   obs::Counter c = reg.counter("ticks");
   obs::Gauge g = reg.gauge("round");
@@ -55,7 +54,6 @@ TEST(ObsRegistryTest, CountersGaugesHistogramsRoundTrip) {
 }
 
 TEST(ObsRegistryTest, HistogramEdgesMustBeStrictlyIncreasing) {
-  if (!obs::kEnabled) GTEST_SKIP() << "obs compiled out";
   obs::Registry reg;
   EXPECT_THROW(reg.histogram("empty", {}), std::invalid_argument);
   EXPECT_THROW(reg.histogram("dup", {1, 1, 2}), std::invalid_argument);
@@ -63,7 +61,6 @@ TEST(ObsRegistryTest, HistogramEdgesMustBeStrictlyIncreasing) {
 }
 
 TEST(ObsRegistryTest, HistogramUnderflowOverflowAndEmpty) {
-  if (!obs::kEnabled) GTEST_SKIP() << "obs compiled out";
   obs::Registry reg;
   obs::Histogram h = reg.histogram("h", {10, 20, 40});
 
@@ -88,7 +85,6 @@ TEST(ObsRegistryTest, HistogramUnderflowOverflowAndEmpty) {
 }
 
 TEST(ObsRegistryTest, SnapshotJsonIsDeterministic) {
-  if (!obs::kEnabled) GTEST_SKIP() << "obs compiled out";
   const auto drive = [] {
     obs::Registry reg;
     // Register in scrambled order: snapshots sort by name.
@@ -113,7 +109,6 @@ TEST(ObsRegistryTest, SnapshotJsonIsDeterministic) {
 }
 
 TEST(ObsRegistryTest, DeterministicDropsSchedulingPlaneMetrics) {
-  if (!obs::kEnabled) GTEST_SKIP() << "obs compiled out";
   obs::Registry reg;
   reg.counter("incr.ticks").add(7);
   reg.counter("incr.lane.0.busy_us").add(12345);
@@ -142,22 +137,7 @@ TEST(ObsRegistryTest, DeterministicDropsSchedulingPlaneMetrics) {
   EXPECT_EQ(snap.counter_or("incr.lane.0.busy_us"), 12345u);
 }
 
-TEST(ObsRegistryTest, CompiledOutRegistryStaysEmpty) {
-  if (obs::kEnabled) GTEST_SKIP() << "only meaningful with -DMANET_OBS=OFF";
-  obs::Registry reg;
-  obs::Counter c = reg.counter("ticks");
-  obs::Histogram h = reg.histogram("h", {});  // edges not even validated
-  c.add(7);
-  h.record(3);
-  const obs::MetricsSnapshot snap = reg.snapshot();
-  EXPECT_TRUE(snap.counters.empty());
-  EXPECT_TRUE(snap.histograms.empty());
-  EXPECT_EQ(snap.to_json(),
-            "{\"counters\":{},\"gauges\":{},\"histograms\":{}}");
-}
-
 TEST(ObsRegistryTest, ThreadedReplicateIsDeterministic) {
-  if (!obs::kEnabled) GTEST_SKIP() << "obs compiled out";
   // The registry's atomic adds commute, so recording from
   // stats::replicate workers must yield the same snapshot for every
   // thread count. R is divisible by each tested thread count so the
@@ -187,7 +167,6 @@ TEST(ObsRegistryTest, ThreadedReplicateIsDeterministic) {
 }
 
 TEST(ObsTraceTest, RingKeepsTheLastEvents) {
-  if (!obs::kEnabled) GTEST_SKIP() << "obs compiled out";
   obs::TraceRecorder rec(4);
   EXPECT_THROW(obs::TraceRecorder(0), std::invalid_argument);
   for (std::uint64_t tick = 0; tick < 10; ++tick)
@@ -211,7 +190,6 @@ TEST(ObsTraceTest, RingKeepsTheLastEvents) {
 }
 
 TEST(ObsTraceTest, ChromeExportCarriesSpansAndArgs) {
-  if (!obs::kEnabled) GTEST_SKIP() << "obs compiled out";
   obs::TraceRecorder rec(16);
   rec.complete("incr", "hop1_scan", 2000, 1500, 3, 0, "rows", 7);
   {
@@ -236,7 +214,6 @@ TEST(ObsTraceTest, ChromeExportCarriesSpansAndArgs) {
 }
 
 TEST(ObsTraceTest, FlowEventsExportWithSharedIdentity) {
-  if (!obs::kEnabled) GTEST_SKIP() << "obs compiled out";
   obs::TraceRecorder rec(16);
   rec.flow_begin_at(1000, "proto", "wave", 7, 1, 2);
   rec.flow_step_at(2000, "proto", "wave", 7, 1, 5);
@@ -262,7 +239,6 @@ TEST(ObsTraceTest, FlowEventsExportWithSharedIdentity) {
 }
 
 TEST(ObsTraceTest, RingWrapDropsOrphanedFlowEnds) {
-  if (!obs::kEnabled) GTEST_SKIP() << "obs compiled out";
   obs::TraceRecorder rec(4);  // tiny ring to force eviction
   rec.flow_begin_at(0, "proto", "wave", 1, 0, 0);
   // Four fillers evict the flow-begin of id 1.
@@ -289,7 +265,6 @@ TEST(ObsTraceTest, RingWrapDropsOrphanedFlowEnds) {
 }
 
 TEST(ObsJournalTest, RingQueriesAndCausalChain) {
-  if (!obs::kEnabled) GTEST_SKIP() << "obs compiled out";
   obs::Journal journal(8);
   EXPECT_THROW(obs::Journal(0), std::invalid_argument);
   journal.set_tick(1);
@@ -336,7 +311,6 @@ TEST(ObsJournalTest, RingQueriesAndCausalChain) {
 }
 
 TEST(ObsJournalTest, TinyRingWrapTruncatesChainAtEvictedAncestor) {
-  if (!obs::kEnabled) GTEST_SKIP() << "obs compiled out";
   // Regression for the trace_inspect ancestor walk: a deep wave recorded
   // through a tiny ring loses its oldest ancestors, and the chain query
   // must terminate at the first evicted parent — returning the retained
@@ -366,7 +340,6 @@ TEST(ObsJournalTest, TinyRingWrapTruncatesChainAtEvictedAncestor) {
 }
 
 TEST(ObsJournalTest, JsonlExportOneObjectPerLine) {
-  if (!obs::kEnabled) GTEST_SKIP() << "obs compiled out";
   obs::Journal journal(8);
   journal.set_tick(3);
   journal.record(5, 1, "GATEWAY", 42, 41, 2, 9, 7);
@@ -389,8 +362,6 @@ TEST(ObsSimulatorTest, RegistryCountersMatchMessageCounts) {
   const std::uint32_t rounds = sim.run();
   const net::MessageCounts& counts = sim.counts();
   EXPECT_GT(counts.total(), 0u);
-  if (!obs::kEnabled) return;
-
   const obs::MetricsSnapshot snap = session.registry.snapshot();
   EXPECT_EQ(snap.counter_or("net.msg.hello"), counts.hello);
   EXPECT_EQ(snap.counter_or("net.msg.cluster_head"), counts.cluster_head);
@@ -468,9 +439,7 @@ TEST(ObsChurnTest, MetricsAreDeterministicAcrossReruns) {
   const obs::MetricsSnapshot second = run_once();
   EXPECT_EQ(first, second);
   EXPECT_EQ(first.to_json(), second.to_json());
-  if (obs::kEnabled) {
-    EXPECT_EQ(first.counter_or("incr.ticks"), 15u);
-  }
+  EXPECT_EQ(first.counter_or("incr.ticks"), 15u);
 }
 
 // bench/obs_overhead relies on toggling observation between ticks of a
@@ -505,10 +474,8 @@ TEST(ObsChurnTest, SetObsToggleObservesWithoutPerturbing) {
   toggled.set_obs(nullptr);
   EXPECT_EQ(toggled.freeze_graph().edges(), untouched.freeze_graph().edges());
   EXPECT_EQ(toggled.clustering().head_of, untouched.clustering().head_of);
-  if (obs::kEnabled) {
-    // Only the 4 observed ticks count.
-    EXPECT_EQ(session.registry.snapshot().counter_or("incr.ticks"), 4u);
-  }
+  // Only the 4 observed ticks count.
+  EXPECT_EQ(session.registry.snapshot().counter_or("incr.ticks"), 4u);
 }
 
 /// The "tick" argument of every exported Chrome-trace event named
@@ -549,7 +516,6 @@ TEST(ObsChurnTest, OracleRunRecordsPipelineMetrics) {
     config.obs = &session;
     const exp::ChurnResult result = exp::run_churn(config);
     EXPECT_EQ(result.ticks, 10u);
-    if (!obs::kEnabled) continue;
     const obs::MetricsSnapshot snap = session.registry.snapshot();
     EXPECT_EQ(snap.counter_or("incr.ticks"), 10u);
 

@@ -19,7 +19,6 @@
 #include "core/state_hash.hpp"
 #include "exp/churn.hpp"
 #include "exp/mobility_mix.hpp"
-#include "exp/msg_churn.hpp"
 #include "geom/point.hpp"
 #include "geom/unit_disk.hpp"
 #include "incr/delta_tracker.hpp"
@@ -200,17 +199,20 @@ TEST(ProtoEngine, MemberHandoffBetweenClusters) {
   EXPECT_TRUE(engine.node(2).is_head());
 }
 
-exp::MsgChurnConfig make_soak(exp::ChurnConfig::Model model,
-                              core::CoverageMode mode, std::uint64_t seed) {
-  exp::MsgChurnConfig config;
-  config.base.nodes = 60;
-  config.base.degree = 6.0;
-  config.base.ticks = 200;
-  config.base.move_fraction = 0.05;
-  config.base.model = model;
-  config.base.mode = mode;
-  config.base.seed = seed;
-  config.base.connect_attempts = 5;
+exp::ChurnConfig make_soak(exp::ChurnConfig::Model model,
+                           core::CoverageMode mode, std::uint64_t seed) {
+  exp::ChurnConfig config;
+  config.engine = exp::ChurnConfig::Engine::kProto;
+  config.nodes = 60;
+  config.degree = 6.0;
+  config.ticks = 200;
+  config.move_fraction = 0.05;
+  config.model = model;
+  config.mode = mode;
+  config.seed = seed;
+  config.connect_attempts = 5;
+  config.threads = 0;
+  config.rebuild_baseline = false;
   config.crosscheck = true;
   config.oracle_check = true;
   return config;
@@ -220,7 +222,7 @@ exp::MsgChurnConfig make_soak(exp::ChurnConfig::Model model,
 // from-scratch oracle diff and the per-tick hash crosscheck against the
 // incremental pipeline enabled. Four combinations.
 TEST(ProtoEquivalence, WaypointTwoPointFiveHop) {
-  const exp::MsgChurnResult r = exp::run_msg_churn(make_soak(
+  const exp::ChurnResult r = exp::run_churn(make_soak(
       exp::ChurnConfig::Model::kWaypoint,
       core::CoverageMode::kTwoPointFiveHop, 11));
   EXPECT_EQ(r.ticks, 200u);
@@ -228,20 +230,20 @@ TEST(ProtoEquivalence, WaypointTwoPointFiveHop) {
 }
 
 TEST(ProtoEquivalence, WaypointThreeHop) {
-  const exp::MsgChurnResult r = exp::run_msg_churn(make_soak(
+  const exp::ChurnResult r = exp::run_churn(make_soak(
       exp::ChurnConfig::Model::kWaypoint, core::CoverageMode::kThreeHop, 12));
   EXPECT_EQ(r.ticks, 200u);
 }
 
 TEST(ProtoEquivalence, DirectionTwoPointFiveHop) {
-  const exp::MsgChurnResult r = exp::run_msg_churn(make_soak(
+  const exp::ChurnResult r = exp::run_churn(make_soak(
       exp::ChurnConfig::Model::kRandomDirection,
       core::CoverageMode::kTwoPointFiveHop, 13));
   EXPECT_EQ(r.ticks, 200u);
 }
 
 TEST(ProtoEquivalence, DirectionThreeHop) {
-  const exp::MsgChurnResult r = exp::run_msg_churn(make_soak(
+  const exp::ChurnResult r = exp::run_churn(make_soak(
       exp::ChurnConfig::Model::kRandomDirection,
       core::CoverageMode::kThreeHop, 14));
   EXPECT_EQ(r.ticks, 200u);
@@ -250,17 +252,17 @@ TEST(ProtoEquivalence, DirectionThreeHop) {
 // A correlated shock — 40% of all nodes move in one tick — must still
 // reconverge to the oracle state within the tick.
 TEST(ProtoEquivalence, MoveBurstReconverges) {
-  exp::MsgChurnConfig config = make_soak(
+  exp::ChurnConfig config = make_soak(
       exp::ChurnConfig::Model::kWaypoint,
       core::CoverageMode::kTwoPointFiveHop, 21);
-  config.base.ticks = 60;
+  config.ticks = 60;
   config.burst_fraction = 0.4;
-  const exp::MsgChurnResult r = exp::run_msg_churn(config);
+  const exp::ChurnResult r = exp::run_churn(config);
   EXPECT_GT(r.burst_rounds, 0u);
   EXPECT_LE(r.burst_rounds, r.max_rounds);
 }
 
-// The two harnesses replay the same trajectory (shared MobilityMix rng
+// Both engines replay the same trajectory (shared MobilityMix rng
 // streams), so the protocol run's final digest must equal the
 // incremental run's — without any lockstep help.
 TEST(ProtoEquivalence, MatchesRunChurnFinalHash) {
@@ -273,11 +275,10 @@ TEST(ProtoEquivalence, MatchesRunChurnFinalHash) {
   base.connect_attempts = 5;
   base.rebuild_baseline = false;
 
-  exp::MsgChurnConfig mcfg;
-  mcfg.base = base;
-  mcfg.crosscheck = false;
-  mcfg.oracle_check = false;
-  const exp::MsgChurnResult protocol = exp::run_msg_churn(mcfg);
+  exp::ChurnConfig proto = base;
+  proto.engine = exp::ChurnConfig::Engine::kProto;
+  proto.threads = 0;
+  const exp::ChurnResult protocol = exp::run_churn(proto);
   const exp::ChurnResult incremental = exp::run_churn(base);
   EXPECT_EQ(protocol.state_hash, incremental.state_hash);
 }
@@ -291,7 +292,6 @@ TEST(ProtoEquivalence, MatchesRunChurnFinalHash) {
 // sharded ticks alike: a sharded tick journals only the beacons its
 // seeds hear, and the chain must still start at one of them.
 TEST(ProtoConvergence, WaveChainSpansThreeNodeTracks) {
-  if (!obs::kEnabled) GTEST_SKIP() << "obs compiled out";
   for (const std::size_t threads : {std::size_t{0}, std::size_t{1},
                                     std::size_t{2}}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -355,34 +355,6 @@ TEST(ProtoConvergence, WaveChainSpansThreeNodeTracks) {
     EXPECT_NE(json.find("proto.conv.wave_depth"), std::string::npos);
     EXPECT_NE(json.find("proto.conv.quiescence_ticks"), std::string::npos);
     EXPECT_NE(json.find("proto.conv.expired_links"), std::string::npos);
-  }
-}
-
-// proto.conv.* metrics are integer-deterministic: a crosschecked churn
-// run must produce a byte-identical deterministic snapshot whatever the
-// witness pipeline's thread count.
-TEST(ProtoConvergence, ConvMetricsBitwiseEqualAcrossThreads) {
-  if (!obs::kEnabled) GTEST_SKIP() << "obs compiled out";
-  std::string expected;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{8}}) {
-    exp::MsgChurnConfig config =
-        make_soak(exp::ChurnConfig::Model::kWaypoint,
-                  core::CoverageMode::kTwoPointFiveHop, 11);
-    config.base.ticks = 60;
-    config.base.threads = threads;
-    config.oracle_check = false;  // crosscheck is the threaded harness
-    obs::Session session;
-    config.base.obs = &session;
-    exp::run_msg_churn(config);
-    const std::string json =
-        session.registry.snapshot().deterministic().to_json();
-    EXPECT_NE(json.find("proto.conv.stale_age"), std::string::npos);
-    EXPECT_NE(json.find("proto.conv.quiescence_ticks"), std::string::npos);
-    if (expected.empty())
-      expected = json;
-    else
-      EXPECT_EQ(json, expected) << "snapshot diverged at threads=" << threads;
   }
 }
 
@@ -469,16 +441,16 @@ TEST(ProtoSharded, LockstepMatchesSequentialEngine) {
 
 // The sharded engine under its own oracle: every tick's repaired state
 // field-by-field equal to the from-scratch rebuild, plus the lockstep
-// crosscheck against the incremental pipeline — run_msg_churn with
-// engine_threads set. Both coverage modes.
+// crosscheck against the incremental pipeline — run_churn on the
+// proto engine at two lanes. Both coverage modes.
 TEST(ProtoSharded, OracleSoakBothModes) {
   for (const core::CoverageMode mode :
        {core::CoverageMode::kTwoPointFiveHop, core::CoverageMode::kThreeHop}) {
-    exp::MsgChurnConfig config =
+    exp::ChurnConfig config =
         make_soak(exp::ChurnConfig::Model::kWaypoint, mode, 11);
-    config.base.ticks = 100;
-    config.engine_threads = 2;
-    const exp::MsgChurnResult r = exp::run_msg_churn(config);
+    config.ticks = 100;
+    config.threads = 2;
+    const exp::ChurnResult r = exp::run_churn(config);
     EXPECT_EQ(r.ticks, 100u);
     EXPECT_DOUBLE_EQ(r.hello_rate, 1.0);
   }
@@ -490,30 +462,30 @@ TEST(ProtoSharded, OracleSoakBothModes) {
 // models. This is the strongest observable-equivalence claim: the bulk
 // accounting of everything the scopes skip has to be exact, not close.
 TEST(ProtoSharded, MetricsBitwiseEqualAcrossThreads) {
-  if (!obs::kEnabled) GTEST_SKIP() << "obs compiled out";
   for (const auto model : {exp::ChurnConfig::Model::kWaypoint,
                            exp::ChurnConfig::Model::kRandomDirection}) {
     std::string expected;
     for (const std::size_t threads : {std::size_t{0}, std::size_t{1},
                                       std::size_t{2}, std::size_t{8}}) {
-      exp::MsgChurnConfig config;
-      config.base = sharded_base(model, 17);
-      config.base.ticks = 80;
-      config.crosscheck = false;
-      config.oracle_check = false;
-      config.engine_threads = threads;
+      exp::ChurnConfig config = sharded_base(model, 17);
+      config.engine = exp::ChurnConfig::Engine::kProto;
+      config.ticks = 80;
+      config.rebuild_baseline = false;
+      config.threads = threads;
       obs::Session session;
-      config.base.obs = &session;
-      exp::run_msg_churn(config);
+      config.obs = &session;
+      exp::run_churn(config);
       const std::string json =
           session.registry.snapshot().deterministic().to_json();
       EXPECT_NE(json.find("net.msg.maint_hello"), std::string::npos);
       EXPECT_NE(json.find("proto.conv.wave_depth"), std::string::npos);
+      EXPECT_NE(json.find("proto.conv.stale_age"), std::string::npos);
+      EXPECT_NE(json.find("proto.conv.quiescence_ticks"), std::string::npos);
       if (expected.empty())
         expected = json;
       else
         EXPECT_EQ(json, expected)
-            << "deterministic snapshot diverged at engine_threads=" << threads;
+            << "deterministic snapshot diverged at threads=" << threads;
     }
   }
 }
@@ -645,7 +617,6 @@ ShardedSoak run_observed_sharded_soak(const exp::ChurnConfig& base,
 // scopes hold and wake some dormant ones, or they would not exercise
 // the dormant path.
 TEST(ProtoSharded, JournalDigestMatchesGolden) {
-  if (!obs::kEnabled) GTEST_SKIP() << "obs compiled out";
   struct Case {
     const char* name;
     exp::ChurnConfig base;
@@ -685,18 +656,17 @@ TEST(ProtoSharded, JournalDigestMatchesGolden) {
 // require the exception to carry the causal slice — the ex-head's
 // recent beacon chain — from the event journal.
 TEST(ProtoForensics, StaleGatewayFaultDumpsCausalSlice) {
-  if (!obs::kEnabled) GTEST_SKIP() << "obs compiled out";
-  exp::MsgChurnConfig config =
+  exp::ChurnConfig config =
       make_soak(exp::ChurnConfig::Model::kWaypoint,
                 core::CoverageMode::kTwoPointFiveHop, 5);
-  config.base.ticks = 100;  // seed 5 diverges at tick 96
+  config.ticks = 100;  // seed 5 diverges at tick 96
   config.crosscheck = false;
   config.oracle_check = true;
   config.inject_stale_gateway_fault = true;
   obs::Session session;
-  config.base.obs = &session;
+  config.obs = &session;
   try {
-    exp::run_msg_churn(config);
+    exp::run_churn(config);
     FAIL() << "injected stale-gateway fault escaped the oracle";
   } catch (const std::logic_error& e) {
     const std::string what = e.what();
