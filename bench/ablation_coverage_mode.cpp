@@ -23,7 +23,7 @@ using namespace manet;
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 61));
-  const auto reps = static_cast<std::size_t>(flags.get_int("reps", 40));
+  const auto reps = flags.get_count("reps", 40);
 
   std::puts("manetcast :: ablation — 2.5-hop vs 3-hop coverage sets");
   std::puts("(means over random connected topologies; 'hop2 entries' and "
@@ -51,13 +51,11 @@ int main(int argc, char** argv) {
             h2 += static_cast<double>(st.tables.ch_hop2[v].size());
           hop2_entries.add(h2);
 
-          const auto bb = core::build_dynamic_backbone(
-              net.graph, st.clustering, mode);
           Rng pick(derive_seed(seed, rep, 99));
           const auto source =
               static_cast<NodeId>(pick.index(net.graph.order()));
           fwd.add(static_cast<double>(
-              core::dynamic_broadcast(net.graph, bb, source)
+              core::dynamic_broadcast(net.graph, st, source)
                   .forward_count()));
         }
         table.row({std::to_string(n), TextTable::num(d, 0),

@@ -19,7 +19,7 @@ using namespace manet;
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 62));
-  const auto reps = static_cast<std::size_t>(flags.get_int("reps", 50));
+  const auto reps = flags.get_count("reps", 50);
 
   std::puts("manetcast :: ablation — SD-CDS pruning rules");
   std::puts("(mean forward-node count per broadcast; 2.5-hop coverage)\n");

@@ -24,7 +24,7 @@ using namespace manet;
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 64));
-  const auto reps = static_cast<std::size_t>(flags.get_int("reps", 20));
+  const auto reps = flags.get_count("reps", 20);
 
   std::puts("manetcast :: approximation ratios vs exact MCDS");
   std::puts("(small instances; ratio = |CDS| / |MCDS|, mean over random "

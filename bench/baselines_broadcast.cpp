@@ -30,7 +30,7 @@ using namespace manet;
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 65));
-  const auto reps = static_cast<std::size_t>(flags.get_int("reps", 40));
+  const auto reps = flags.get_count("reps", 40);
 
   std::puts("manetcast :: broadcast baselines — mean forward-node count");
   std::puts("(identical topologies and sources per row; SI/SD use the "
@@ -51,8 +51,6 @@ int main(int argc, char** argv) {
         const auto c = cluster::lowest_id_clustering(net.graph);
         const auto st = core::build_static_backbone(
             net.graph, c, core::CoverageMode::kTwoPointFiveHop);
-        const auto bb = core::build_dynamic_backbone(
-            net.graph, c, core::CoverageMode::kTwoPointFiveHop);
 
         flood_s.add(static_cast<double>(
             broadcast::flood(net.graph, source).forward_count()));
@@ -65,10 +63,8 @@ int main(int argc, char** argv) {
         piggy_s.add(static_cast<double>(
             broadcast::suppression_flood(net.graph, source, sup, sup_rng)
                 .forward_count()));
-        const auto tables = core::build_neighbor_tables(
-            net.graph, c, core::CoverageMode::kTwoPointFiveHop);
-        const auto tree = broadcast::build_forwarding_tree(net.graph, c,
-                                                           tables, source);
+        const auto tree = broadcast::build_forwarding_tree(
+            net.graph, c, st.tables, source);
         tree_s.add(static_cast<double>(
             broadcast::forwarding_tree_broadcast(net.graph, tree, source)
                 .forward_count()));
@@ -86,7 +82,7 @@ int main(int argc, char** argv) {
             broadcast::si_cds_broadcast(net.graph, st.cds, source)
                 .forward_count()));
         sd_s.add(static_cast<double>(
-            core::dynamic_broadcast(net.graph, bb, source)
+            core::dynamic_broadcast(net.graph, st, source)
                 .forward_count()));
       }
       table.row({std::to_string(n), TextTable::num(d, 0),

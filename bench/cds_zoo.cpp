@@ -23,7 +23,7 @@ using namespace manet;
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 67));
-  const auto reps = static_cast<std::size_t>(flags.get_int("reps", 40));
+  const auto reps = flags.get_count("reps", 40);
 
   std::puts("manetcast :: CDS constructions — average backbone size");
   std::puts("(same topologies per row; 'tree' is the per-source forwarding "

@@ -470,13 +470,11 @@ int main(int argc, char** argv) {
   const Engine engine = proto ? Engine::kProto : Engine::kIncr;
   const bool fast = flags.get_bool("fast");
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 2003));
-  const auto ticks = static_cast<std::size_t>(
-      flags.get_int("ticks", fast ? (proto ? 60 : 50) : 200));
+  const auto ticks = flags.get_count("ticks", fast ? (proto ? 60 : 50) : 200);
   const double move_frac = flags.get_double("move-frac", proto ? 0.02 : 0.01);
-  const auto threads = static_cast<std::size_t>(flags.get_int("threads", 1));
+  const auto threads = flags.get_count("threads", 1);
   const std::size_t depth = flags.get_bool("pipeline") ? 2 : 1;
-  const auto repeat = static_cast<std::size_t>(
-      std::max<std::int64_t>(1, flags.get_int("repeat", 1)));
+  const auto repeat = std::max<std::size_t>(1, flags.get_count("repeat", 1));
   const bool scale_fast = flags.get_bool("scale-fast");
   const bool scale = flags.get_bool("scale") || scale_fast;
   const std::string json_path = artifact_path(

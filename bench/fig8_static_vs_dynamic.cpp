@@ -19,8 +19,7 @@
 int main(int argc, char** argv) {
   const manet::Flags flags(argc, argv);
   manet::exp::PaperScenario scenario;
-  auto policy = manet::exp::bench_policy(
-      static_cast<std::size_t>(flags.get_int("threads", 1)));
+  auto policy = manet::exp::bench_policy(flags.get_count("threads", 1));
   if (flags.get_bool("fast")) {
     policy.min_replications = 10;
     policy.max_replications = 60;

@@ -27,7 +27,7 @@ using namespace manet;
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 69));
-  const auto reps = static_cast<std::size_t>(flags.get_int("reps", 40));
+  const auto reps = flags.get_count("reps", 40);
 
   std::puts("manetcast :: broadcast latency (relay hops to the last node)");
   std::puts("(flooding equals the BFS eccentricity — the lower bound)\n");
@@ -47,8 +47,6 @@ int main(int argc, char** argv) {
         const auto c = cluster::lowest_id_clustering(net.graph);
         const auto st = core::build_static_backbone(
             net.graph, c, core::CoverageMode::kTwoPointFiveHop);
-        const auto bb = core::build_dynamic_backbone(
-            net.graph, c, core::CoverageMode::kTwoPointFiveHop);
         fl.add(broadcast::flood(net.graph, source).latency_hops());
         mp.add(broadcast::mpr_broadcast(net.graph, source).latency_hops());
         dp.add(broadcast::dominant_pruning_broadcast(
@@ -56,7 +54,7 @@ int main(int argc, char** argv) {
                    .latency_hops());
         si.add(broadcast::si_cds_broadcast(net.graph, st.cds, source)
                    .latency_hops());
-        sd.add(core::dynamic_broadcast(net.graph, bb, source)
+        sd.add(core::dynamic_broadcast(net.graph, st, source)
                    .latency_hops());
       }
       table.row({std::to_string(n), TextTable::num(d, 0),

@@ -71,7 +71,7 @@ BENCHMARK(BM_MoCds)->Arg(128)->Arg(256);
 void BM_DynamicBroadcast(benchmark::State& state) {
   const auto net = benchmark_network(
       static_cast<std::size_t>(state.range(0)), 12.0);
-  const auto bb = core::build_dynamic_backbone(
+  const auto bb = core::build_static_backbone(
       net.graph, core::CoverageMode::kTwoPointFiveHop);
   for (auto _ : state)
     benchmark::DoNotOptimize(core::dynamic_broadcast(net.graph, bb, 0));

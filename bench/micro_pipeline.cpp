@@ -84,8 +84,7 @@ int main(int argc, char** argv) {
   const Flags flags(argc, argv);
   const bool fast = flags.get_bool("fast");
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 2003));
-  const auto threads =
-      static_cast<std::size_t>(flags.get_int("threads", 0));
+  const auto threads = flags.get_count("threads", 0);
   const std::string json_path =
       artifact_path(flags, flags.get("json", "BENCH_pipeline.json"));
   const std::size_t reps = fast ? 3 : 10;

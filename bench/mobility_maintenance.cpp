@@ -25,8 +25,8 @@ using namespace manet;
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 66));
-  const auto steps = static_cast<std::size_t>(flags.get_int("steps", 30));
-  const auto nodes = static_cast<std::size_t>(flags.get_int("nodes", 60));
+  const auto steps = flags.get_count("steps", 30);
+  const auto nodes = flags.get_count("nodes", 60);
 
   std::puts("manetcast :: backbone maintenance under random waypoint");
   std::puts("(per-step mean structure churn; static = heads + backbone "

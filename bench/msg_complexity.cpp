@@ -17,7 +17,7 @@ using namespace manet;
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 63));
-  const auto reps = static_cast<std::size_t>(flags.get_int("reps", 25));
+  const auto reps = flags.get_count("reps", 25);
 
   std::puts("manetcast :: distributed construction message complexity");
   std::puts("(mean counts per topology; per-node totals should stay flat "

@@ -152,19 +152,16 @@ int main(int argc, char** argv) {
   // gate needs ticks big enough that 3% is well above per-process
   // layout/ASLR jitter (a few us): n=1000 ticks run ~110 us, n=2000
   // ~365 us.
-  const auto n = static_cast<std::size_t>(
-      flags.get_int("nodes", fast ? 1000 : 2000));
-  const auto ticks =
-      static_cast<std::size_t>(flags.get_int("ticks", 1600));
+  const auto n = flags.get_count("nodes", fast ? 1000 : 2000);
+  const auto ticks = flags.get_count("ticks", 1600);
   // Per-rep medians still carry a few percent of burst noise on a
   // shared machine; the rep count must be high enough that their median
   // resolves a ~2% effect against a 3% budget. 9 reps keeps the full
   // gate under ~15 s.
-  const auto reps = static_cast<std::size_t>(flags.get_int("reps", 9));
+  const auto reps = flags.get_count("reps", 9);
   // Enough observed warmup ticks to fill the protocol session's journal
   // ring to capacity (~36 observed ticks at n=1000) before timing.
-  const auto warmup =
-      static_cast<std::size_t>(flags.get_int("warmup", 100));
+  const auto warmup = flags.get_count("warmup", 100);
   const double max_overhead = flags.get_double("max-overhead", 3.0);
   const std::string json_path =
       artifact_path(flags, flags.get("json", "BENCH_obs_overhead.json"));

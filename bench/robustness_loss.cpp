@@ -22,8 +22,8 @@ using namespace manet;
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 68));
-  const auto reps = static_cast<std::size_t>(flags.get_int("reps", 60));
-  const auto n = static_cast<std::size_t>(flags.get_int("nodes", 80));
+  const auto reps = flags.get_count("reps", 60);
+  const auto n = flags.get_count("nodes", 80);
   const double d = flags.get_double("degree", 10.0);
 
   std::printf("manetcast :: delivery ratio under per-delivery loss "

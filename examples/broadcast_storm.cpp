@@ -24,9 +24,9 @@ using namespace manet;
 
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
-  const auto n = static_cast<std::size_t>(flags.get_int("nodes", 80));
+  const auto n = flags.get_count("nodes", 80);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 11));
-  const auto reps = static_cast<std::size_t>(flags.get_int("reps", 20));
+  const auto reps = flags.get_count("reps", 20);
 
   std::printf("broadcast storm demo: %zu nodes, degree sweep, %zu "
               "replications per point\n\n",
@@ -52,10 +52,8 @@ int main(int argc, char** argv) {
       static_fwd.add(static_cast<double>(
           broadcast::si_cds_broadcast(net->graph, st.cds, source)
               .forward_count()));
-      const auto bb = core::build_dynamic_backbone(
-          net->graph, st.clustering, core::CoverageMode::kTwoPointFiveHop);
       dyn_fwd.add(static_cast<double>(
-          core::dynamic_broadcast(net->graph, bb, source).forward_count()));
+          core::dynamic_broadcast(net->graph, st, source).forward_count()));
     }
     if (flood_fwd.count() == 0) continue;
     // Redundancy: n-1 first deliveries suffice; everything beyond one

@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
 
   graph::Graph g;
   if (flags.get_bool("random")) {
-    const auto n = static_cast<std::size_t>(flags.get_int("nodes", 20));
+    const auto n = flags.get_count("nodes", 20);
     const double d = flags.get_double("degree", 6.0);
     Rng rng(static_cast<std::uint64_t>(flags.get_int("seed", 3)));
     geom::UnitDiskConfig cfg;

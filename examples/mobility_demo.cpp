@@ -24,10 +24,10 @@ using namespace manet;
 
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
-  const auto n = static_cast<std::size_t>(flags.get_int("nodes", 50));
+  const auto n = flags.get_count("nodes", 50);
   const double d = flags.get_double("degree", 8.0);
   const double speed = flags.get_double("speed", 2.0);
-  const auto steps = static_cast<std::size_t>(flags.get_int("steps", 12));
+  const auto steps = flags.get_count("steps", 12);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 9));
   const auto model_name = flags.get("model", "waypoint");
 
@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
     const bool connected = graph::is_connected(cur);
     std::string forward = "-";
     if (connected) {
-      const auto bb = core::build_dynamic_backbone(
+      const auto bb = core::build_static_backbone(
           cur, core::CoverageMode::kTwoPointFiveHop);
       forward = std::to_string(
           core::dynamic_broadcast(cur, bb, 0).forward_count());

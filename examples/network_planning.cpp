@@ -25,12 +25,12 @@ using namespace manet;
 
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
-  const auto n = static_cast<std::size_t>(flags.get_int("nodes", 60));
+  const auto n = flags.get_count("nodes", 60);
   const double width = flags.get_double("width", 100.0);
   const double height = flags.get_double("height", 100.0);
   const double speed = flags.get_double("speed", 1.0);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 5));
-  const auto reps = static_cast<std::size_t>(flags.get_int("reps", 25));
+  const auto reps = flags.get_count("reps", 25);
 
   std::printf("network planning: %zu nodes in %.0fx%.0f, node speed %.1f\n\n",
               n, width, height, speed);
@@ -53,10 +53,8 @@ int main(int argc, char** argv) {
           net.graph, core::CoverageMode::kTwoPointFiveHop);
       clusters.add(static_cast<double>(st.clustering.heads.size()));
       backbone.add(static_cast<double>(st.cds.size()));
-      const auto bb = core::build_dynamic_backbone(
-          net.graph, st.clustering, core::CoverageMode::kTwoPointFiveHop);
       fwd.add(static_cast<double>(
-          core::dynamic_broadcast(net.graph, bb, 0).forward_count()));
+          core::dynamic_broadcast(net.graph, st, 0).forward_count()));
 
       // One mobility step of churn at the requested speed.
       mobility::WaypointConfig wcfg;

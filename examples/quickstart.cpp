@@ -18,7 +18,7 @@ using namespace manet;
 
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
-  const auto n = static_cast<std::size_t>(flags.get_int("nodes", 50));
+  const auto n = flags.get_count("nodes", 50);
   const double d = flags.get_double("degree", 6.0);
   Rng rng(static_cast<std::uint64_t>(flags.get_int("seed", 7)));
   const auto mode = flags.get("mode", "2.5") == "3"
@@ -45,11 +45,9 @@ int main(int argc, char** argv) {
               backbone.clustering.heads.size(), core::to_string(mode),
               backbone.cds.size());
 
-  // 3. One broadcast each way, from node 0.
+  // 3. One broadcast each way, from node 0, over the same backbone.
   const auto si = broadcast::si_cds_broadcast(net->graph, backbone.cds, 0);
-  const auto dyn_bb =
-      core::build_dynamic_backbone(net->graph, backbone.clustering, mode);
-  const auto sd = core::dynamic_broadcast(net->graph, dyn_bb, 0);
+  const auto sd = core::dynamic_broadcast(net->graph, backbone, 0);
 
   std::printf("broadcast from node 0:\n");
   std::printf("  static  SI-CDS : %3zu forward nodes, delivery %s\n",

@@ -141,7 +141,7 @@ int inspect(const std::vector<obs::JournalEvent>& events,
     by_trace.emplace(events[i].trace_id, i);
 
   if (flags.has("trace-id")) {
-    const auto id = static_cast<std::uint64_t>(flags.get_int("trace-id", 0));
+    const auto id = static_cast<std::uint64_t>(flags.get_count("trace-id", 0));
     std::printf("causal chain of trace %llu:\n",
                 static_cast<unsigned long long>(id));
     print_chain(chain_of(events, by_trace, id));
@@ -161,10 +161,9 @@ int inspect(const std::vector<obs::JournalEvent>& events,
   // Timeline: events grouped by engine tick, filtered by node/tick.
   const bool filter_node = flags.has("node");
   const bool filter_tick = flags.has("tick");
-  const auto want_node = static_cast<std::uint32_t>(flags.get_int("node", 0));
-  const auto want_tick = static_cast<std::uint64_t>(flags.get_int("tick", 0));
-  const auto limit =
-      static_cast<std::size_t>(flags.get_int("limit", 200));
+  const auto want_node = static_cast<std::uint32_t>(flags.get_count("node", 0));
+  const auto want_tick = static_cast<std::uint64_t>(flags.get_count("tick", 0));
+  const auto limit = flags.get_count("limit", 200);
   std::uint64_t last_tick = ~std::uint64_t{0};
   std::size_t shown = 0, matched = 0;
   for (const auto& e : events) {

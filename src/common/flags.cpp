@@ -42,6 +42,16 @@ std::int64_t Flags::get_int(const std::string& key,
                               it->second + "'");
 }
 
+std::size_t Flags::get_count(const std::string& key,
+                             std::size_t fallback) const {
+  if (!has(key)) return fallback;
+  const std::int64_t v = get_int(key, 0);
+  if (v < 0)
+    throw std::invalid_argument("--" + key + " expects a count >= 0, got '" +
+                                get(key, "") + "'");
+  return static_cast<std::size_t>(v);
+}
+
 double Flags::get_double(const std::string& key, double fallback) const {
   auto it = values_.find(key);
   if (it == values_.end()) return fallback;

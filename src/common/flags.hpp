@@ -1,7 +1,8 @@
-// Tiny --key=value command-line parser for the example programs.
-// (Benches use google-benchmark's own flags; examples use this.)
+// Tiny --key=value command-line parser for the bench and example mains
+// (bench/micro_core alone uses google-benchmark's own flags).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -20,6 +21,10 @@ class Flags {
   /// Integer value or `fallback`; throws std::invalid_argument naming
   /// the flag on non-ints and on values outside std::int64_t.
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
+
+  /// A count or id: get_int that also throws std::invalid_argument
+  /// naming the flag on a negative value.
+  std::size_t get_count(const std::string& key, std::size_t fallback) const;
 
   /// Real value or `fallback`; throws std::invalid_argument naming the
   /// flag on non-numbers and on values outside double's range.

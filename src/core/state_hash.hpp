@@ -1,5 +1,8 @@
 // One read-only view of a maintained backbone, and the two readers of
-// the whole structure: the state digest and the oracle diff.
+// the whole structure: the state digest and the oracle diff. The two
+// broadcasts read it too: core::dynamic_broadcast (SD-CDS) takes
+// clustering(), the table rows and the coverage spans of any view, and
+// broadcast::si_cds_broadcast floods its cds().
 //
 // A backbone view of an n-node network answers mode(), clustering()
 // (a const cluster::Clustering&), gateways() and cds() (the gateway

@@ -24,10 +24,10 @@ struct StaticBackbone {
   CoverageMode mode;
   cluster::Clustering clustering;
   NeighborTables tables;
-  std::vector<Coverage> coverage;            ///< indexed by node id
-  std::vector<GatewaySelection> selection;   ///< indexed by node id (heads)
-  NodeSet gateways;   ///< union of all selected gateways
-  NodeSet cds;        ///< clusterheads ∪ gateways — the SI-CDS
+  std::vector<Coverage> coverage;              ///< indexed by node id
+  std::vector<GatewaySelection> selection{};   ///< indexed by node id (heads)
+  NodeSet gateways{};  ///< union of all selected gateways
+  NodeSet cds{};       ///< clusterheads ∪ gateways — the SI-CDS
 
   bool in_backbone(NodeId v) const { return contains_sorted(cds, v); }
 };

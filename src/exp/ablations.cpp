@@ -24,7 +24,7 @@ std::vector<PruningAblationRow> run_pruning_ablation(
       bool all_delivered = true;
       for (std::size_t rep = 0; rep < replications; ++rep) {
         const auto net = make_network(scenario, {n, d}, seed, rep);
-        const auto bb = core::build_dynamic_backbone(
+        const auto bb = core::build_static_backbone(
             net.graph, core::CoverageMode::kTwoPointFiveHop);
         Rng pick(derive_seed(seed, rep, 98));
         const auto source =

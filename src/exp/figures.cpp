@@ -64,9 +64,9 @@ std::vector<Fig7Row> run_fig7(const PaperScenario& scenario,
           const auto c = cluster::lowest_id_clustering(net.graph);
           const auto source =
               pick_source(seed, rep, net.graph.order());
-          const auto bb25 = core::build_dynamic_backbone(
+          const auto bb25 = core::build_static_backbone(
               net.graph, c, CoverageMode::kTwoPointFiveHop);
-          const auto bb3 = core::build_dynamic_backbone(
+          const auto bb3 = core::build_static_backbone(
               net.graph, c, CoverageMode::kThreeHop);
           const auto mo = core::build_mo_cds(net.graph, c);
           out.push_back(static_cast<double>(
@@ -99,20 +99,20 @@ std::vector<Fig8Row> run_fig8(const PaperScenario& scenario,
           const auto c = cluster::lowest_id_clustering(net.graph);
           const auto source =
               pick_source(seed, rep, net.graph.order());
-          for (const auto mode : {CoverageMode::kTwoPointFiveHop,
-                                  CoverageMode::kThreeHop}) {
-            const auto st = core::build_static_backbone(net.graph, c, mode);
+          // One backbone per mode feeds both broadcasts.
+          const core::StaticBackbone st[2] = {
+              core::build_static_backbone(net.graph, c,
+                                          CoverageMode::kTwoPointFiveHop),
+              core::build_static_backbone(net.graph, c,
+                                          CoverageMode::kThreeHop)};
+          for (const auto& b : st)
             out.push_back(static_cast<double>(
-                broadcast::si_cds_broadcast(net.graph, st.cds, source)
+                broadcast::si_cds_broadcast(net.graph, b.cds, source)
                     .forward_count()));
-          }
-          for (const auto mode : {CoverageMode::kTwoPointFiveHop,
-                                  CoverageMode::kThreeHop}) {
-            const auto bb = core::build_dynamic_backbone(net.graph, c, mode);
+          for (const auto& b : st)
             out.push_back(static_cast<double>(
-                core::dynamic_broadcast(net.graph, bb, source)
+                core::dynamic_broadcast(net.graph, b, source)
                     .forward_count()));
-          }
         });
     rows.push_back({point.nodes, point.degree,
                     to_measurement(result.metrics[0], policy.confidence),

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "core/neighbor_tables.hpp"
 #include "geom/point.hpp"
 #include "incr/backbone.hpp"
@@ -84,11 +85,19 @@ class IncrementalPipeline {
   const graph::DynamicAdjacency& adjacency() const {
     return tracker_.adjacency();
   }
-  const IncrementalBackbone& backbone() const { return backbone_; }
-  /// The backbone view (core/state_hash.hpp) of the maintained state.
-  core::BackboneRef view() const { return backbone_.view(); }
+  /// The maintained backbone. These three accessors throw
+  /// std::invalid_argument while a pipelined repair is in flight (it
+  /// writes the backbone, or has not yet caught it up with adjacency()):
+  /// call drain() first.
+  const IncrementalBackbone& backbone() const {
+    require_settled();
+    return backbone_;
+  }
+  /// The backbone view (core/state_hash.hpp) of the maintained state;
+  /// with adjacency() it is a broadcast input (core::dynamic_broadcast).
+  core::BackboneRef view() const { return backbone().view(); }
   const cluster::Clustering& clustering() const {
-    return backbone_.clustering();
+    return backbone().clustering();
   }
 
   /// Stages a position update (applied at the next tick()).
@@ -129,6 +138,11 @@ class IncrementalPipeline {
     WorkerPool::Ticket ticket;
   };
 
+  void require_settled() const {
+    MANET_REQUIRE(pending_ == nullptr,
+                  "a pipelined repair is in flight: call drain() before "
+                  "reading the backbone");
+  }
   TickStats tick_sync();
   TickStats tick_pipelined();
   /// Joins the pending repair slot, flushes its buffered trace spans,

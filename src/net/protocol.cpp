@@ -241,36 +241,40 @@ DistributedRun run_distributed_backbone(const graph::Graph& g,
   run.delivery = sim.delivery_stats();
 
   const std::size_t n = g.order();
-  run.clustering.head_of.assign(n, kInvalidNode);
-  run.clustering.roles.assign(n, cluster::Role::kOrdinary);
-  run.tables = {mode, core::RowTable<NodeId>(n),
-                core::RowTable<core::Hop2Entry>(n)};
-  run.coverage.resize(n);
-  run.selection.resize(n);
+  core::StaticBackbone& b = run.backbone;
+  b.mode = mode;
+  b.clustering.head_of.assign(n, kInvalidNode);
+  b.clustering.roles.assign(n, cluster::Role::kOrdinary);
+  b.tables = {mode, core::RowTable<NodeId>(n),
+              core::RowTable<core::Hop2Entry>(n)};
+  b.coverage.resize(n);
+  b.selection.resize(n);
 
   for (NodeId v = 0; v < n; ++v) {
     const auto& node = dynamic_cast<const BackboneNode&>(sim.process(v));
     MANET_ASSERT(node.decided(), "protocol quiesced with undecided node");
-    run.clustering.head_of[v] = node.head();
+    b.clustering.head_of[v] = node.head();
     if (node.is_head()) {
-      run.clustering.heads.push_back(v);
-      run.clustering.roles[v] = cluster::Role::kClusterhead;
-      run.coverage[v] = node.coverage();
-      run.selection[v] = node.selection();
+      b.clustering.heads.push_back(v);
+      b.clustering.roles[v] = cluster::Role::kClusterhead;
+      b.coverage[v] = node.coverage();
+      b.selection[v] = node.selection();
+      for (NodeId w : node.selection().gateways) insert_sorted(b.gateways, w);
     } else {
-      run.tables.ch_hop1.assign(v, node.sent_hop1());
-      run.tables.ch_hop2.assign(v, node.sent_hop2());
+      b.tables.ch_hop1.assign(v, node.sent_hop1());
+      b.tables.ch_hop2.assign(v, node.sent_hop2());
     }
-    if (node.in_backbone()) insert_sorted(run.backbone, v);
+    if (node.in_backbone()) run.flagged.push_back(v);
   }
+  b.cds = set_union(b.clustering.heads, b.gateways);
   // Reconstruct gateway roles the classical way (neighbor in another
   // cluster) so the struct is directly comparable with the centralized
   // clustering.
   for (NodeId v = 0; v < n; ++v) {
-    if (run.clustering.head_of[v] == v) continue;
+    if (b.clustering.head_of[v] == v) continue;
     for (NodeId w : g.neighbors(v)) {
-      if (run.clustering.head_of[w] != run.clustering.head_of[v]) {
-        run.clustering.roles[v] = cluster::Role::kGateway;
+      if (b.clustering.head_of[w] != b.clustering.head_of[v]) {
+        b.clustering.roles[v] = cluster::Role::kGateway;
         break;
       }
     }

@@ -37,6 +37,7 @@
 #include "core/coverage.hpp"
 #include "core/gateway_selection.hpp"
 #include "core/neighbor_tables.hpp"
+#include "core/static_backbone.hpp"
 #include "net/simulator.hpp"
 
 namespace manet::net {
@@ -120,11 +121,8 @@ class BackboneNode final : public NodeProcess {
 /// Everything the distributed run produces, reassembled for comparison
 /// with the centralized pipeline.
 struct DistributedRun {
-  cluster::Clustering clustering;
-  core::NeighborTables tables;
-  std::vector<core::Coverage> coverage;             ///< indexed by node id
-  std::vector<core::GatewaySelection> selection;    ///< indexed by node id
-  NodeSet backbone;                                 ///< heads + informed gateways
+  core::StaticBackbone backbone;  ///< the nodes' state as one backbone
+  NodeSet flagged;  ///< heads + nodes a GATEWAY flood flagged
   MessageCounts counts;
   DeliveryStats delivery;
   std::uint32_t rounds = 0;

@@ -7,6 +7,8 @@
 // hop counts — into an FNV-1a digest over a fixed set of seeded unit-disk
 // layouts and compare it with a pinned value. A simulator rewrite must
 // reproduce its predecessor's results bit for bit to keep them green.
+// SD-CDS and SI-CDS reproduce theirs through every backbone store: the
+// batch StaticBackbone and the live view of each maintained engine.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -28,7 +30,9 @@
 #include "core/static_backbone.hpp"
 #include "geom/unit_disk.hpp"
 #include "graph/algorithms.hpp"
+#include "incr/pipeline.hpp"
 #include "net/protocol.hpp"
+#include "proto/engine.hpp"
 
 namespace manet {
 namespace {
@@ -40,10 +44,16 @@ constexpr std::uint64_t kDigestSeed = 14695981039346656037ULL;
 constexpr std::array<core::CoverageMode, 2> kModes = {
     core::CoverageMode::kTwoPointFiveHop, core::CoverageMode::kThreeHop};
 
-/// One seeded topology, with the clusterhead source and the member
-/// source every protocol broadcasts from.
+/// Every layout lies in the 100 x 100 square.
+constexpr double kSide = 100.0;
+
+/// One seeded topology — its positions and range, from which the
+/// maintained engines build it too — with the clusterhead source and the
+/// member source every protocol broadcasts from.
 struct Layout {
   std::string name;
+  std::vector<geom::Point> positions;
+  double range = 0.0;
   graph::Graph g;
   std::array<NodeId, 2> sources{};
 };
@@ -57,7 +67,10 @@ Layout random_layout(std::size_t n, double degree, std::uint64_t seed) {
   Layout l;
   l.name = "n" + std::to_string(n) + "_d" +
            std::to_string(static_cast<int>(degree));
-  l.g = geom::generate_unit_disk(cfg, rng).graph;
+  auto net = geom::generate_unit_disk(cfg, rng);
+  l.positions = std::move(net.positions);
+  l.range = cfg.range;
+  l.g = std::move(net.graph);
   return l;
 }
 
@@ -67,15 +80,16 @@ Layout disconnected_layout() {
   Rng rng(77);
   constexpr std::size_t kHalf = 150;
   const double range = geom::range_for_average_degree(10.0, 2 * kHalf,
-                                                      100.0, 100.0);
-  std::vector<geom::Point> pts;
+                                                      kSide, kSide);
+  Layout l;
   for (std::size_t i = 0; i < 2 * kHalf; ++i) {
     const double x0 = i < kHalf ? 0.0 : 50.0 + range;
-    pts.push_back({rng.uniform(x0, x0 + 50.0 - range), rng.uniform(0, 100)});
+    l.positions.push_back(
+        {rng.uniform(x0, x0 + 50.0 - range), rng.uniform(0, 100)});
   }
-  Layout l;
   l.name = "split_n300";
-  l.g = geom::unit_disk_graph(pts, range);
+  l.range = range;
+  l.g = geom::unit_disk_graph(l.positions, range);
   return l;
 }
 
@@ -157,6 +171,44 @@ void expect_golden(const Pinned& pinned, Digest&& digest) {
     EXPECT_EQ(digest(all[i]), pinned[i]) << "layout " << all[i].name;
 }
 
+constexpr std::array<const char*, 3> kStores = {"static", "incr", "proto"};
+
+/// Calls `f(adjacency, backbone, cds)` with the `mode` backbone of `l`
+/// held by store `store` (kStores): 0 the StaticBackbone over the Graph
+/// (through dynamic_broadcast's StaticBackbone entry), 1 and 2 the live
+/// view() of an IncrementalPipeline and of a proto::MaintenanceEngine
+/// built on the layout's positions, over their own adjacency. All three
+/// must fold to one digest.
+template <class F>
+void with_backbone(const Layout& l, core::CoverageMode mode,
+                   std::size_t store, F&& f) {
+  if (store == 0) {
+    const auto b = core::build_static_backbone(l.g, mode);
+    f(l.g, b, b.cds);
+  } else if (store == 1) {
+    incr::PipelineOptions o;
+    o.mode = mode;
+    const incr::IncrementalPipeline p(l.positions, l.range, kSide, kSide, o);
+    f(p.adjacency(), p.view(), p.view().cds());
+  } else {
+    proto::EngineOptions o;
+    o.mode = mode;
+    const proto::MaintenanceEngine e(l.positions, l.range, kSide, kSide, o);
+    f(e.tracker().adjacency(), e.view(), e.view().cds());
+  }
+}
+
+/// expect_golden once per backbone store; `digest(layout, store)` folds
+/// through with_backbone.
+template <class Digest>
+void expect_golden_per_store(const Pinned& pinned, Digest&& digest) {
+  for (std::size_t store = 0; store < kStores.size(); ++store) {
+    SCOPED_TRACE(kStores[store]);
+    expect_golden(pinned,
+                  [&](const Layout& l) { return digest(l, store); });
+  }
+}
+
 TEST(BroadcastGoldenTest, LayoutsMixConnectedAndSplitTopologies) {
   const auto& all = layouts();
   for (const Layout& l : all) {
@@ -175,16 +227,18 @@ TEST(BroadcastGoldenTest, DynamicBroadcastAllPruningOptions) {
   constexpr Pinned kPinned = {0x152d03db9a556ad5ULL, 0x90a27e9180df1a1dULL,
                               0xc37f7d868436409aULL, 0x89c03b80bdd3bff7ULL,
                               0xe1421bd8b643f2eaULL};
-  expect_golden(kPinned, [](const Layout& l) {
+  expect_golden_per_store(kPinned, [](const Layout& l, std::size_t store) {
     std::uint64_t h = kDigestSeed;
-    for (const auto mode : kModes) {
-      const auto bb = core::build_dynamic_backbone(l.g, mode);
-      for (const bool piggyback : {true, false})
-        for (const bool relay : {true, false})
-          for (const NodeId source : l.sources)
-            h = fold(h, core::dynamic_broadcast(l.g, bb, source,
-                                                {piggyback, relay}));
-    }
+    for (const auto mode : kModes)
+      with_backbone(l, mode, store,
+                    [&](const auto& adj, const auto& bb, const NodeSet&) {
+                      for (const bool piggyback : {true, false})
+                        for (const bool relay : {true, false})
+                          for (const NodeId source : l.sources)
+                            h = fold(h, core::dynamic_broadcast(
+                                            adj, bb, source,
+                                            {piggyback, relay}));
+                    });
     return h;
   });
 }
@@ -193,13 +247,15 @@ TEST(BroadcastGoldenTest, SiCdsBroadcast) {
   constexpr Pinned kPinned = {0xf8dcd8852d31e4f5ULL, 0x91d8ace64ecf4fabULL,
                               0x5c23835a85b5aabdULL, 0xcd6345512a478ad7ULL,
                               0x9915b78fdea42c1aULL};
-  expect_golden(kPinned, [](const Layout& l) {
+  expect_golden_per_store(kPinned, [](const Layout& l, std::size_t store) {
     std::uint64_t h = kDigestSeed;
-    for (const auto mode : kModes) {
-      const auto bb = core::build_static_backbone(l.g, mode);
-      for (const NodeId source : l.sources)
-        h = fold(h, broadcast::si_cds_broadcast(l.g, bb.cds, source));
-    }
+    for (const auto mode : kModes)
+      with_backbone(
+          l, mode, store,
+          [&](const auto& adj, const auto&, const NodeSet& cds) {
+            for (const NodeId source : l.sources)
+              h = fold(h, broadcast::si_cds_broadcast(adj, cds, source));
+          });
     return h;
   });
 }

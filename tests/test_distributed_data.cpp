@@ -7,6 +7,7 @@
 
 #include "common/rng.hpp"
 #include "core/dynamic_broadcast.hpp"
+#include "core/static_backbone.hpp"
 #include "geom/unit_disk.hpp"
 #include "net/protocol.hpp"
 #include "paper_fixtures.hpp"
@@ -77,7 +78,7 @@ TEST_P(DistributedDataSweep, DeliversAndTracksCentralizedEngine) {
   cfg.range = geom::range_for_average_degree(d, n, cfg.width, cfg.height);
   const auto net = geom::generate_connected_unit_disk(cfg, rng);
   ASSERT_TRUE(net.has_value());
-  const auto bb = core::build_dynamic_backbone(net->graph, mode);
+  const auto bb = core::build_static_backbone(net->graph, mode);
   Rng pick(seed ^ 0xd474);
   for (int i = 0; i < 3; ++i) {
     const auto s = static_cast<NodeId>(pick.index(net->graph.order()));

@@ -10,11 +10,15 @@
 #include <utility>
 #include <vector>
 
+#include "broadcast/si_cds.hpp"
 #include "common/rng.hpp"
+#include "core/state_hash.hpp"
 #include "core/static_backbone.hpp"
 #include "geom/unit_disk.hpp"
 #include "graph/algorithms.hpp"
+#include "incr/pipeline.hpp"
 #include "paper_fixtures.hpp"
+#include "proto/engine.hpp"
 
 namespace manet::core {
 namespace {
@@ -28,8 +32,8 @@ NodeSet forward_set_of(const BroadcastResult& r, const Transmission& t) {
 class Figure3Dynamic : public ::testing::Test {
  protected:
   graph::Graph g_ = testing::paper_figure3_network();
-  DynamicBackbone bb_ =
-      build_dynamic_backbone(g_, CoverageMode::kTwoPointFiveHop);
+  StaticBackbone bb_ =
+      build_static_backbone(g_, CoverageMode::kTwoPointFiveHop);
 };
 
 TEST_F(Figure3Dynamic, PaperIllustrationSevenForwardNodes) {
@@ -106,7 +110,7 @@ TEST_F(Figure3Dynamic, RejectsBadSource) {
 
 TEST(DynamicEdgeCases, SingletonNetwork) {
   const auto g = graph::GraphBuilder(1).build();
-  const auto bb = build_dynamic_backbone(g, CoverageMode::kThreeHop);
+  const auto bb = build_static_backbone(g, CoverageMode::kThreeHop);
   const auto r = dynamic_broadcast(g, bb, 0);
   EXPECT_TRUE(r.delivered_all);
   EXPECT_EQ(r.forward_nodes, (NodeSet{0}));
@@ -116,7 +120,7 @@ TEST(DynamicEdgeCases, TriangleOfFigure5) {
   // Figure 5: three mutually adjacent nodes. One cluster, head 0; a
   // broadcast from any node needs at most the source + head.
   const auto g = testing::paper_figure5_triangle();
-  const auto bb = build_dynamic_backbone(g, CoverageMode::kTwoPointFiveHop);
+  const auto bb = build_static_backbone(g, CoverageMode::kTwoPointFiveHop);
   const auto from_head = dynamic_broadcast(g, bb, 0);
   EXPECT_TRUE(from_head.delivered_all);
   EXPECT_EQ(from_head.forward_count(), 1u);
@@ -127,21 +131,33 @@ TEST(DynamicEdgeCases, TriangleOfFigure5) {
 
 TEST(DynamicEdgeCases, RejectsBackboneOfAnotherSize) {
   const auto g = graph::make_path(9);
-  auto truncated = build_dynamic_backbone(g, CoverageMode::kTwoPointFiveHop);
+  auto truncated = build_static_backbone(g, CoverageMode::kTwoPointFiveHop);
   truncated.coverage.resize(1);
   EXPECT_THROW(dynamic_broadcast(g, truncated, 0), std::invalid_argument);
 
   const auto small = graph::make_path(5);
-  auto mixed = build_dynamic_backbone(g, CoverageMode::kTwoPointFiveHop);
+  auto mixed = build_static_backbone(g, CoverageMode::kTwoPointFiveHop);
   mixed.tables =
       build_neighbor_tables(small, cluster::lowest_id_clustering(small),
                             CoverageMode::kTwoPointFiveHop);
   EXPECT_THROW(dynamic_broadcast(g, mixed, 0), std::invalid_argument);
 }
 
+TEST(DynamicEdgeCases, RejectsViewOfAnotherSize) {
+  // The view entry checks only the clustering's size against the
+  // adjacency's order.
+  const auto g = graph::make_path(9);
+  const auto small = build_static_backbone(graph::make_path(5),
+                                           CoverageMode::kTwoPointFiveHop);
+  EXPECT_THROW(dynamic_broadcast(g, BackboneRef(small), 0),
+               std::invalid_argument);
+  const auto fits = build_static_backbone(g, CoverageMode::kTwoPointFiveHop);
+  EXPECT_TRUE(dynamic_broadcast(g, BackboneRef(fits), 0).delivered_all);
+}
+
 TEST(DynamicEdgeCases, PathBroadcastReachesBothEnds) {
   const auto g = graph::make_path(9);
-  const auto bb = build_dynamic_backbone(g, CoverageMode::kTwoPointFiveHop);
+  const auto bb = build_static_backbone(g, CoverageMode::kTwoPointFiveHop);
   for (NodeId s = 0; s < 9; ++s) {
     const auto r = dynamic_broadcast(g, bb, s);
     EXPECT_TRUE(r.delivered_all) << "source " << s;
@@ -169,7 +185,7 @@ class DynamicSweep : public ::testing::TestWithParam<DynParam> {};
 /// stored forward set, is named in it, and relays for that origin once;
 /// the heads' forward sets fill forward_sets exactly; and the forward-node
 /// set is the sorted distinct senders.
-void expect_relay_invariants(const DynamicBackbone& bb,
+void expect_relay_invariants(const StaticBackbone& bb,
                              const BroadcastResult& r) {
   constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
   const cluster::Clustering& c = bb.clustering;
@@ -218,7 +234,7 @@ TEST_P(DynamicSweep, FullDeliveryFromEverySource) {
   cfg.range = geom::range_for_average_degree(d, n, cfg.width, cfg.height);
   const auto net = geom::generate_connected_unit_disk(cfg, rng);
   ASSERT_TRUE(net.has_value());
-  const auto bb = build_dynamic_backbone(net->graph, mode);
+  const auto bb = build_static_backbone(net->graph, mode);
   for (NodeId s = 0; s < net->graph.order(); ++s) {
     const auto r = dynamic_broadcast(net->graph, bb, s);
     ASSERT_TRUE(r.delivered_all) << "source " << s;
@@ -237,7 +253,7 @@ TEST_P(DynamicSweep, PruningVariantsAllDeliver) {
   cfg.range = geom::range_for_average_degree(d, n, cfg.width, cfg.height);
   const auto net = geom::generate_connected_unit_disk(cfg, rng);
   ASSERT_TRUE(net.has_value());
-  const auto bb = build_dynamic_backbone(net->graph, mode);
+  const auto bb = build_static_backbone(net->graph, mode);
   for (int variant = 0; variant < 4; ++variant) {
     DynamicBroadcastOptions opt;
     opt.piggyback_pruning = (variant & 1) != 0;
@@ -261,11 +277,10 @@ TEST_P(DynamicSweep, DynamicForwardSetWithinStaticBackbonePlusSource) {
   ASSERT_TRUE(net.has_value());
   const auto c = cluster::lowest_id_clustering(net->graph);
   const auto st = build_static_backbone(net->graph, c, mode);
-  const auto bb = build_dynamic_backbone(net->graph, c, mode);
   Rng pick(seed);
   for (int i = 0; i < 5; ++i) {
     const auto s = static_cast<NodeId>(pick.index(net->graph.order()));
-    const auto r = dynamic_broadcast(net->graph, bb, s);
+    const auto r = dynamic_broadcast(net->graph, st, s);
     EXPECT_LE(r.forward_count(), st.cds.size() + 1) << "source " << s;
   }
 }
@@ -285,6 +300,94 @@ INSTANTIATE_TEST_SUITE_P(
         DynParam{100, 18, 55, CoverageMode::kThreeHop},
         DynParam{100, 6, 56, CoverageMode::kTwoPointFiveHop},
         DynParam{100, 6, 56, CoverageMode::kThreeHop}));
+
+// ---- Live views: broadcasting straight from a maintained engine --------
+
+void expect_same_sd(const BroadcastResult& got, const BroadcastResult& want) {
+  EXPECT_EQ(got.forward_nodes, want.forward_nodes);
+  ASSERT_EQ(got.trace.size(), want.trace.size());
+  for (std::size_t i = 0; i < got.trace.size(); ++i) {
+    EXPECT_EQ(got.trace[i].sender, want.trace[i].sender) << i;
+    EXPECT_EQ(got.trace[i].origin_head, want.trace[i].origin_head) << i;
+    EXPECT_EQ(forward_set_of(got, got.trace[i]),
+              forward_set_of(want, want.trace[i]))
+        << i;
+  }
+  EXPECT_EQ(got.received, want.received);
+  EXPECT_EQ(got.first_copy_hops, want.first_copy_hops);
+  EXPECT_EQ(got.delivered_all, want.delivered_all);
+}
+
+void expect_same_si(const broadcast::BroadcastStats& got,
+                    const broadcast::BroadcastStats& want) {
+  EXPECT_EQ(got.forward_nodes, want.forward_nodes);
+  EXPECT_EQ(got.transmissions, want.transmissions);
+  EXPECT_EQ(got.received, want.received);
+  EXPECT_EQ(got.first_copy_hops, want.first_copy_hops);
+  EXPECT_EQ(got.delivered_all, want.delivered_all);
+}
+
+TEST(LiveViewBroadcast, MatchesSnapshotOfBothEnginesUnderChurn) {
+  // Both engines follow the same moves. At each checkpoint, SD-CDS and
+  // SI-CDS over each engine's live adjacency and view equal the same
+  // broadcasts over the pipeline's frozen Graph and materialized
+  // StaticBackbone.
+  constexpr double kSide = 100.0;
+  constexpr std::size_t kTicks = 24;
+  Rng rng(4242);
+  geom::UnitDiskConfig cfg;
+  cfg.nodes = 320;
+  cfg.range = geom::range_for_average_degree(8.0, cfg.nodes, kSide, kSide);
+  const auto net = geom::generate_unit_disk(cfg, rng);
+  incr::PipelineOptions popts;
+  popts.threads = 1;
+  popts.pipeline_depth = 1;
+  incr::IncrementalPipeline pipeline(net.positions, cfg.range, kSide, kSide,
+                                     popts);
+  proto::EngineOptions eopts;
+  eopts.threads = 1;
+  proto::MaintenanceEngine engine(net.positions, cfg.range, kSide, kSide,
+                                  eopts);
+  std::vector<geom::Point> pos = net.positions;
+  for (std::size_t tick = 1; tick <= kTicks; ++tick) {
+    for (int k = 0; k < 12; ++k) {
+      const auto v = static_cast<NodeId>(rng.index(pos.size()));
+      pos[v] = {std::clamp(pos[v].x + rng.uniform(-6.0, 6.0), 0.0, kSide),
+                std::clamp(pos[v].y + rng.uniform(-6.0, 6.0), 0.0, kSide)};
+      pipeline.stage_move(v, pos[v]);
+      engine.stage_move(v, pos[v]);
+    }
+    pipeline.tick();
+    engine.tick();
+    if (tick % 4 != 0) continue;
+    SCOPED_TRACE(::testing::Message() << "tick " << tick);
+
+    const graph::Graph g = pipeline.freeze_graph();
+    const StaticBackbone snapshot = pipeline.backbone().materialize();
+    const cluster::Clustering& c = snapshot.clustering;
+    auto member = static_cast<NodeId>(rng.index(g.order()));
+    while (c.is_head(member))
+      member = static_cast<NodeId>((member + 1) % g.order());
+    const NodeId head = c.head_of[member];
+    for (const NodeId s : {head, member}) {
+      SCOPED_TRACE(::testing::Message() << "source " << s);
+      const auto want_sd = dynamic_broadcast(g, snapshot, s);
+      const auto want_si = broadcast::si_cds_broadcast(g, snapshot.cds, s);
+      expect_same_sd(
+          dynamic_broadcast(pipeline.adjacency(), pipeline.view(), s),
+          want_sd);
+      expect_same_sd(
+          dynamic_broadcast(engine.tracker().adjacency(), engine.view(), s),
+          want_sd);
+      expect_same_si(broadcast::si_cds_broadcast(pipeline.adjacency(),
+                                                 pipeline.view().cds(), s),
+                     want_si);
+      expect_same_si(broadcast::si_cds_broadcast(engine.tracker().adjacency(),
+                                                 engine.view().cds(), s),
+                     want_si);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace manet::core

@@ -447,6 +447,28 @@ TEST(PipelinedDeterminismTest, LockstepPipelinedMatchesSequential) {
   EXPECT_EQ(piped8.drain().link_changes, 0u);
 }
 
+TEST(PipelinedDeterminismTest, BackboneReadsWaitForDrain) {
+  // While a depth-2 repair is in flight a worker writes the backbone, so
+  // reading it races; the accessors refuse until drain().
+  Rng rng(817);
+  const std::size_t n = 400;
+  const double range = geom::range_for_average_degree(6.0, n, 100, 100);
+  auto positions = random_layout(n, rng);
+  PipelineOptions opts;
+  opts.threads = 2;
+  opts.pipeline_depth = 2;
+  IncrementalPipeline p(positions, range, 100, 100, opts);
+  std::vector<NodeId> movers;
+  ASSERT_NO_FATAL_FAILURE(corner_churn(positions, rng, movers));
+  for (const NodeId v : movers) p.stage_move(v, positions[v]);
+  p.tick();
+  EXPECT_THROW(p.view(), std::invalid_argument);
+  EXPECT_THROW(p.backbone(), std::invalid_argument);
+  EXPECT_THROW(p.clustering(), std::invalid_argument);
+  p.drain();
+  EXPECT_EQ(p.view().clustering().head_of.size(), n);
+}
+
 TEST(PipelinedDeterminismTest, ChurnPipelinedHashAndMetricsIdentical) {
   // run_churn at pipeline_depth 2, threads {1, 2, 8}: same final state
   // hash and same deterministic metric snapshot as the synchronous

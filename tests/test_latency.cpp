@@ -62,12 +62,10 @@ TEST(LatencyTest, BackbonesAddBoundedDetour) {
   const auto c = cluster::lowest_id_clustering(net->graph);
   const auto st = core::build_static_backbone(
       net->graph, c, core::CoverageMode::kTwoPointFiveHop);
-  const auto bb = core::build_dynamic_backbone(
-      net->graph, c, core::CoverageMode::kTwoPointFiveHop);
   for (NodeId s = 0; s < net->graph.order(); s += 7) {
     const auto lower = eccentricity(net->graph, s);
     const auto si = si_cds_broadcast(net->graph, st.cds, s).latency_hops();
-    const auto sd = core::dynamic_broadcast(net->graph, bb, s).latency_hops();
+    const auto sd = core::dynamic_broadcast(net->graph, st, s).latency_hops();
     const auto mp = mpr_broadcast(net->graph, s).latency_hops();
     const auto dp = dominant_pruning_broadcast(net->graph, s,
                                                PruningRule::kDominant)
@@ -85,7 +83,7 @@ TEST(LatencyTest, BackbonesAddBoundedDetour) {
 TEST(LatencyTest, DynamicEngineTracksHops) {
   const auto g = testing::paper_figure3_network();
   const auto bb =
-      core::build_dynamic_backbone(g, core::CoverageMode::kTwoPointFiveHop);
+      core::build_static_backbone(g, core::CoverageMode::kTwoPointFiveHop);
   const auto r = core::dynamic_broadcast(g, bb, 0);
   EXPECT_EQ(r.first_copy_hops[0], 0u);
   // Every reached node is within graph distance + detour of the source.

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "core/state_hash.hpp"
 #include "core/static_backbone.hpp"
 #include "geom/unit_disk.hpp"
 #include "graph/algorithms.hpp"
@@ -19,9 +20,9 @@ TEST(NetProtocolTest, Figure3ClusteringEmerges) {
   const auto g = testing::paper_figure3_network();
   const auto run =
       run_distributed_backbone(g, CoverageMode::kTwoPointFiveHop);
-  EXPECT_EQ(run.clustering.heads, (NodeSet{0, 1, 2, 3}));
-  EXPECT_EQ(run.clustering.head_of[7], 1u);
-  EXPECT_EQ(run.clustering.head_of[8], 2u);
+  EXPECT_EQ(run.backbone.clustering.heads, (NodeSet{0, 1, 2, 3}));
+  EXPECT_EQ(run.backbone.clustering.head_of[7], 1u);
+  EXPECT_EQ(run.backbone.clustering.head_of[8], 2u);
 }
 
 TEST(NetProtocolTest, Figure3BackboneEmerges) {
@@ -30,7 +31,7 @@ TEST(NetProtocolTest, Figure3BackboneEmerges) {
       run_distributed_backbone(g, CoverageMode::kTwoPointFiveHop);
   // GATEWAY dissemination ends with the paper's backbone: nodes 1..9
   // (ours 0..8).
-  EXPECT_EQ(run.backbone, (NodeSet{0, 1, 2, 3, 4, 5, 6, 7, 8}));
+  EXPECT_EQ(run.flagged, (NodeSet{0, 1, 2, 3, 4, 5, 6, 7, 8}));
 }
 
 TEST(NetProtocolTest, Figure3MessageBreakdown) {
@@ -54,15 +55,15 @@ TEST(NetProtocolTest, SecondHopGatewayInformedViaTtlFlood) {
   // gateway and can only learn its role from node 4's forwarded GATEWAY.
   const auto g = graph::make_graph(6, {{0, 4}, {4, 5}, {5, 1}});
   const auto run = run_distributed_backbone(g, CoverageMode::kThreeHop);
-  EXPECT_TRUE(contains_sorted(run.backbone, 4));
-  EXPECT_TRUE(contains_sorted(run.backbone, 5));
+  EXPECT_TRUE(contains_sorted(run.flagged, 4));
+  EXPECT_TRUE(contains_sorted(run.flagged, 5));
 }
 
 TEST(NetProtocolTest, IsolatedNodeIsItsOwnCluster) {
   const auto g = graph::GraphBuilder(1).build();
   const auto run = run_distributed_backbone(g, CoverageMode::kThreeHop);
-  EXPECT_EQ(run.clustering.heads, (NodeSet{0}));
-  EXPECT_EQ(run.backbone, (NodeSet{0}));
+  EXPECT_EQ(run.backbone.clustering.heads, (NodeSet{0}));
+  EXPECT_EQ(run.flagged, (NodeSet{0}));
   EXPECT_EQ(run.counts.hello, 1u);
   EXPECT_EQ(run.counts.gateway, 0u);
 }
@@ -107,31 +108,13 @@ TEST_P(DistributedEquivalence, MatchesCentralizedPipeline) {
   const auto run = run_distributed_backbone(g, mode);
   const auto reference = core::build_static_backbone(g, mode);
 
-  // Clustering equivalence.
-  EXPECT_EQ(run.clustering.heads, reference.clustering.heads);
-  EXPECT_EQ(run.clustering.head_of, reference.clustering.head_of);
-
-  // Table equivalence (per node).
-  for (NodeId v = 0; v < g.order(); ++v) {
-    EXPECT_TRUE(
-        testing::same_row(run.tables.ch_hop1[v], reference.tables.ch_hop1[v]))
-        << "hop1 of " << v;
-    EXPECT_TRUE(
-        testing::same_row(run.tables.ch_hop2[v], reference.tables.ch_hop2[v]))
-        << "hop2 of " << v;
-  }
-
-  // Coverage + selection equivalence per head, and the same backbone.
-  NodeSet distributed_cds = run.clustering.heads;
-  for (NodeId h : run.clustering.heads) {
-    EXPECT_EQ(run.coverage[h].two_hop, reference.coverage[h].two_hop);
-    EXPECT_EQ(run.coverage[h].three_hop, reference.coverage[h].three_hop);
-    EXPECT_EQ(run.selection[h].gateways, reference.selection[h].gateways);
-    for (NodeId w : run.selection[h].gateways)
-      insert_sorted(distributed_cds, w);
-  }
-  EXPECT_EQ(distributed_cds, reference.cds);
-  EXPECT_EQ(run.backbone, reference.cds);
+  // The nodes' state is the centralized backbone, field for field
+  // (clustering with roles, tables, coverage, selections, gateway union,
+  // CDS), and the GATEWAY floods flagged exactly its CDS.
+  EXPECT_EQ(core::diff_backbones(core::BackboneRef(run.backbone),
+                                 core::BackboneRef(reference)),
+            "");
+  EXPECT_EQ(run.flagged, reference.cds);
 
   // Message-optimality shape: a constant number of messages per node for
   // construction (HELLO + role + two table messages + gateway floods).

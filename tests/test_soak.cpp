@@ -10,6 +10,7 @@
 #include "core/cluster_graph.hpp"
 #include "core/dynamic_broadcast.hpp"
 #include "core/mo_cds.hpp"
+#include "core/state_hash.hpp"
 #include "core/static_backbone.hpp"
 #include "geom/unit_disk.hpp"
 #include "graph/algorithms.hpp"
@@ -50,9 +51,8 @@ TEST(SoakTest, CoreInvariantsAcrossFiftySeeds) {
       ASSERT_TRUE(graph::is_strongly_connected(cg.digraph))
           << "seed " << seed;
 
-      const auto dyn = core::build_dynamic_backbone(g, c, mode);
       const auto source = static_cast<NodeId>(seed % g.order());
-      const auto r = core::dynamic_broadcast(g, dyn, source);
+      const auto r = core::dynamic_broadcast(g, bb, source);
       ASSERT_TRUE(r.delivered_all) << "seed " << seed;
       const auto si = broadcast::si_cds_broadcast(g, bb.cds, source);
       ASSERT_TRUE(si.delivered_all) << "seed " << seed;
@@ -78,9 +78,7 @@ TEST(SoakTest, GoldenValuesPinnedForSeed2003) {
       core::build_static_backbone(g, c, CoverageMode::kTwoPointFiveHop);
   const auto bb3 = core::build_static_backbone(g, c, CoverageMode::kThreeHop);
   const auto mo = core::build_mo_cds(g, c);
-  const auto dyn =
-      core::build_dynamic_backbone(g, c, CoverageMode::kTwoPointFiveHop);
-  const auto r = core::dynamic_broadcast(g, dyn, 0);
+  const auto r = core::dynamic_broadcast(g, bb25, 0);
 
   // Structural counts (verified to be stable by the determinism suite).
   const std::size_t edges = g.edge_count();
@@ -112,9 +110,11 @@ TEST(SoakTest, DistributedProtocolOnDisconnectedGraph) {
       8, {{0, 1}, {1, 2}, {2, 3}, {4, 5}, {5, 6}, {6, 7}});
   const auto run = net::run_distributed_backbone(
       g, CoverageMode::kTwoPointFiveHop);
-  const auto reference = cluster::lowest_id_clustering(g);
-  EXPECT_EQ(run.clustering.heads, reference.heads);
-  EXPECT_EQ(run.clustering.head_of, reference.head_of);
+  const auto reference =
+      core::build_static_backbone(g, CoverageMode::kTwoPointFiveHop);
+  EXPECT_EQ(core::diff_backbones(core::BackboneRef(run.backbone),
+                                 core::BackboneRef(reference)),
+            "");
 }
 
 TEST(SoakTest, SimulatorObserverSeesEveryTransmission) {

@@ -103,5 +103,22 @@ TEST(FlagsTest, RejectsMalformedNumbers) {
             std::string::npos);
 }
 
+TEST(FlagsTest, CountsRejectNegativeValues) {
+  const auto f = make_flags({"--reps=-1", "--nodes=0", "--ticks=7",
+                             "--threads=abc"});
+  // A negative count would wrap to about 1.8e19 as std::size_t.
+  EXPECT_THROW(f.get_count("reps", 5), std::invalid_argument);
+  try {
+    f.get_count("reps", 5);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--reps "), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(f.get_count("nodes", 5), 0u);
+  EXPECT_EQ(f.get_count("ticks", 5), 7u);
+  EXPECT_EQ(f.get_count("steps", 12), 12u);  // absent: the fallback
+  EXPECT_THROW(f.get_count("threads", 1), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace manet
