@@ -44,7 +44,8 @@ int main(int argc, char** argv) {
           cds.add(static_cast<double>(st.cds.size()));
           double centries = 0;
           for (NodeId h : st.clustering.heads)
-            centries += static_cast<double>(st.coverage[h].size());
+            centries += static_cast<double>(st.coverage.two_hop[h].size() +
+                                            st.coverage.three_hop[h].size());
           cov_entries.add(centries);
           double h2 = 0;
           for (NodeId v = 0; v < net.graph.order(); ++v)

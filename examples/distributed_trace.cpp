@@ -91,8 +91,8 @@ int main(int argc, char** argv) {
     std::puts("paper Figure 3 network (0-indexed: our node k = paper k+1)\n");
   }
 
-  net::Simulator sim(g, [mode](NodeId v) {
-    return std::make_unique<net::BackboneNode>(v, mode);
+  net::Simulator sim(g, [mode, n = g.order()](NodeId v) {
+    return std::make_unique<net::BackboneNode>(v, mode, n);
   });
   sim.set_observer([](std::uint32_t round, const net::Message& m) {
     std::printf("  [round %2u] node %2u -> %s\n", round, m.from,
@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
     std::printf("  head %u: coverage C2=%s C3=%s, gateways %s\n", h,
                 set_to_string(node.coverage().two_hop).c_str(),
                 set_to_string(node.coverage().three_hop).c_str(),
-                set_to_string(node.selection().gateways).c_str());
+                set_to_string(node.selection()).c_str());
   }
   std::printf("backbone (SI-CDS): %s\n", set_to_string(backbone).c_str());
   if (!trace_path.empty()) {

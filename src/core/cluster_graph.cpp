@@ -18,14 +18,16 @@ bool ClusterGraph::has_arc_between_heads(NodeId v, NodeId w) const {
 }
 
 ClusterGraph build_cluster_graph(const cluster::Clustering& c,
-                                 const std::vector<Coverage>& coverage) {
+                                 const CoverageTable& coverage) {
   ClusterGraph cg;
   cg.heads = c.heads;
   cg.digraph = graph::Digraph(cg.heads.size());
   for (NodeId h : cg.heads) {
     const auto from = static_cast<NodeId>(cg.index_of(h));
-    for (NodeId w : coverage[h].all())
-      cg.digraph.add_arc(from, static_cast<NodeId>(cg.index_of(w)));
+    // C(h) = C²(h) ∪ C³(h); add_arc keeps each out-list sorted.
+    for (const auto& row : {coverage.two_hop[h], coverage.three_hop[h]})
+      for (NodeId w : row)
+        cg.digraph.add_arc(from, static_cast<NodeId>(cg.index_of(w)));
   }
   return cg;
 }

@@ -8,8 +8,6 @@
 // arcs can appear (Figure 4a: arc 4->1 without 1->4).
 #pragma once
 
-#include <vector>
-
 #include "cluster/lowest_id.hpp"
 #include "common/ids.hpp"
 #include "core/coverage.hpp"
@@ -29,9 +27,9 @@ struct ClusterGraph {
   bool has_arc_between_heads(NodeId v, NodeId w) const;
 };
 
-/// Builds G' from per-head coverage sets (as returned by
+/// Builds G' from per-head coverage rows (as returned by
 /// build_all_coverage).
 ClusterGraph build_cluster_graph(const cluster::Clustering& c,
-                                 const std::vector<Coverage>& coverage);
+                                 const CoverageTable& coverage);
 
 }  // namespace manet::core

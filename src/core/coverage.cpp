@@ -15,19 +15,26 @@ Coverage build_coverage(const graph::Graph& g, const cluster::Clustering& c,
   MANET_REQUIRE(c.is_head(head), "coverage is defined for clusterheads");
   // Row kernel shared with the incremental engine (table_kernels.hpp).
   CoverageScratch scratch;
-  return coverage_row(TablesView<graph::Graph>{g, c, tables}, head, g.order(),
-                      scratch);
+  Coverage cov;
+  coverage_row(TablesView<graph::Graph>{g, c, tables}, head, g.order(),
+               scratch, cov);
+  return cov;
 }
 
-std::vector<Coverage> build_all_coverage(const graph::Graph& g,
-                                         const cluster::Clustering& c,
-                                         const NeighborTables& tables) {
-  std::vector<Coverage> out(g.order());
-  // One scratch across all heads: per-head bitset allocation/zeroing is
-  // O(n) each, O(n·heads) over a full build (see CoverageScratch).
+CoverageTable build_all_coverage(const graph::Graph& g,
+                                 const cluster::Clustering& c,
+                                 const NeighborTables& tables) {
+  CoverageTable out{RowTable<NodeId>(g.order()), RowTable<NodeId>(g.order())};
+  // One scratch and one row buffer across all heads: per-head bitset
+  // allocation/zeroing is O(n) each, O(n·heads) over a full build (see
+  // CoverageScratch).
   CoverageScratch scratch;
+  Coverage cov;
   const TablesView<graph::Graph> view{g, c, tables};
-  for (NodeId h : c.heads) out[h] = coverage_row(view, h, g.order(), scratch);
+  for (NodeId h : c.heads) {
+    coverage_row(view, h, g.order(), scratch, cov);
+    out.assign(h, cov);
+  }
   return out;
 }
 

@@ -10,11 +10,12 @@
 // hops.
 #pragma once
 
-#include <vector>
+#include <string>
 
 #include "cluster/lowest_id.hpp"
 #include "common/ids.hpp"
 #include "core/neighbor_tables.hpp"
+#include "core/row_table.hpp"
 #include "graph/graph.hpp"
 
 namespace manet::core {
@@ -29,19 +30,30 @@ struct Coverage {
 
   bool empty() const { return two_hop.empty() && three_hop.empty(); }
   std::size_t size() const { return two_hop.size() + three_hop.size(); }
+};
 
-  friend bool operator==(const Coverage&, const Coverage&) = default;
+/// The coverage of every node as two packed rows per node (row_table.hpp):
+/// C² and C³, empty off the heads.
+struct CoverageTable {
+  RowTable<NodeId> two_hop;
+  RowTable<NodeId> three_hop;
+
+  /// Replaces both rows of `v` with `c`.
+  void assign(NodeId v, const Coverage& c) {
+    two_hop.assign(v, c.two_hop);
+    three_hop.assign(v, c.three_hop);
+  }
 };
 
 /// Builds C(head) from the neighbor tables.
 Coverage build_coverage(const graph::Graph& g, const cluster::Clustering& c,
                         const NeighborTables& tables, NodeId head);
 
-/// Coverage for every clusterhead, indexed by node id (rows of non-heads
-/// stay empty).
-std::vector<Coverage> build_all_coverage(const graph::Graph& g,
-                                         const cluster::Clustering& c,
-                                         const NeighborTables& tables);
+/// Coverage for every clusterhead, one row pair per node id (rows of
+/// non-heads stay empty).
+CoverageTable build_all_coverage(const graph::Graph& g,
+                                 const cluster::Clustering& c,
+                                 const NeighborTables& tables);
 
 /// Validates a coverage set against ground-truth BFS distances: C² must be
 /// exactly the heads at distance 2; C³ must be heads at distance 3 that

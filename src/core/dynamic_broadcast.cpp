@@ -17,7 +17,8 @@ BroadcastResult dynamic_broadcast(const graph::Graph& g,
                                   NodeId source,
                                   const DynamicBroadcastOptions& options) {
   MANET_REQUIRE(backbone.clustering.head_of.size() == g.order() &&
-                    backbone.coverage.size() == g.order() &&
+                    backbone.coverage.two_hop.size() == g.order() &&
+                    backbone.coverage.three_hop.size() == g.order() &&
                     backbone.tables.ch_hop1.size() == g.order() &&
                     backbone.tables.ch_hop2.size() == g.order(),
                 "backbone does not match graph");

@@ -16,24 +16,21 @@ void require_head(const graph::Graph& g, const cluster::Clustering& c,
 
 }  // namespace
 
-GatewaySelection select_gateways(const graph::Graph& g,
-                                 const cluster::Clustering& c,
-                                 const NeighborTables& tables, NodeId head,
-                                 const Coverage& targets) {
+NodeSet select_gateways(const graph::Graph& g, const cluster::Clustering& c,
+                        const NeighborTables& tables, NodeId head,
+                        const Coverage& targets) {
   SelectionScratch scratch;
   return select_gateways(g, c, tables, head, targets, scratch);
 }
 
-GatewaySelection select_gateways(const graph::Graph& g,
-                                 const cluster::Clustering& c,
-                                 const NeighborTables& tables, NodeId head,
-                                 const Coverage& targets,
-                                 SelectionScratch& scratch) {
+NodeSet select_gateways(const graph::Graph& g, const cluster::Clustering& c,
+                        const NeighborTables& tables, NodeId head,
+                        const Coverage& targets, SelectionScratch& scratch) {
   require_head(g, c, head);
-  GatewaySelection sel;
+  NodeSet gateways;
   select_gateways_local(TablesView<graph::Graph>{g, c, tables}, head, targets,
-                        scratch, sel.gateways);
-  return sel;
+                        scratch, gateways);
+  return gateways;
 }
 
 SelectionExplanation explain_gateways(const graph::Graph& g,
@@ -44,17 +41,17 @@ SelectionExplanation explain_gateways(const graph::Graph& g,
   SelectionScratch scratch;
   SelectionExplanation out;
   select_gateways_local(TablesView<graph::Graph>{g, c, tables}, head, targets,
-                        scratch, out.selection.gateways, &out);
+                        scratch, out.gateways, &out);
   return out;
 }
 
 std::string validate_selection(const graph::Graph& g,
                                const cluster::Clustering& c, NodeId head,
                                const Coverage& targets,
-                               const GatewaySelection& selection) {
+                               std::span<const NodeId> selection) {
   std::ostringstream err;
   // No clusterheads among gateways, and all gateways within 2 hops.
-  for (NodeId v : selection.gateways) {
+  for (NodeId v : selection) {
     if (c.is_head(v)) {
       err << "selected gateway " << v << " is a clusterhead";
       return err.str();
@@ -63,7 +60,7 @@ std::string validate_selection(const graph::Graph& g,
   // Every 2-hop target must be adjacent to a selected neighbor of head.
   for (NodeId w : targets.two_hop) {
     bool covered = false;
-    for (NodeId v : selection.gateways)
+    for (NodeId v : selection)
       if (g.has_edge(head, v) && g.has_edge(v, w)) covered = true;
     if (!covered) {
       err << "2-hop target " << w << " of head " << head << " uncovered";
@@ -73,9 +70,9 @@ std::string validate_selection(const graph::Graph& g,
   // Every 3-hop target must be reached by a selected (v, x) chain.
   for (NodeId w : targets.three_hop) {
     bool covered = false;
-    for (NodeId v : selection.gateways) {
+    for (NodeId v : selection) {
       if (!g.has_edge(head, v)) continue;
-      for (NodeId x : selection.gateways)
+      for (NodeId x : selection)
         if (g.has_edge(v, x) && g.has_edge(x, w)) covered = true;
     }
     if (!covered) {

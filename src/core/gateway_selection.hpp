@@ -33,17 +33,6 @@
 
 namespace manet::core {
 
-/// Result of one clusterhead's selection process.
-struct GatewaySelection {
-  /// All selected nodes: first-hop gateways plus second-hop via-nodes.
-  /// Sorted-unique. This is the GATEWAY message payload (static backbone)
-  /// or the forward-node set F(u) (dynamic backbone).
-  NodeSet gateways;
-
-  friend bool operator==(const GatewaySelection&, const GatewaySelection&) =
-      default;
-};
-
 /// Why a node ended up in the gateway set: one greedy pick.
 struct SelectionStep {
   NodeId gateway;            ///< first-hop neighbor picked by the greedy
@@ -67,7 +56,8 @@ struct ConnectorPair {
 /// A selection together with its pick trace (explain_gateways; no
 /// production path records it).
 struct SelectionExplanation {
-  GatewaySelection selection;
+  /// The selection itself, as select_gateways returns it.
+  NodeSet gateways;
   /// Greedy trace, in pick order.
   std::vector<SelectionStep> steps;
   /// Pairs appended by phase 2 for leftover 3-hop targets.
@@ -87,21 +77,21 @@ struct SelectionScratch {
   graph::NodeBitset remaining2, remaining3, gateways;
 };
 
-/// Runs the selection process for clusterhead `head` against `targets`.
+/// Runs the selection process for clusterhead `head` against `targets`
+/// and returns every selected node: first-hop gateways plus second-hop
+/// via-nodes, sorted-unique. That is the GATEWAY message payload (static
+/// backbone) or the forward-node set F(u) (dynamic backbone).
 /// `targets.two_hop`/`targets.three_hop` must be subsets of the head's
 /// coverage set (callers pass the full coverage for the static backbone,
 /// a pruned copy for the dynamic one).
-GatewaySelection select_gateways(const graph::Graph& g,
-                                 const cluster::Clustering& c,
-                                 const NeighborTables& tables, NodeId head,
-                                 const Coverage& targets);
+NodeSet select_gateways(const graph::Graph& g, const cluster::Clustering& c,
+                        const NeighborTables& tables, NodeId head,
+                        const Coverage& targets);
 
 /// Same, reusing the caller's scratch across a loop over heads.
-GatewaySelection select_gateways(const graph::Graph& g,
-                                 const cluster::Clustering& c,
-                                 const NeighborTables& tables, NodeId head,
-                                 const Coverage& targets,
-                                 SelectionScratch& scratch);
+NodeSet select_gateways(const graph::Graph& g, const cluster::Clustering& c,
+                        const NeighborTables& tables, NodeId head,
+                        const Coverage& targets, SelectionScratch& scratch);
 
 /// Same selection plus the greedy's pick trace, from the same kernel.
 SelectionExplanation explain_gateways(const graph::Graph& g,
@@ -263,12 +253,12 @@ void select_gateways_local(const V& view, NodeId head, const Coverage& targets,
   for (auto it = appended; it != out.end(); ++it) gateways.reset(*it);
 }
 
-/// Checks that `selection` actually connects `head` to every target (each
-/// 2-hop target adjacent to a selected neighbor of head; each 3-hop target
-/// reached by a selected pair). Empty string when valid.
+/// Checks that the gateways `selection` actually connect `head` to every
+/// target (each 2-hop target adjacent to a selected neighbor of head; each
+/// 3-hop target reached by a selected pair). Empty string when valid.
 std::string validate_selection(const graph::Graph& g,
                                const cluster::Clustering& c, NodeId head,
                                const Coverage& targets,
-                               const GatewaySelection& selection);
+                               std::span<const NodeId> selection);
 
 }  // namespace manet::core

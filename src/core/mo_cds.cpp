@@ -23,7 +23,7 @@ MoCds build_mo_cds(const graph::Graph& g, const cluster::Clustering& c) {
     const auto neighbors = g.neighbors(h);
     // One connector per 2-hop head: the smallest-id neighbor adjacent to
     // the target.
-    for (NodeId w : mo.coverage[h].two_hop) {
+    for (NodeId w : mo.coverage.two_hop[h]) {
       NodeId pick = kInvalidNode;
       for (NodeId v : neighbors) {
         if (g.has_edge(v, w)) {
@@ -37,7 +37,7 @@ MoCds build_mo_cds(const graph::Graph& g, const cluster::Clustering& c) {
     }
     // One connector pair per 3-hop head: lexicographically smallest
     // (first-hop, second-hop) among the CH_HOP2 witnesses.
-    for (NodeId w : mo.coverage[h].three_hop) {
+    for (NodeId w : mo.coverage.three_hop[h]) {
       NodeId pick_v = kInvalidNode;
       NodeId pick_x = kInvalidNode;
       for (NodeId v : neighbors) {

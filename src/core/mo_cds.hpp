@@ -12,7 +12,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "cluster/lowest_id.hpp"
 #include "common/ids.hpp"
@@ -25,9 +24,9 @@ namespace manet::core {
 /// The materialized MO_CDS baseline.
 struct MoCds {
   cluster::Clustering clustering;
-  std::vector<Coverage> coverage;  ///< 3-hop coverage, indexed by node id
-  NodeSet connectors;              ///< all selected connector nodes
-  NodeSet cds;                     ///< clusterheads ∪ connectors
+  CoverageTable coverage;  ///< 3-hop coverage rows, indexed by node id
+  NodeSet connectors;      ///< all selected connector nodes
+  NodeSet cds;             ///< clusterheads ∪ connectors
 
   bool in_backbone(NodeId v) const { return contains_sorted(cds, v); }
 };

@@ -1,5 +1,6 @@
-// Packed variable-length rows: the storage behind the CH_HOP1/CH_HOP2
-// tables.
+// Packed variable-length rows: the storage behind every per-node list of
+// the backbone store (core::StaticBackbone) — the CH_HOP1/CH_HOP2 tables,
+// both coverage halves (C², C³) and the gateway selections.
 //
 // One element array holds every row end to end, and one (offset, length)
 // slot per row locates it. Copying or freeing a table is then a few

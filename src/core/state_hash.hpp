@@ -10,12 +10,14 @@
 // hop2(v) (its CH_HOP1/CH_HOP2 rows), coverage_two_hop(v),
 // coverage_three_hop(v) and selection(v) (empty off the heads).
 //
-// core::BackboneRef implements it over dense per-node vectors: a
-// StaticBackbone through its constructor, incr::IncrementalBackbone and
-// incr::IncrementalPipeline through view(). proto::MaintenanceEngine's
-// view() reads each node's own state. Every engine that claims to hold
-// the same structure must land on the same digest, so the fold's field
-// order and length prefixes are part of the contract.
+// core::BackboneRef implements it over the one backbone store,
+// StaticBackbone, and holds references only: a StaticBackbone through its
+// constructor, incr::IncrementalBackbone and incr::IncrementalPipeline
+// through view(), which hands out the store they keep whole, so taking it
+// copies and gathers nothing. proto::MaintenanceEngine's view() reads
+// each node's own state. Every engine that claims to hold the same
+// structure must land on the same digest, so the fold's field order and
+// length prefixes are part of the contract.
 #pragma once
 
 #include <algorithm>
@@ -23,35 +25,31 @@
 #include <span>
 #include <sstream>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "cluster/lowest_id.hpp"
 #include "common/ids.hpp"
 #include "core/coverage.hpp"
-#include "core/gateway_selection.hpp"
 #include "core/neighbor_tables.hpp"
+#include "core/row_table.hpp"
 #include "core/static_backbone.hpp"
 
 namespace manet::core {
 
-/// The backbone view over dense per-node vectors. It holds references to
-/// the clustering, tables, coverage and selections — build it in the
-/// expression that reads it, or over a named backbone — and the gateway
-/// union and the CDS by value, since an engine may derive those on read.
+/// The backbone view over a StaticBackbone's parts. It holds references
+/// only: build it in the expression that reads it, or over a named
+/// backbone.
 class BackboneRef {
  public:
   BackboneRef(const cluster::Clustering& clustering,
-              const NeighborTables& tables,
-              const std::vector<Coverage>& coverage,
-              const std::vector<GatewaySelection>& selection,
-              NodeSet gateways, NodeSet cds)
+              const NeighborTables& tables, const CoverageTable& coverage,
+              const RowTable<NodeId>& selection, const NodeSet& gateways,
+              const NodeSet& cds)
       : clustering_(clustering),
         tables_(tables),
         coverage_(coverage),
         selection_(selection),
-        gateways_(std::move(gateways)),
-        cds_(std::move(cds)) {}
+        gateways_(gateways),
+        cds_(cds) {}
   explicit BackboneRef(const StaticBackbone& b)
       : BackboneRef(b.clustering, b.tables, b.coverage, b.selection,
                     b.gateways, b.cds) {}
@@ -61,24 +59,22 @@ class BackboneRef {
   std::span<const NodeId> hop1(NodeId v) const { return tables_.ch_hop1[v]; }
   std::span<const Hop2Entry> hop2(NodeId v) const { return tables_.ch_hop2[v]; }
   std::span<const NodeId> coverage_two_hop(NodeId v) const {
-    return coverage_[v].two_hop;
+    return coverage_.two_hop[v];
   }
   std::span<const NodeId> coverage_three_hop(NodeId v) const {
-    return coverage_[v].three_hop;
+    return coverage_.three_hop[v];
   }
-  std::span<const NodeId> selection(NodeId v) const {
-    return selection_[v].gateways;
-  }
+  std::span<const NodeId> selection(NodeId v) const { return selection_[v]; }
   const NodeSet& gateways() const { return gateways_; }
   const NodeSet& cds() const { return cds_; }
 
  private:
   const cluster::Clustering& clustering_;
   const NeighborTables& tables_;
-  const std::vector<Coverage>& coverage_;
-  const std::vector<GatewaySelection>& selection_;
-  NodeSet gateways_;
-  NodeSet cds_;
+  const CoverageTable& coverage_;
+  const RowTable<NodeId>& selection_;
+  const NodeSet& gateways_;
+  const NodeSet& cds_;
 };
 
 /// FNV-1a folded over the 8 bytes of `v` (little-endian order).
@@ -129,15 +125,14 @@ std::uint64_t backbone_state_hash(const View& b) {
   return h;
 }
 
-/// The digest of a backbone given as its six parts.
+/// The digest of a backbone given as its six parts, the form
+/// perfbench/runner.cpp hashes an incr::IncrementalBackbone in.
 inline std::uint64_t backbone_state_hash(
     const cluster::Clustering& clustering, const NeighborTables& tables,
-    const std::vector<Coverage>& coverage,
-    const std::vector<GatewaySelection>& selection, NodeSet gateways,
-    NodeSet cds) {
-  return backbone_state_hash(BackboneRef(clustering, tables, coverage,
-                                         selection, std::move(gateways),
-                                         std::move(cds)));
+    const CoverageTable& coverage, const RowTable<NodeId>& selection,
+    const NodeSet& gateways, const NodeSet& cds) {
+  return backbone_state_hash(
+      BackboneRef(clustering, tables, coverage, selection, gateways, cds));
 }
 
 /// Field-by-field comparison of two backbone views: empty on bitwise

@@ -5,16 +5,20 @@
 // sets -> per-head gateway selection. Clusterheads plus all selected
 // gateways form a source-independent CDS; every broadcast floods over
 // exactly this set (see broadcast/si_cds_broadcast).
+//
+// StaticBackbone is the one store of that structure: the batch build
+// returns it, incr::IncrementalBackbone owns one and keeps it whole after
+// every tick, and the distributed run reports its nodes' state in it.
+// Every per-node list is a packed row (row_table.hpp).
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "cluster/lowest_id.hpp"
 #include "common/ids.hpp"
 #include "core/coverage.hpp"
-#include "core/gateway_selection.hpp"
 #include "core/neighbor_tables.hpp"
+#include "core/row_table.hpp"
 #include "graph/graph.hpp"
 
 namespace manet::core {
@@ -24,8 +28,8 @@ struct StaticBackbone {
   CoverageMode mode;
   cluster::Clustering clustering;
   NeighborTables tables;
-  std::vector<Coverage> coverage;              ///< indexed by node id
-  std::vector<GatewaySelection> selection{};   ///< indexed by node id (heads)
+  CoverageTable coverage;         ///< C² and C³ rows, indexed by node id
+  RowTable<NodeId> selection{};   ///< each head's gateways, by node id
   NodeSet gateways{};  ///< union of all selected gateways
   NodeSet cds{};       ///< clusterheads ∪ gateways — the SI-CDS
 
@@ -42,9 +46,11 @@ StaticBackbone build_static_backbone(const graph::Graph& g,
                                      const cluster::Clustering& c,
                                      CoverageMode mode);
 
-/// Verifies Theorem 1 obligations on a concrete instance: the CDS is a
-/// connected dominating set of g (for connected g) and every head's
-/// selection covers its whole coverage set. Empty string when valid.
+/// Verifies Theorem 1 obligations on a concrete instance: every head's
+/// selection covers its whole coverage set, and the CDS dominates g and
+/// induces exactly one connected piece per connected component of g (on
+/// a connected g: the CDS is a connected dominating set). Empty string
+/// when valid.
 std::string validate_static_backbone(const graph::Graph& g,
                                      const StaticBackbone& backbone);
 

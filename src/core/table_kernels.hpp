@@ -102,17 +102,20 @@ struct CoverageScratch {
   graph::NodeBitset two, three;
 };
 
-/// Coverage set C(head) = C²(head) ∪ C³(head) assembled from the table
-/// rows of head's neighbors (which must be current). `universe` sizes the
-/// scratch bitsets (pass the node count).
+/// Coverage set C(head) = C²(head) ∪ C³(head) into `cov` (both halves
+/// cleared first; their capacity is reused, so a loop over heads
+/// allocates once), assembled from the table rows of head's neighbors
+/// (which must be current). `universe` sizes the scratch bitsets (pass
+/// the node count).
 template <typename V>
-Coverage coverage_row(const V& view, NodeId head, std::size_t universe,
-                      CoverageScratch& scratch) {
+void coverage_row(const V& view, NodeId head, std::size_t universe,
+                  CoverageScratch& scratch, Coverage& cov) {
   if (scratch.two.capacity() < universe) {
     scratch.two = graph::NodeBitset(universe);
     scratch.three = graph::NodeBitset(universe);
   }
-  Coverage cov;
+  cov.two_hop.clear();
+  cov.three_hop.clear();
   // Collect membership in bitsets (O(1) insert, duplicates dropped by the
   // fresh-bit return of set()) and sort the harvested lists once, instead
   // of insert_sorted per report (O(k^2)). Harvesting on first insertion —
@@ -138,7 +141,6 @@ Coverage coverage_row(const V& view, NodeId head, std::size_t universe,
   // materialized sets list exactly the bits that were set.
   for (NodeId v : cov.two_hop) scratch.two.reset(v);
   for (NodeId v : cov.three_hop) scratch.three.reset(v);
-  return cov;
 }
 
 }  // namespace manet::core

@@ -108,28 +108,35 @@ bool is_maximal_independent_set(const Graph& g, const NodeSet& set) {
 }
 
 bool induces_connected_subgraph(const Graph& g, const NodeSet& set) {
-  if (set.size() <= 1) return true;
-  std::vector<char> in_set(g.order(), 0);
+  return induced_component_count(g, set) <= 1;
+}
+
+std::uint32_t induced_component_count(const Graph& g, const NodeSet& set) {
+  // 0 = outside the set, 1 = in the set and not yet reached, 2 = reached.
+  std::vector<char> state(g.order(), 0);
   for (NodeId v : set) {
     MANET_REQUIRE(v < g.order(), "set member out of range");
-    in_set[v] = 1;
+    state[v] = 1;
   }
-  std::vector<char> seen(g.order(), 0);
-  std::deque<NodeId> frontier{set.front()};
-  seen[set.front()] = 1;
-  std::size_t reached = 1;
-  while (!frontier.empty()) {
-    const NodeId u = frontier.front();
-    frontier.pop_front();
-    for (NodeId w : g.neighbors(u)) {
-      if (in_set[w] && !seen[w]) {
-        seen[w] = 1;
-        ++reached;
-        frontier.push_back(w);
+  std::uint32_t count = 0;
+  std::deque<NodeId> frontier;
+  for (NodeId root : set) {
+    if (state[root] != 1) continue;
+    ++count;
+    state[root] = 2;
+    frontier.push_back(root);
+    while (!frontier.empty()) {
+      const NodeId u = frontier.front();
+      frontier.pop_front();
+      for (NodeId w : g.neighbors(u)) {
+        if (state[w] == 1) {
+          state[w] = 2;
+          frontier.push_back(w);
+        }
       }
     }
   }
-  return reached == set.size();
+  return count;
 }
 
 bool is_connected_dominating_set(const Graph& g, const NodeSet& set) {

@@ -54,6 +54,10 @@ bool is_maximal_independent_set(const Graph& g, const NodeSet& set);
 /// The empty set and singletons count as connected.
 bool induces_connected_subgraph(const Graph& g, const NodeSet& set);
 
+/// Number of connected components of the subgraph induced by `set`
+/// (sorted-unique); 0 for the empty set.
+std::uint32_t induced_component_count(const Graph& g, const NodeSet& set);
+
 /// True if `set` is a connected dominating set of g.
 bool is_connected_dominating_set(const Graph& g, const NodeSet& set);
 

@@ -23,8 +23,14 @@ Graph read_edge_list(std::istream& in) {
                                 std::to_string(kMaxEdgeListOrder));
   GraphBuilder builder(order);
   NodeId u, v;
-  while (in >> u >> v) builder.edge(u, v);  // builder validates endpoints
-  if (!in.eof() && in.fail())
+  while (in >> u) {
+    // An edge with one endpoint is truncated input, not the end of it.
+    if (!(in >> v))
+      throw std::invalid_argument(
+          "edge list: edge line lacks a second endpoint");
+    builder.edge(u, v);  // builder validates endpoints
+  }
+  if (!in.eof())
     throw std::invalid_argument("edge list: malformed edge line");
   return builder.build();
 }

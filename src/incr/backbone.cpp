@@ -6,6 +6,7 @@
 
 #include "common/assert.hpp"
 #include "core/table_kernels.hpp"
+#include "graph/bitset.hpp"
 #include "incr/delta_tracker.hpp"
 #include "incr/worker_pool.hpp"
 #include "obs/session.hpp"
@@ -28,17 +29,48 @@ struct ChangedRows {
     data.insert(data.end(), row.begin(), row.end());
     ends.push_back(data.size());
   }
-  /// Assigns every row into `table`, appending the ids to `changed`.
-  void commit(core::RowTable<T>& table, NodeSet& changed) const {
+  /// Assigns every row into `table`, appending the ids to `changed`
+  /// when given.
+  void commit(core::RowTable<T>& table, NodeSet* changed = nullptr) const {
     std::size_t begin = 0;
     for (std::size_t k = 0; k < nodes.size(); ++k) {
       table.assign(nodes[k], std::span<const T>(data).subspan(
                                  begin, ends[k] - begin));
       begin = ends[k];
-      changed.push_back(nodes[k]);
+      if (changed != nullptr) changed->push_back(nodes[k]);
     }
   }
 };
+
+/// Membership flips (v, now a member) of one chunk, ascending.
+using Flips = std::vector<std::pair<NodeId, bool>>;
+
+/// Applies the chunks' flips, in chunk order one ascending sequence, to
+/// the sorted set `set` by one merge walk into `buf`, which then swaps
+/// with `set`: the two vectors trade places and keep their capacity, so a
+/// tick allocates nothing once both have grown. Returns the flip count.
+std::size_t merge_flips(NodeSet& set, const std::vector<Flips>& chunks,
+                        NodeSet& buf) {
+  buf.clear();
+  auto it = set.begin();
+  std::size_t count = 0;
+  for (const Flips& flips : chunks) {
+    for (const auto& [v, member] : flips) {
+      while (it != set.end() && *it < v) buf.push_back(*it++);
+      if (member) {
+        buf.push_back(v);
+      } else {
+        MANET_ASSERT(it != set.end() && *it == v, "flip of a non-member");
+        ++it;
+      }
+    }
+    count += flips.size();
+  }
+  if (count == 0) return 0;
+  buf.insert(buf.end(), it, set.end());
+  set.swap(buf);
+  return count;
+}
 
 /// Accumulates a sorted-unique dirty set via closed neighborhoods.
 class DirtySet {
@@ -119,24 +151,12 @@ void IncrementalBackbone::flush_trace() {
 }
 
 IncrementalBackbone::IncrementalBackbone(const graph::DynamicAdjacency& g,
-                                         core::CoverageMode mode) {
-  // One batch build seeds every cache; ticks only repair from here on.
-  auto full = core::build_static_backbone(g.freeze(), mode);
-  clustering_ = std::move(full.clustering);
-  tables_ = std::move(full.tables);
-  coverage_ = std::move(full.coverage);
-  selection_ = std::move(full.selection);
-
-  const std::size_t n = g.order();
-  selection_refs_.assign(n, 0);
-  cds_bits_ = graph::NodeBitset(n);
-  for (const NodeId h : clustering_.heads) {
-    cds_bits_.set(h);
-    for (const NodeId v : selection_[h].gateways) {
-      ++selection_refs_[v];
-      cds_bits_.set(v);
-    }
-  }
+                                         core::CoverageMode mode)
+    // One batch build seeds the store; ticks only repair it from here on.
+    : backbone_(core::build_static_backbone(g.freeze(), mode)),
+      selection_refs_(g.order(), 0) {
+  for (const NodeId h : backbone_.clustering.heads)
+    for (const NodeId v : backbone_.selection[h]) ++selection_refs_[v];
 }
 
 void IncrementalBackbone::set_obs(obs::Session* session) {
@@ -174,41 +194,56 @@ void IncrementalBackbone::apply_gateway_ref(GatewayRef ref,
 }
 
 void IncrementalBackbone::clear_head_rows(NodeId v, NodeSet& cds_candidates) {
-  for (const NodeId w : selection_[v].gateways)
+  for (const NodeId w : backbone_.selection[v])
     apply_gateway_ref({w, false}, cds_candidates);
-  selection_[v] = core::GatewaySelection{};
-  coverage_[v] = core::Coverage{};
+  backbone_.selection.assign(v, {});
+  backbone_.coverage.assign(v, core::Coverage{});
 }
 
+struct IncrementalBackbone::HeadRows {
+  ChangedRows<NodeId> two_hop, three_hop, selection;
+  std::vector<GatewayRef> refs;
+
+  /// Assigns every changed row into `b`, in the order the rows were added.
+  void commit(core::StaticBackbone& b) const {
+    two_hop.commit(b.coverage.two_hop);
+    three_hop.commit(b.coverage.three_hop);
+    selection.commit(b.selection);
+  }
+};
+
 bool IncrementalBackbone::reselect_head(const graph::DynamicAdjacency& g,
-                                        NodeId h,
-                                        core::CoverageScratch& scratch,
-                                        core::SelectionScratch& sel_scratch,
-                                        std::vector<GatewayRef>& refs) {
-  const core::TablesView<graph::DynamicAdjacency> view{g, clustering_,
-                                                       tables_};
-  core::Coverage cov = core::coverage_row(view, h, g.order(), scratch);
-  core::GatewaySelection sel;
-  core::select_gateways_local(view, h, cov, sel_scratch, sel.gateways);
+                                        NodeId h, LaneScratch& lane,
+                                        HeadRows& out) const {
+  const core::TablesView<graph::DynamicAdjacency> view{
+      g, backbone_.clustering, backbone_.tables};
+  core::coverage_row(view, h, g.order(), lane.cov_bits, lane.cov);
+  lane.sel.clear();
+  core::select_gateways_local(view, h, lane.cov, lane.sel_bits, lane.sel);
   // Both gateway lists are sorted: one merge walk yields old \ new as
   // releases and new \ old as new references.
-  const NodeSet& before = selection_[h].gateways;
-  const NodeSet& after = sel.gateways;
+  const std::span<const NodeId> before = backbone_.selection[h];
+  const NodeSet& after = lane.sel;
   std::size_t i = 0;
   std::size_t j = 0;
   while (i < before.size() || j < after.size()) {
     if (j == after.size() || (i < before.size() && before[i] < after[j])) {
-      refs.push_back({before[i++], false});
+      out.refs.push_back({before[i++], false});
     } else if (i == before.size() || after[j] < before[i]) {
-      refs.push_back({after[j++], true});
+      out.refs.push_back({after[j++], true});
     } else {
       ++i;
       ++j;
     }
   }
-  selection_[h] = std::move(sel);
-  const bool coverage_changed = !(cov == coverage_[h]);
-  coverage_[h] = std::move(cov);
+  if (!std::ranges::equal(before, after)) out.selection.add(h, after);
+  const bool coverage_changed =
+      !std::ranges::equal(lane.cov.two_hop, backbone_.coverage.two_hop[h]) ||
+      !std::ranges::equal(lane.cov.three_hop, backbone_.coverage.three_hop[h]);
+  if (coverage_changed) {
+    out.two_hop.add(h, lane.cov.two_hop);
+    out.three_hop.add(h, lane.cov.three_hop);
+  }
   return coverage_changed;
 }
 
@@ -216,7 +251,9 @@ TickStats IncrementalBackbone::apply(const graph::DynamicAdjacency& g,
                                      const EdgeDelta& delta,
                                      const RegionPartition* partition,
                                      WorkerPool* pool) {
-  MANET_REQUIRE(g.order() == clustering_.head_of.size(),
+  cluster::Clustering& clustering = backbone_.clustering;
+  core::NeighborTables& tables = backbone_.tables;
+  MANET_REQUIRE(g.order() == clustering.head_of.size(),
                 "adjacency does not match the maintained state");
   ++ticks_applied_;
   obs::TraceRecorder* tr = obs_ ? &obs_->trace : nullptr;
@@ -230,7 +267,6 @@ TickStats IncrementalBackbone::apply(const graph::DynamicAdjacency& g,
 
   const std::size_t lanes = pool != nullptr ? pool->lanes() : 1;
   if (lane_scratch_.size() < lanes) lane_scratch_.resize(lanes);
-  if (lane_sel_scratch_.size() < lanes) lane_sel_scratch_.resize(lanes);
   const auto run = [pool](std::size_t jobs, const WorkerPool::Job& fn) {
     if (pool != nullptr) {
       pool->run(jobs, fn);
@@ -282,7 +318,7 @@ TickStats IncrementalBackbone::apply(const graph::DynamicAdjacency& g,
       const EdgeDelta& region =
           partition != nullptr ? partition->deltas[r] : delta;
       timed(lane, "region_repair", region.link_changes(), [&] {
-        reps[r] = repair_clustering_region(g, region, clustering_);
+        reps[r] = repair_clustering_region(g, region, clustering);
       });
     });
     // Merge in region order: churn sums, and the per-region sorted sets
@@ -303,8 +339,8 @@ TickStats IncrementalBackbone::apply(const graph::DynamicAdjacency& g,
     normalize(rep.declared);
     normalize(rep.head_changed);
     if (!rep.resigned.empty() || !rep.declared.empty())
-      clustering_.heads = set_union(
-          set_difference(clustering_.heads, rep.resigned), rep.declared);
+      clustering.heads = set_union(
+          set_difference(clustering.heads, rep.resigned), rep.declared);
 
     // --- Roles against the final head_of, in sorted chunks: chunk c
     // writes roles of its own slice only, and the per-chunk changed
@@ -315,7 +351,7 @@ TickStats IncrementalBackbone::apply(const graph::DynamicAdjacency& g,
     std::vector<NodeSet> role_changed(chunks.size());
     run(chunks.size(), [&](std::size_t ci, std::size_t lane) {
       timed(lane, "role_chunk", chunks[ci].second, [&] {
-        refresh_roles(g, clustering_,
+        refresh_roles(g, clustering,
                       std::span<const NodeId>(role_dirty)
                           .subspan(chunks[ci].first, chunks[ci].second),
                       role_changed[ci]);
@@ -358,18 +394,18 @@ TickStats IncrementalBackbone::apply(const graph::DynamicAdjacency& g,
     run(chunks.size(), [&](std::size_t ci, std::size_t lane) {
       timed(lane, "hop1_chunk", chunks[ci].second, [&] {
         const auto [begin, count] = chunks[ci];
-        const core::TablesView<graph::DynamicAdjacency> view{g, clustering_,
-                                                             tables_};
+        const core::TablesView<graph::DynamicAdjacency> view{g, clustering,
+                                                             tables};
         NodeSet row;
         for (std::size_t i = begin; i < begin + count; ++i) {
           const NodeId v = hop1_dirty[i];
           core::hop1_row(view, v, row);
-          if (!std::ranges::equal(row, tables_.ch_hop1[v]))
+          if (!std::ranges::equal(row, tables.ch_hop1[v]))
             changed[ci].add(v, row);
         }
       });
     });
-    for (const auto& part : changed) part.commit(tables_.ch_hop1, hop1_changed);
+    for (const auto& part : changed) part.commit(tables.ch_hop1, &hop1_changed);
     flush_spans();
   }
   obs_handles_.hop1_rows_scanned.add(hop1_dirty.size());
@@ -395,18 +431,18 @@ TickStats IncrementalBackbone::apply(const graph::DynamicAdjacency& g,
     run(chunks.size(), [&](std::size_t ci, std::size_t lane) {
       timed(lane, "hop2_chunk", chunks[ci].second, [&] {
         const auto [begin, count] = chunks[ci];
-        const core::TablesView<graph::DynamicAdjacency> view{g, clustering_,
-                                                             tables_};
+        const core::TablesView<graph::DynamicAdjacency> view{g, clustering,
+                                                             tables};
         std::vector<core::Hop2Entry> row;
         for (std::size_t i = begin; i < begin + count; ++i) {
           const NodeId v = hop2_dirty[i];
-          core::hop2_row(view, tables_.mode, v, row);
-          if (!std::ranges::equal(row, tables_.ch_hop2[v]))
+          core::hop2_row(view, tables.mode, v, row);
+          if (!std::ranges::equal(row, tables.ch_hop2[v]))
             changed[ci].add(v, row);
         }
       });
     });
-    for (const auto& part : changed) part.commit(tables_.ch_hop2, changed_rows);
+    for (const auto& part : changed) part.commit(tables.ch_hop2, &changed_rows);
     flush_spans();
   }
   obs_handles_.hop2_rows_scanned.add(hop2_dirty.size());
@@ -422,13 +458,13 @@ TickStats IncrementalBackbone::apply(const graph::DynamicAdjacency& g,
   // (touched), just declared, or sits next to a row that actually
   // changed. Everything else keeps its cached coverage and selection
   // verbatim — bit-identical to the full rebuild because the inputs are
-  // proven identical. Chunk c installs its heads' rows in place (no head
-  // reads another head's rows) and hands back the gateway refcount
-  // changes, which the caller applies in chunk order: ascending heads.
+  // proven identical. Chunk c hands back its heads' changed rows and
+  // gateway refcount changes (no head reads another head's rows), which
+  // the caller commits in chunk order: ascending heads.
   graph::NodeBitset head_dirty(g.order());
   NodeSet recompute;
   const auto mark = [&](NodeId v) {
-    if (clustering_.is_head(v) && head_dirty.set(v)) recompute.push_back(v);
+    if (clustering.is_head(v) && head_dirty.set(v)) recompute.push_back(v);
   };
   for (const NodeId v : delta.touched) mark(v);
   for (const NodeId v : rep.declared) mark(v);
@@ -445,16 +481,15 @@ TickStats IncrementalBackbone::apply(const graph::DynamicAdjacency& g,
     StageSpan span(tr, trace_buf_, "head_reselect", ticks_applied_, "heads");
     span.set_arg(recompute.size());
     const auto chunks = plan_chunks(recompute.size(), lanes);
-    std::vector<std::vector<GatewayRef>> refs(chunks.size());
+    std::vector<HeadRows> rows(chunks.size());
     std::vector<std::size_t> coverage_changes(chunks.size(), 0);
     run(chunks.size(), [&](std::size_t ci, std::size_t lane) {
       timed(lane, "head_chunk", chunks[ci].second, [&] {
         const auto [begin, count] = chunks[ci];
         for (std::size_t i = begin; i < begin + count; ++i) {
           const NodeId h = recompute[i];
-          const bool changed = reselect_head(g, h, lane_scratch_[lane],
-                                             lane_sel_scratch_[lane],
-                                             refs[ci]);
+          const bool changed =
+              reselect_head(g, h, lane_scratch_[lane], rows[ci]);
           // A fresh head's coverage counts as changed.
           if (changed || contains_sorted(rep.declared, h))
             ++coverage_changes[ci];
@@ -463,14 +498,15 @@ TickStats IncrementalBackbone::apply(const graph::DynamicAdjacency& g,
     });
     for (std::size_t ci = 0; ci < chunks.size(); ++ci) {
       stats.coverage_changes += coverage_changes[ci];
-      for (const GatewayRef ref : refs[ci])
+      rows[ci].commit(backbone_);
+      for (const GatewayRef ref : rows[ci].refs)
         apply_gateway_ref(ref, cds_candidates);
     }
     // Resignations leave stale head rows behind; release their reference
     // counts (guard against a same-tick re-declaration, which rule 2 makes
     // impossible today but cheap to stay safe against).
     for (const NodeId v : rep.resigned)
-      if (!clustering_.is_head(v)) clear_head_rows(v, cds_candidates);
+      if (!clustering.is_head(v)) clear_head_rows(v, cds_candidates);
     flush_spans();
   }
   stats.heads_reselected = recompute.size();
@@ -478,66 +514,39 @@ TickStats IncrementalBackbone::apply(const graph::DynamicAdjacency& g,
   obs_handles_.coverage_changes.add(stats.coverage_changes);
 
   // --- CDS settling for every node whose head status or selection
-  // reference count moved this tick: membership is a pure read of
-  // head_of/selection_refs_/cds_bits_ (all frozen here), so chunks
-  // over the sorted candidate set buffer their flips and the caller
-  // applies them in chunk order — one ascending flip sequence.
+  // reference count moved this tick. A node is a gateway iff some head
+  // selects it and in the CDS iff it is also or instead a head; both are
+  // pure reads of head_of, selection_refs_ and the sorted sets (all
+  // frozen here), so chunks over the sorted candidate set buffer their
+  // flips and the caller merges them in chunk order — one ascending flip
+  // sequence per set.
   normalize(cds_candidates);
   {
     StageSpan span(tr, trace_buf_, "cds_settle", ticks_applied_, "candidates");
     span.set_arg(cds_candidates.size());
     const auto chunks = plan_chunks(cds_candidates.size(), lanes);
-    std::vector<std::vector<std::pair<NodeId, bool>>> flips(chunks.size());
+    std::vector<Flips> gateway_flips(chunks.size());
+    std::vector<Flips> cds_flips(chunks.size());
     run(chunks.size(), [&](std::size_t ci, std::size_t lane) {
       timed(lane, "cds_chunk", chunks[ci].second, [&] {
         const auto [begin, count] = chunks[ci];
         for (std::size_t i = begin; i < begin + count; ++i) {
           const NodeId v = cds_candidates[i];
-          const bool member =
-              clustering_.is_head(v) || selection_refs_[v] > 0;
-          if (member != cds_bits_.test(v)) flips[ci].emplace_back(v, member);
+          const bool gateway = selection_refs_[v] > 0;
+          const bool member = gateway || clustering.is_head(v);
+          if (gateway != contains_sorted(backbone_.gateways, v))
+            gateway_flips[ci].emplace_back(v, gateway);
+          if (member != contains_sorted(backbone_.cds, v))
+            cds_flips[ci].emplace_back(v, member);
         }
       });
     });
-    for (const auto& part : flips)
-      for (const auto& [v, member] : part) {
-        ++stats.backbone_changes;
-        if (member)
-          cds_bits_.set(v);
-        else
-          cds_bits_.reset(v);
-      }
+    merge_flips(backbone_.gateways, gateway_flips, merge_buf_);
+    stats.backbone_changes = merge_flips(backbone_.cds, cds_flips, merge_buf_);
     flush_spans();
   }
   obs_handles_.backbone_flips.add(stats.backbone_changes);
   return stats;
-}
-
-NodeSet IncrementalBackbone::gateways() const {
-  NodeSet out;
-  cds_bits_.for_each([&](NodeId v) {
-    if (!clustering_.is_head(v)) out.push_back(v);
-  });
-  return out;
-}
-
-NodeSet IncrementalBackbone::cds() const { return cds_bits_.to_node_set(); }
-
-core::StaticBackbone IncrementalBackbone::materialize() const {
-  core::StaticBackbone b;
-  b.mode = tables_.mode;
-  b.clustering = clustering_;
-  b.tables = tables_;
-  b.coverage = coverage_;
-  b.selection = selection_;
-  b.gateways = gateways();
-  b.cds = cds();
-  return b;
-}
-
-core::BackboneRef IncrementalBackbone::view() const {
-  return core::BackboneRef(clustering_, tables_, coverage_, selection_,
-                           gateways(), cds());
 }
 
 }  // namespace manet::incr

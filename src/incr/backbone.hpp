@@ -26,8 +26,14 @@
 // from-scratch core::build_static_backbone over the current topology and
 // clustering (asserted by the pipeline's oracle mode and the
 // equivalence tests).
-// The CDS itself is maintained with per-node selection reference counts,
-// so membership materialization never rescans the selections.
+//
+// The maintained state is one core::StaticBackbone, kept whole after
+// every apply(): its packed rows are rewritten in ascending node order by
+// the caller of each stage, and its sorted gateway union and CDS by a
+// merge of the tick's membership flips, decided from per-node selection
+// reference counts, so settling never rescans the selections. view()
+// therefore reads the store as it is, and materialize() copies its
+// arrays.
 #pragma once
 
 #include <cstdint>
@@ -39,10 +45,10 @@
 #include "core/coverage.hpp"
 #include "core/gateway_selection.hpp"
 #include "core/neighbor_tables.hpp"
+#include "core/row_table.hpp"
 #include "core/state_hash.hpp"
 #include "core/static_backbone.hpp"
 #include "core/table_kernels.hpp"
-#include "graph/bitset.hpp"
 #include "graph/dynamic_adjacency.hpp"
 #include "incr/cluster_repair.hpp"
 #include "incr/edge_delta.hpp"
@@ -123,27 +129,25 @@ class IncrementalBackbone {
   /// (atomic adds commute).
   void flush_trace();
 
-  core::CoverageMode mode() const { return tables_.mode; }
-  const cluster::Clustering& clustering() const { return clustering_; }
-  const core::NeighborTables& tables() const { return tables_; }
-  const std::vector<core::Coverage>& coverage() const { return coverage_; }
-  const std::vector<core::GatewaySelection>& selection() const {
-    return selection_;
+  const cluster::Clustering& clustering() const {
+    return backbone_.clustering;
   }
+  const core::NeighborTables& tables() const { return backbone_.tables; }
+  const core::CoverageTable& coverage() const { return backbone_.coverage; }
+  const core::RowTable<NodeId>& selection() const {
+    return backbone_.selection;
+  }
+  /// Union of all selected gateways, sorted.
+  const NodeSet& gateways() const { return backbone_.gateways; }
+  /// The SI-CDS: clusterheads ∪ gateways, sorted.
+  const NodeSet& cds() const { return backbone_.cds; }
 
-  /// Union of all selected gateways, materialized from the maintained
-  /// membership bitset.
-  NodeSet gateways() const;
+  /// A copy of the maintained store.
+  core::StaticBackbone materialize() const { return backbone_; }
 
-  /// The SI-CDS: clusterheads ∪ gateways.
-  NodeSet cds() const;
-
-  /// Copies the maintained state into the batch StaticBackbone shape.
-  core::StaticBackbone materialize() const;
-
-  /// The backbone view (core/state_hash.hpp) over the maintained state,
-  /// with gateways() and cds() read once off the membership bitset.
-  core::BackboneRef view() const;
+  /// The backbone view (core/state_hash.hpp) over the maintained store
+  /// as it stands: spans read through it last until the next apply().
+  core::BackboneRef view() const { return core::BackboneRef(backbone_); }
 
  private:
   /// Pre-resolved metric handles (inert when no session is attached).
@@ -162,36 +166,42 @@ class IncrementalBackbone {
     bool added;
   };
 
-  /// Recomputes head h's coverage and gateway selection and installs
-  /// both in place, appending h's gateway reference changes to `refs`;
-  /// returns whether the coverage changed. Reads g, the table rows and
-  /// the clustering, writes coverage_[h] and selection_[h] only — so
-  /// distinct heads may run concurrently on per-lane scratches.
+  /// Per-lane kernel scratches and row buffers, reused across heads.
+  struct LaneScratch {
+    core::CoverageScratch cov_bits;
+    core::SelectionScratch sel_bits;
+    core::Coverage cov;
+    NodeSet sel;
+  };
+
+  /// What one reselect chunk hands back: the coverage and selection rows
+  /// that changed (a RowTable takes no concurrent writes; the caller
+  /// commits them in chunk order) and the gateway reference changes.
+  struct HeadRows;
+
+  /// Recomputes head h's coverage and gateway selection, appending the
+  /// rows that changed and h's gateway reference changes to `out`;
+  /// returns whether the coverage changed. Reads g and the store only —
+  /// so distinct heads may run concurrently on per-lane scratches.
   bool reselect_head(const graph::DynamicAdjacency& g, NodeId h,
-                     core::CoverageScratch& scratch,
-                     core::SelectionScratch& sel_scratch,
-                     std::vector<GatewayRef>& refs);
+                     LaneScratch& lane, HeadRows& out) const;
   /// Applies one reference change, queueing `v` for CDS settling when
   /// its count leaves or reaches zero.
   void apply_gateway_ref(GatewayRef ref, NodeSet& cds_candidates);
   void clear_head_rows(NodeId v, NodeSet& cds_candidates);
 
-  cluster::Clustering clustering_;
-  core::NeighborTables tables_;
-  std::vector<core::Coverage> coverage_;
-  std::vector<core::GatewaySelection> selection_;
+  core::StaticBackbone backbone_;
   /// selection_refs_[v] = number of heads whose selection contains v.
   std::vector<std::uint32_t> selection_refs_;
-  /// {v : head_of[v] == v} ∪ {v : selection_refs_[v] > 0}
-  graph::NodeBitset cds_bits_;
+  /// Reused by the CDS-settle merges of the gateway union and the CDS.
+  NodeSet merge_buf_;
   obs::Session* obs_ = nullptr;
   ObsHandles obs_handles_;
   std::vector<TraceSpanRec> trace_buf_;
   std::uint64_t ticks_applied_ = 0;  ///< trace span "tick" argument
-  /// Reusable coverage + selection bitsets, one per pool lane (grown by
-  /// apply() to the lane count of the pool it is handed).
-  std::vector<core::CoverageScratch> lane_scratch_;
-  std::vector<core::SelectionScratch> lane_sel_scratch_;
+  /// One per pool lane (grown by apply() to the lane count of the pool
+  /// it is handed).
+  std::vector<LaneScratch> lane_scratch_;
 };
 
 }  // namespace manet::incr

@@ -41,8 +41,9 @@ struct BackboneNode::View {
   }
 };
 
-BackboneNode::BackboneNode(NodeId id, core::CoverageMode mode)
-    : id_(id), mode_(mode) {}
+BackboneNode::BackboneNode(NodeId id, core::CoverageMode mode,
+                           std::size_t order)
+    : id_(id), mode_(mode), order_(order) {}
 
 void BackboneNode::start(Mailbox& out) { out.send(HelloMsg{}); }
 
@@ -141,20 +142,13 @@ void BackboneNode::try_select(Mailbox& out) {
       hop2_received_.size() != neighbors_.size())
     return;
 
-  for (const auto& received : hop1_received_)
-    for (NodeId w : received.second)
-      if (w != id_) insert_sorted(coverage_.two_hop, w);
-  for (const auto& received : hop2_received_)
-    for (const auto& e : received.second)
-      if (e.head != id_ && !contains_sorted(coverage_.two_hop, e.head))
-        insert_sorted(coverage_.three_hop, e.head);
-
+  const View view{*this};
+  core::CoverageScratch cov_scratch;
+  core::coverage_row(view, id_, order_, cov_scratch, coverage_);
   core::SelectionScratch scratch;
-  core::select_gateways_local(View{*this}, id_, coverage_, scratch,
-                              selection_.gateways);
+  core::select_gateways_local(view, id_, coverage_, scratch, selection_);
   selected_sent_ = true;
-  if (!selection_.gateways.empty())
-    out.send(GatewayMsg{id_, selection_.gateways, 2});
+  if (!selection_.empty()) out.send(GatewayMsg{id_, selection_, 2});
 }
 
 NodeSet BackboneNode::select_for_broadcast(
@@ -232,8 +226,8 @@ bool BackboneNode::done() const {
 
 DistributedRun run_distributed_backbone(const graph::Graph& g,
                                         core::CoverageMode mode) {
-  Simulator sim(g, [mode](NodeId v) {
-    return std::make_unique<BackboneNode>(v, mode);
+  Simulator sim(g, [mode, n = g.order()](NodeId v) {
+    return std::make_unique<BackboneNode>(v, mode, n);
   });
   DistributedRun run;
   run.rounds = sim.run();
@@ -247,8 +241,8 @@ DistributedRun run_distributed_backbone(const graph::Graph& g,
   b.clustering.roles.assign(n, cluster::Role::kOrdinary);
   b.tables = {mode, core::RowTable<NodeId>(n),
               core::RowTable<core::Hop2Entry>(n)};
-  b.coverage.resize(n);
-  b.selection.resize(n);
+  b.coverage = {core::RowTable<NodeId>(n), core::RowTable<NodeId>(n)};
+  b.selection = core::RowTable<NodeId>(n);
 
   for (NodeId v = 0; v < n; ++v) {
     const auto& node = dynamic_cast<const BackboneNode&>(sim.process(v));
@@ -257,9 +251,9 @@ DistributedRun run_distributed_backbone(const graph::Graph& g,
     if (node.is_head()) {
       b.clustering.heads.push_back(v);
       b.clustering.roles[v] = cluster::Role::kClusterhead;
-      b.coverage[v] = node.coverage();
-      b.selection[v] = node.selection();
-      for (NodeId w : node.selection().gateways) insert_sorted(b.gateways, w);
+      b.coverage.assign(v, node.coverage());
+      b.selection.assign(v, node.selection());
+      for (NodeId w : node.selection()) insert_sorted(b.gateways, w);
     } else {
       b.tables.ch_hop1.assign(v, node.sent_hop1());
       b.tables.ch_hop2.assign(v, node.sent_hop2());
@@ -286,8 +280,8 @@ DistributedBroadcast run_distributed_broadcast(const graph::Graph& g,
                                                core::CoverageMode mode,
                                                NodeId source) {
   MANET_REQUIRE(source < g.order(), "source out of range");
-  Simulator sim(g, [mode](NodeId v) {
-    return std::make_unique<BackboneNode>(v, mode);
+  Simulator sim(g, [mode, n = g.order()](NodeId v) {
+    return std::make_unique<BackboneNode>(v, mode, n);
   });
   sim.run();  // construction phase to quiescence
 

@@ -19,9 +19,9 @@
 //                     forward the GATEWAY message while TTL remains.
 //
 // Phases 3-5 run the shared core kernels (core::hop1_row,
-// core::hop2_row, the greedy) over the node's kernel view of what it
-// received, so every row and selection is computed as the batch path
-// computes it.
+// core::hop2_row, core::coverage_row, the greedy) over the node's kernel
+// view of what it received, so every row, coverage set and selection is
+// computed as the batch path computes it.
 //
 // The integration tests assert that the emergent clustering, tables,
 // coverage sets, selections and backbone equal the centralized reference
@@ -45,7 +45,9 @@ namespace manet::net {
 /// One node of the distributed protocol.
 class BackboneNode final : public NodeProcess {
  public:
-  BackboneNode(NodeId id, core::CoverageMode mode);
+  /// Node `id` of a network of `order` nodes (the id range sizes the
+  /// coverage kernel's scratch).
+  BackboneNode(NodeId id, core::CoverageMode mode, std::size_t order);
 
   // NodeProcess interface.
   void start(Mailbox& out) override;
@@ -60,7 +62,7 @@ class BackboneNode final : public NodeProcess {
   const NodeSet& sent_hop1() const { return my_hop1_; }
   const std::vector<core::Hop2Entry>& sent_hop2() const { return my_hop2_; }
   const core::Coverage& coverage() const { return coverage_; }
-  const core::GatewaySelection& selection() const { return selection_; }
+  const NodeSet& selection() const { return selection_; }
   bool in_backbone() const { return is_head() || gateway_flag_; }
 
   // ---- Data-broadcast phase (SD-CDS, paper §3) ----
@@ -85,6 +87,7 @@ class BackboneNode final : public NodeProcess {
 
   NodeId id_;
   core::CoverageMode mode_;
+  std::size_t order_;
 
   NodeSet neighbors_;
   bool neighbors_final_ = false;
@@ -102,7 +105,7 @@ class BackboneNode final : public NodeProcess {
   std::map<NodeId, std::vector<core::Hop2Entry>> hop2_received_;
 
   core::Coverage coverage_;
-  core::GatewaySelection selection_;
+  NodeSet selection_;
   bool selected_sent_ = false;
 
   bool gateway_flag_ = false;

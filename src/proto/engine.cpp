@@ -109,9 +109,9 @@ MaintenanceEngine::MaintenanceEngine(std::vector<geom::Point> positions,
   std::vector<HeadSeed> head_seed;  // parallel to clustering_.heads
   head_seed.reserve(clustering_.heads.size());
   for (const NodeId h : clustering_.heads)
-    head_seed.push_back({store_.intern_hop1(seed.coverage[h].two_hop),
-                         store_.intern_hop1(seed.coverage[h].three_hop),
-                         store_.intern_hop1(seed.selection[h].gateways)});
+    head_seed.push_back({store_.intern_hop1(seed.coverage.two_hop[h]),
+                         store_.intern_hop1(seed.coverage.three_hop[h]),
+                         store_.intern_hop1(seed.selection[h])});
   seed = core::StaticBackbone{};
 
   topo_ = std::make_unique<AdjacencyTopology>(tracker_.adjacency());

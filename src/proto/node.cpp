@@ -689,8 +689,8 @@ void MaintenanceNode::maybe_reselect(net::Mailbox& out) {
   if (inputs_this_round_) return;
 
   const View view{*this};
-  core::Coverage cov =
-      core::coverage_row(view, id_, universe_, scratch_->cov);
+  core::Coverage cov;
+  core::coverage_row(view, id_, universe_, scratch_->cov, cov);
   NodeSet sel;
   core::select_gateways_local(view, id_, cov, scratch_->sel, sel);
   const RowRef c2 = store_->intern_hop1(cov.two_hop);

@@ -110,18 +110,18 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(SimulatorInjectTest, InjectBeforeRunRejectsBadSource) {
   const auto g = graph::make_path(3);
-  Simulator sim(g, [](NodeId v) {
+  Simulator sim(g, [n = g.order()](NodeId v) {
     return std::make_unique<BackboneNode>(
-        v, CoverageMode::kTwoPointFiveHop);
+        v, CoverageMode::kTwoPointFiveHop, n);
   });
   EXPECT_THROW(sim.inject(5, HelloMsg{}), std::invalid_argument);
 }
 
 TEST(SimulatorInjectTest, ResumeAfterQuiescence) {
   const auto g = graph::make_path(5);
-  Simulator sim(g, [](NodeId v) {
+  Simulator sim(g, [n = g.order()](NodeId v) {
     return std::make_unique<BackboneNode>(
-        v, CoverageMode::kTwoPointFiveHop);
+        v, CoverageMode::kTwoPointFiveHop, n);
   });
   const auto construction_rounds = sim.run();
   EXPECT_GT(construction_rounds, 0u);
@@ -139,9 +139,9 @@ TEST(SimulatorInjectTest, ResumeAfterQuiescence) {
 
 TEST(SimulatorInjectTest, ResetBroadcastStateAllowsReuse) {
   const auto g = testing::paper_figure3_network();
-  Simulator sim(g, [](NodeId v) {
+  Simulator sim(g, [n = g.order()](NodeId v) {
     return std::make_unique<BackboneNode>(
-        v, CoverageMode::kTwoPointFiveHop);
+        v, CoverageMode::kTwoPointFiveHop, n);
   });
   sim.run();
   for (int round_trip = 0; round_trip < 3; ++round_trip) {
@@ -162,9 +162,9 @@ TEST(SimulatorInjectTest, ResetBroadcastStateAllowsReuse) {
 // per-broadcast state in between, and require full delivery each time.
 TEST(SimulatorInjectTest, SecondAndThirdSourcesDeliverAfterReset) {
   const auto g = testing::paper_figure3_network();
-  Simulator sim(g, [](NodeId v) {
+  Simulator sim(g, [n = g.order()](NodeId v) {
     return std::make_unique<BackboneNode>(
-        v, CoverageMode::kTwoPointFiveHop);
+        v, CoverageMode::kTwoPointFiveHop, n);
   });
   sim.run();
 
@@ -198,8 +198,9 @@ TEST(SimulatorInjectTest, SecondAndThirdSourcesDeliverAfterReset) {
 // the head) must both reconverge to full delivery after resets.
 TEST(SimulatorInjectTest, MixedHeadAndMemberSourcesReuseBackbone) {
   const auto g = testing::paper_figure3_network();
-  Simulator sim(g, [](NodeId v) {
-    return std::make_unique<BackboneNode>(v, CoverageMode::kThreeHop);
+  Simulator sim(g, [n = g.order()](NodeId v) {
+    return std::make_unique<BackboneNode>(v, CoverageMode::kThreeHop,
+                                          n);
   });
   sim.run();
 

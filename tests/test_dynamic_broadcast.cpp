@@ -132,7 +132,7 @@ TEST(DynamicEdgeCases, TriangleOfFigure5) {
 TEST(DynamicEdgeCases, RejectsBackboneOfAnotherSize) {
   const auto g = graph::make_path(9);
   auto truncated = build_static_backbone(g, CoverageMode::kTwoPointFiveHop);
-  truncated.coverage.resize(1);
+  truncated.coverage = {RowTable<NodeId>(1), RowTable<NodeId>(1)};
   EXPECT_THROW(dynamic_broadcast(g, truncated, 0), std::invalid_argument);
 
   const auto small = graph::make_path(5);

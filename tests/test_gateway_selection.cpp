@@ -18,29 +18,29 @@ class Figure3Selection : public ::testing::Test {
   cluster::Clustering c_ = cluster::lowest_id_clustering(g_);
   NeighborTables t_ =
       build_neighbor_tables(g_, c_, CoverageMode::kTwoPointFiveHop);
-  std::vector<Coverage> cov_ = build_all_coverage(g_, c_, t_);
 
-  GatewaySelection select(NodeId head) {
-    return select_gateways(g_, c_, t_, head, cov_[head]);
+  Coverage cov(NodeId head) { return build_coverage(g_, c_, t_, head); }
+  NodeSet select(NodeId head) {
+    return select_gateways(g_, c_, t_, head, cov(head));
   }
   SelectionExplanation explain(NodeId head) {
-    return explain_gateways(g_, c_, t_, head, cov_[head]);
+    return explain_gateways(g_, c_, t_, head, cov(head));
   }
 };
 
 TEST_F(Figure3Selection, Gateway1MatchesPaper) {
   // Paper: GATEWAY(1) = {6, 7} -> ours {5, 6}.
-  EXPECT_EQ(select(0).gateways, (NodeSet{5, 6}));
+  EXPECT_EQ(select(0), (NodeSet{5, 6}));
 }
 
 TEST_F(Figure3Selection, Gateway2MatchesPaper) {
   // Paper: GATEWAY(2) = {6, 8} -> ours {5, 7}.
-  EXPECT_EQ(select(1).gateways, (NodeSet{5, 7}));
+  EXPECT_EQ(select(1), (NodeSet{5, 7}));
 }
 
 TEST_F(Figure3Selection, Gateway3MatchesPaper) {
   // Paper: GATEWAY(3) = {7, 8, 9} -> ours {6, 7, 8}.
-  EXPECT_EQ(select(2).gateways, (NodeSet{6, 7, 8}));
+  EXPECT_EQ(select(2), (NodeSet{6, 7, 8}));
 }
 
 TEST_F(Figure3Selection, Gateway4UsesIndirectTieBreak) {
@@ -48,9 +48,9 @@ TEST_F(Figure3Selection, Gateway4UsesIndirectTieBreak) {
   // cover node 3 because node 9 can also indirectly cover node 1."
   // Ours: head 3 picks 8 (not 9) and via-node 4 -> GATEWAY(4)={5,9}
   // becomes {4, 8}.
-  EXPECT_EQ(select(3).gateways, (NodeSet{4, 8}));
+  EXPECT_EQ(select(3), (NodeSet{4, 8}));
   const auto ex = explain(3);
-  EXPECT_EQ(ex.selection.gateways, (NodeSet{4, 8}));
+  EXPECT_EQ(ex.gateways, (NodeSet{4, 8}));
   ASSERT_EQ(ex.steps.size(), 1u);
   EXPECT_EQ(ex.steps[0].gateway, 8u);
   EXPECT_EQ(ex.steps[0].direct_covered, (NodeSet{2}));
@@ -62,14 +62,14 @@ TEST_F(Figure3Selection, Gateway4UsesIndirectTieBreak) {
 
 TEST_F(Figure3Selection, SelectionsValidate) {
   for (NodeId h : c_.heads)
-    EXPECT_EQ(validate_selection(g_, c_, h, cov_[h], select(h)), "")
+    EXPECT_EQ(validate_selection(g_, c_, h, cov(h), select(h)), "")
         << "head " << h;
 }
 
 TEST_F(Figure3Selection, EmptyTargetsSelectNothing) {
-  EXPECT_TRUE(select_gateways(g_, c_, t_, 0, Coverage{}).gateways.empty());
+  EXPECT_TRUE(select_gateways(g_, c_, t_, 0, Coverage{}).empty());
   const auto ex = explain_gateways(g_, c_, t_, 0, Coverage{});
-  EXPECT_TRUE(ex.selection.gateways.empty());
+  EXPECT_TRUE(ex.gateways.empty());
   EXPECT_TRUE(ex.steps.empty());
 }
 
@@ -78,13 +78,13 @@ TEST_F(Figure3Selection, PrunedTargetsSelectSubset) {
   // from the paper's illustration) selects exactly node 8 (paper 9).
   Coverage pruned;
   pruned.two_hop = {3};
-  EXPECT_EQ(select_gateways(g_, c_, t_, 2, pruned).gateways, (NodeSet{8}));
+  EXPECT_EQ(select_gateways(g_, c_, t_, 2, pruned), (NodeSet{8}));
 }
 
 TEST_F(Figure3Selection, RejectsNonHead) {
-  EXPECT_THROW(select_gateways(g_, c_, t_, 9, cov_[2]),
+  EXPECT_THROW(select_gateways(g_, c_, t_, 9, cov(2)),
                std::invalid_argument);
-  EXPECT_THROW(explain_gateways(g_, c_, t_, 9, cov_[2]),
+  EXPECT_THROW(explain_gateways(g_, c_, t_, 9, cov(2)),
                std::invalid_argument);
 }
 
@@ -110,7 +110,7 @@ TEST(SelectionGreedyTest, PrefersLargerDirectCover) {
   EXPECT_EQ(ex.steps[0].gateway, 1u);
   EXPECT_EQ(ex.steps[0].direct_covered, (NodeSet{5, 6}));
   EXPECT_EQ(ex.steps[1].gateway, 2u);
-  EXPECT_EQ(select_gateways(g, c, t, 0, cov).gateways, (NodeSet{1, 2}));
+  EXPECT_EQ(select_gateways(g, c, t, 0, cov), (NodeSet{1, 2}));
 }
 
 TEST(SelectionGreedyTest, LeftoverThreeHopPairSelected) {
@@ -132,7 +132,7 @@ TEST(SelectionGreedyTest, LeftoverThreeHopPairSelected) {
   EXPECT_EQ(ex.leftover_pairs[0].first_hop, 4u);
   EXPECT_EQ(ex.leftover_pairs[0].second_hop, 5u);
   const auto sel = select_gateways(g, c, t, 0, cov);
-  EXPECT_EQ(sel.gateways, (NodeSet{4, 5}));
+  EXPECT_EQ(sel, (NodeSet{4, 5}));
   EXPECT_EQ(validate_selection(g, c, 0, cov, sel), "");
 }
 
@@ -152,7 +152,7 @@ TEST(SelectionGreedyTest, LeftoverPairPrefersReuse) {
   const auto sel = select_gateways(g, c, t, 0, cov);
   // Target 1 forces pair (5,6). Target 2 could use fresh pair (4,8) but
   // (5,7) reuses gateway 5.
-  EXPECT_EQ(sel.gateways, (NodeSet{5, 6, 7}));
+  EXPECT_EQ(sel, (NodeSet{5, 6, 7}));
   EXPECT_EQ(validate_selection(g, c, 0, cov, sel), "");
 }
 
@@ -188,7 +188,7 @@ TEST_P(SelectionSweep, EverySelectionCoversItsCoverageSet) {
     EXPECT_EQ(validate_selection(net->graph, c, h, cov, sel), "")
         << "head " << h;
     // Selected gateways are never clusterheads.
-    for (NodeId v : sel.gateways) EXPECT_FALSE(c.is_head(v));
+    for (NodeId v : sel) EXPECT_FALSE(c.is_head(v));
   }
 }
 
@@ -225,7 +225,6 @@ TEST_P(SelectionSweep, ExplainMatchesProductionOnPrunedTargets) {
   ASSERT_TRUE(net.has_value());
   const auto c = cluster::lowest_id_clustering(net->graph);
   const auto t = build_neighbor_tables(net->graph, c, mode);
-  const auto cov = build_all_coverage(net->graph, c, t);
   SelectionScratch scratch;
   const TablesView<graph::Graph> view{net->graph, c, t};
   NodeSet appended{kInvalidNode};  // shared by every call below
@@ -238,21 +237,21 @@ TEST_P(SelectionSweep, ExplainMatchesProductionOnPrunedTargets) {
     return kept;
   };
   for (NodeId h : c.heads) {
-    std::vector<Coverage> targets{cov[h]};
+    const Coverage cov = build_coverage(net->graph, c, t, h);
+    std::vector<Coverage> targets{cov};
     for (int k = 0; k < 4; ++k)
-      targets.push_back({subset(cov[h].two_hop), subset(cov[h].three_hop)});
+      targets.push_back({subset(cov.two_hop), subset(cov.three_hop)});
     for (const Coverage& target : targets) {
       const auto sel =
           select_gateways(net->graph, c, t, h, target, scratch);
       const auto ex = explain_gateways(net->graph, c, t, h, target);
-      EXPECT_EQ(sel.gateways, ex.selection.gateways) << "head " << h;
-      EXPECT_EQ(traced_gateways(ex), sel.gateways) << "head " << h;
+      EXPECT_EQ(sel, ex.gateways) << "head " << h;
+      EXPECT_EQ(traced_gateways(ex), sel) << "head " << h;
       EXPECT_EQ(validate_selection(net->graph, c, h, target, sel), "")
           << "head " << h;
 
       select_gateways_local(view, h, target, scratch, appended);
-      expected.insert(expected.end(), sel.gateways.begin(),
-                      sel.gateways.end());
+      expected.insert(expected.end(), sel.begin(), sel.end());
       ASSERT_EQ(appended, expected) << "head " << h;
       EXPECT_TRUE(scratch.remaining2.none()) << "head " << h;
       EXPECT_TRUE(scratch.remaining3.none()) << "head " << h;

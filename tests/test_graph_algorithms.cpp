@@ -102,6 +102,9 @@ TEST(InducedConnectedTest, Basics) {
   EXPECT_FALSE(induces_connected_subgraph(g, {0, 2}));
   EXPECT_TRUE(induces_connected_subgraph(g, {}));
   EXPECT_TRUE(induces_connected_subgraph(g, {3}));
+  EXPECT_EQ(induced_component_count(g, {}), 0u);
+  EXPECT_EQ(induced_component_count(g, {1, 2, 3}), 1u);
+  EXPECT_EQ(induced_component_count(g, {0, 2, 4}), 3u);
 }
 
 TEST(CdsTest, PathInteriorIsCds) {

@@ -469,6 +469,45 @@ TEST(PipelinedDeterminismTest, BackboneReadsWaitForDrain) {
   EXPECT_EQ(p.view().clustering().head_of.size(), n);
 }
 
+TEST(PipelinedDeterminismTest, MaintainedSetsMatchSelectionsAndViewIsTheStore) {
+  // The gateway union and the CDS are kept sorted by merging each tick's
+  // flips, not derived on read: after every tick they must equal what
+  // the selection rows and heads define, and the view must hand out the
+  // maintained sets themselves, not copies.
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    for (const std::size_t depth : {std::size_t{1}, std::size_t{2}}) {
+      Rng rng(818);
+      const std::size_t n = 300;
+      const double range = geom::range_for_average_degree(6.0, n, 100, 100);
+      const auto positions = random_layout(n, rng);
+      PipelineOptions opts;
+      opts.threads = threads;
+      opts.pipeline_depth = depth;
+      IncrementalPipeline p(positions, range, 100, 100, opts);
+      std::size_t flips = 0;
+      for (std::size_t t = 0; t < 48; ++t) {
+        for (int k = 0; k < 6; ++k)
+          p.stage_move(static_cast<NodeId>(rng.index(n)),
+                       {rng.uniform(0, 100), rng.uniform(0, 100)});
+        flips += p.tick().backbone_changes;
+        flips += p.drain().backbone_changes;
+        const IncrementalBackbone& b = p.backbone();
+        NodeSet selected;
+        for (const NodeId h : b.clustering().heads)
+          for (const NodeId v : b.selection()[h]) selected.push_back(v);
+        normalize(selected);
+        ASSERT_EQ(b.gateways(), selected)
+            << "threads " << threads << " depth " << depth << " tick " << t;
+        ASSERT_EQ(b.cds(), set_union(b.clustering().heads, b.gateways()))
+            << "threads " << threads << " depth " << depth << " tick " << t;
+        ASSERT_EQ(&p.view().gateways(), &b.gateways());
+        ASSERT_EQ(&p.view().cds(), &b.cds());
+      }
+      EXPECT_GT(flips, 0u) << "threads " << threads << " depth " << depth;
+    }
+  }
+}
+
 TEST(PipelinedDeterminismTest, ChurnPipelinedHashAndMetricsIdentical) {
   // run_churn at pipeline_depth 2, threads {1, 2, 8}: same final state
   // hash and same deterministic metric snapshot as the synchronous

@@ -51,6 +51,12 @@ TEST(EdgeListIoTest, RejectsMalformedInput) {
   EXPECT_THROW(read_edge_list(out_of_range), std::invalid_argument);
   std::stringstream self_loop("3\n1 1\n");
   EXPECT_THROW(read_edge_list(self_loop), std::invalid_argument);
+  // A dangling endpoint after the last full pair is truncated input.
+  for (const std::string& text : {std::string("3\n0 1\n2"),
+                                  std::string("3\n0 1 2")}) {
+    std::stringstream dangling(text);
+    EXPECT_THROW(read_edge_list(dangling), std::invalid_argument) << text;
+  }
   // Orders above kMaxEdgeListOrder are refused before anything is sized
   // by them: SIZE_MAX (also what "-1" reads as) wraps order + 1 to zero,
   // and orders just inside the NodeId range would ask for 32 GiB.

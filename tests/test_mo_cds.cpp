@@ -28,7 +28,7 @@ TEST(MoCdsTest, UsesThreeHopCoverage) {
   // connectors toward it must be selected (4 and 8).
   const auto g = testing::paper_figure3_network();
   const auto mo = build_mo_cds(g);
-  EXPECT_EQ(mo.coverage[0].three_hop, (NodeSet{3}));
+  EXPECT_TRUE(testing::same_row(mo.coverage.three_hop[0], NodeSet{3}));
   EXPECT_TRUE(contains_sorted(mo.connectors, 4));
   EXPECT_TRUE(contains_sorted(mo.connectors, 8));
 }

@@ -354,9 +354,9 @@ TEST(ObsJournalTest, JsonlExportOneObjectPerLine) {
 TEST(ObsSimulatorTest, RegistryCountersMatchMessageCounts) {
   const auto g = testing::paper_figure3_network();
   obs::Session session;
-  net::Simulator sim(g, [](NodeId v) {
+  net::Simulator sim(g, [n = g.order()](NodeId v) {
     return std::make_unique<net::BackboneNode>(
-        v, core::CoverageMode::kTwoPointFiveHop);
+        v, core::CoverageMode::kTwoPointFiveHop, n);
   });
   sim.set_obs(&session);
   const std::uint32_t rounds = sim.run();

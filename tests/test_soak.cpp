@@ -119,9 +119,9 @@ TEST(SoakTest, DistributedProtocolOnDisconnectedGraph) {
 
 TEST(SoakTest, SimulatorObserverSeesEveryTransmission) {
   const auto g = testing::paper_figure3_network();
-  net::Simulator sim(g, [](NodeId v) {
+  net::Simulator sim(g, [n = g.order()](NodeId v) {
     return std::make_unique<net::BackboneNode>(
-        v, CoverageMode::kTwoPointFiveHop);
+        v, CoverageMode::kTwoPointFiveHop, n);
   });
   std::size_t observed = 0;
   sim.set_observer(

@@ -99,13 +99,14 @@ TEST_F(Figure3Backbone, DiffNamesTheFirstDifferingFieldAndNode) {
   EXPECT_EQ(diff(b), "ch_hop1[5] differs");
   EXPECT_EQ(witness, 5u);
   b = b25_;
-  ASSERT_FALSE(b.coverage[3].three_hop.empty());
-  b.coverage[3].three_hop.clear();
+  ASSERT_FALSE(b.coverage.three_hop[3].empty());
+  b.coverage.three_hop.assign(3, {});
   EXPECT_EQ(diff(b), "coverage[3] differs");
   EXPECT_EQ(witness, 3u);
   b = b25_;
-  ASSERT_FALSE(b.selection[0].gateways.empty());
-  b.selection[0].gateways.pop_back();
+  const auto selection = b.selection[0];
+  ASSERT_FALSE(selection.empty());
+  b.selection.assign(0, selection.first(selection.size() - 1));
   EXPECT_EQ(diff(b), "selection[0] differs");
   EXPECT_EQ(witness, 0u);
 
@@ -183,6 +184,20 @@ TEST(StaticBackboneEdgeCases, PathBackboneIsWholeInterior) {
   // Heads 0,2,4,6; connectors 1,3,5 -> the CDS is the whole path.
   EXPECT_EQ(b.cds, (NodeSet{0, 1, 2, 3, 4, 5, 6}));
   EXPECT_EQ(validate_static_backbone(g, b), "");
+}
+
+TEST(StaticBackboneEdgeCases, DisconnectedGraphNeedsOneCdsPiecePerComponent) {
+  // Two paths, 0..4 and 5..9. Each component needs its own connected
+  // backbone piece; a CDS split inside one component fails Theorem 1
+  // although it still dominates and every selection still validates.
+  const auto g = graph::make_graph(10, {{0, 1}, {1, 2}, {2, 3}, {3, 4},
+                                        {5, 6}, {6, 7}, {7, 8}, {8, 9}});
+  auto b = build_static_backbone(g, CoverageMode::kTwoPointFiveHop);
+  ASSERT_EQ(b.cds, (NodeSet{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+  EXPECT_EQ(validate_static_backbone(g, b), "");
+  erase_sorted(b.cds, 6);  // {5} and {7, 8, 9}: two pieces in one component
+  ASSERT_TRUE(graph::is_dominating_set(g, b.cds));
+  EXPECT_EQ(validate_static_backbone(g, b), "static backbone is not a CDS");
 }
 
 // ---- Property sweep: Theorem 1 on random unit-disk graphs --------------
