@@ -12,10 +12,10 @@
 //    pass + full backbone rebuild);
 //  * --threads=<k> with k > 1: one lane vs k lanes vs pipelined (depth
 //    2) at the matrix's largest size, one state hash required;
-//  * --scale: verify stage (threads {1, 2, 8}, pipelined {2, 8}, dense
-//    sequential) at 100k, then 100k/300k/1M at 0.5% movers on the
-//    sparse index + streaming build + cell-major labels, threads
-//    {1, 2, 4} x depth {1, 2} below 1M; RSS budget 1 KB/node at 1M.
+//  * --scale: verify stage (threads {1, 2, 8}, pipelined {2, 8}, the
+//    edge-list build) at 100k, then 100k/300k/1M at 0.5% movers on the
+//    streaming build + cell-major labels, threads {1, 2, 4} x depth
+//    {1, 2} below 1M; RSS budget 1 KB/node at 1M.
 //    The sweep rows also go to --scale-json.
 // proto
 //  * soak: every mobility model x coverage mode, the engine's oracle
@@ -96,19 +96,8 @@ struct Gates {
 struct Variant {
   std::size_t threads = 1;
   std::size_t depth = 1;
-  bool dense = false;  ///< dense grid + edge-list build instead of base's
+  bool edge_list = false;  ///< edge-list build instead of base's
 };
-
-const char* grid_name(geom::GridIndex g) {
-  switch (g) {
-    case geom::GridIndex::kDense:
-      return "dense";
-    case geom::GridIndex::kSparse:
-      return "sparse";
-    default:
-      return "auto";
-  }
-}
 
 const char* mode_name(core::CoverageMode mode) {
   return mode == core::CoverageMode::kTwoPointFiveHop ? "2.5-hop" : "3-hop";
@@ -133,8 +122,7 @@ void write_row(std::ostream& out, const Record& rec, bool with_metrics) {
       << ", \"threads\": " << c.threads
       << ", \"pipeline_depth\": " << c.pipeline_depth
       << ", \"ticks\": " << r.ticks << ", \"repeat\": " << rec.repeat
-      << ", \"grid\": \"" << grid_name(c.grid)
-      << "\", \"streaming\": " << json_bool(c.streaming_build)
+      << ", \"streaming\": " << json_bool(c.streaming_build)
       << ", \"oracle\": " << json_bool(c.oracle_check)
       << ", \"crosscheck\": " << json_bool(c.crosscheck)
       << ", \"burst_fraction\": " << c.burst_fraction
@@ -144,6 +132,7 @@ void write_row(std::ostream& out, const Record& rec, bool with_metrics) {
       << ", \"throttled_host\": " << json_bool(hw <= 1 && c.threads > 1)
       << ", \"connected\": " << json_bool(r.connected)
       << ", \"connect_attempts_used\": " << r.connect_attempts_used
+      << ", \"giant_fraction\": " << r.giant_fraction
       << ", \"incremental_ms_per_tick\": " << r.incremental_ms_per_tick
       << ", \"wall_ms_per_tick\": " << r.wall_ms_per_tick;
   if (rec.speedup_vs_1t > 0.0)
@@ -210,9 +199,8 @@ void write_json(const std::string& path, const std::string& bench,
 }
 
 void print_header(Engine engine) {
-  std::printf("%-12s %-9s %-7s %-6s %8s %4s %3s %5s %10s %10s ", "section",
-              "model", "mode", "grid", "n", "d", "thr", "depth", "eng_ms",
-              "wall_ms");
+  std::printf("%-12s %-9s %-7s %8s %4s %3s %5s %10s %10s ", "section",
+              "model", "mode", "n", "d", "thr", "depth", "eng_ms", "wall_ms");
   if (engine == Engine::kIncr)
     std::printf("%10s %8s %8s %8s %6s", "rebuild_ms", "speedup", "links/t",
                 "rows/t", "reg/t");
@@ -225,10 +213,10 @@ void print_header(Engine engine) {
 void print_row(const Record& rec) {
   const exp::ChurnConfig& c = rec.config;
   const exp::ChurnResult& r = rec.result;
-  std::printf("%-12s %-9s %-7s %-6s %8zu %4g %3zu %5zu %10.4f %10.4f ",
+  std::printf("%-12s %-9s %-7s %8zu %4g %3zu %5zu %10.4f %10.4f ",
               rec.section.c_str(), exp::model_name(c.model).c_str(),
-              mode_name(c.mode), grid_name(c.grid), c.nodes, c.degree,
-              c.threads, c.pipeline_depth, r.incremental_ms_per_tick,
+              mode_name(c.mode), c.nodes, c.degree, c.threads,
+              c.pipeline_depth, r.incremental_ms_per_tick,
               r.wall_ms_per_tick);
   if (c.engine == Engine::kIncr)
     std::printf("%10.4f %7.1fx %8.2f %8.1f %6.1f", r.rebuild_ms_per_tick,
@@ -243,17 +231,16 @@ void print_row(const Record& rec) {
     std::printf(" %6.2fx", rec.speedup_vs_1t);
   else
     std::printf(" %7s", "-");
-  std::printf("  %016llx%s\n", static_cast<unsigned long long>(r.state_hash),
-              r.connected ? "" : "  (disconnected)");
+  std::printf("  %016llx", static_cast<unsigned long long>(r.state_hash));
+  if (!r.connected)
+    std::printf("  (disconnected, giant component %.3f)", r.giant_fraction);
+  std::printf("\n");
 }
 
 exp::ChurnConfig apply(exp::ChurnConfig config, const Variant& v) {
   config.threads = v.threads;
   config.pipeline_depth = v.depth;
-  if (v.dense) {
-    config.grid = geom::GridIndex::kDense;
-    config.streaming_build = false;
-  }
+  if (v.edge_list) config.streaming_build = false;
   return config;
 }
 
@@ -576,8 +563,8 @@ int main(int argc, char** argv) {
     // Every sweep row drops the rebuild baseline (an O(n) rebuild
     // interleaved with some rows would pollute their caches) and the
     // connectivity retries (hopeless at d=6 and these sizes). Scale rows
-    // run the million-node configuration: sparse cell index, streaming
-    // topology build, cell-major labels. incr moves 0.5% of the nodes;
+    // run the million-node configuration: streaming topology build and
+    // cell-major labels. incr moves 0.5% of the nodes;
     // proto holds the absolute churn at 100 movers per tick, the
     // workload its O(changes) sharded tick is built for (a fixed
     // fraction at 1M paints nearly every cell), and places nodes cell by
@@ -592,7 +579,6 @@ int main(int argc, char** argv) {
       config.connect_attempts = 1;
       config.rebuild_baseline = false;
       if (scale) {
-        config.grid = geom::GridIndex::kSparse;
         config.streaming_build = true;
         config.cell_order = true;
         config.streaming_placement = proto;
@@ -603,10 +589,11 @@ int main(int argc, char** argv) {
     if (scale) {
       // Verify at the smallest size, before the sweep, so the monotone
       // peak-RSS counter still reads per size. incr's variants include
-      // the dense sequential engine; its cell_order stays off, because
-      // the relabeling permutation depends on the grid's lattice (dense
-      // clamping coarsens it). proto's sequential loop (threads 0) and
-      // sharded runs must also match metric for metric.
+      // the edge-list build, which must seed the same topology as the
+      // streaming sweep; its cell_order stays off, so the stage checks
+      // the engine on original labels while the sweep rows run cell-major
+      // ones. proto's sequential loop (threads 0) and sharded runs must
+      // also match metric for metric.
       exp::ChurnConfig verify_base = config_of(sizes.front());
       std::vector<Variant> variants;
       if (proto) {

@@ -68,7 +68,10 @@ double Flags::get_double(const std::string& key, double fallback) const {
 bool Flags::get_bool(const std::string& key, bool fallback) const {
   auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  return it->second != "false" && it->second != "0";
+  if (it->second == "true" || it->second == "1") return true;
+  if (it->second == "false" || it->second == "0") return false;
+  throw std::invalid_argument("--" + key + " expects true/false or 1/0, got '" +
+                              it->second + "'");
 }
 
 bool Flags::has(const std::string& key) const { return values_.count(key) > 0; }

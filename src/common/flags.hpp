@@ -30,7 +30,9 @@ class Flags {
   /// flag on non-numbers and on values outside double's range.
   double get_double(const std::string& key, double fallback) const;
 
-  /// True if `--key` or `--key=anything-but-false/0` was given.
+  /// True for a bare `--key`, `--key=true` or `--key=1`, false for
+  /// `--key=false` or `--key=0`, `fallback` when the key is absent;
+  /// throws std::invalid_argument naming the flag on any other value.
   bool get_bool(const std::string& key, bool fallback = false) const;
 
   bool has(const std::string& key) const;

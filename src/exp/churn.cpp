@@ -117,7 +117,6 @@ void finish(const Totals& t, const ChurnConfig& config, ChurnResult& r) {
 incr::PipelineOptions pipeline_options(const ChurnConfig& config) {
   incr::PipelineOptions options;
   options.mode = config.mode;
-  options.grid = config.grid;
   options.streaming_build = config.streaming_build;
   return options;
 }
@@ -236,6 +235,7 @@ ChurnResult run_loop(const ChurnConfig& config, MobilityMix& mix,
   result.peak_rss_bytes = peak_rss_bytes();
   result.connected = mix.connected();
   result.connect_attempts_used = mix.connect_attempts_used();
+  result.giant_fraction = mix.giant_fraction();
   return result;
 }
 
@@ -269,7 +269,6 @@ ChurnResult run_churn(const ChurnConfig& config) {
     proto::EngineOptions options;
     options.mode = config.mode;
     options.oracle_check = config.oracle_check;
-    options.grid = config.grid;
     options.streaming_build = config.streaming_build;
     options.obs = config.obs;
     options.threads = config.threads;

@@ -91,10 +91,9 @@ struct ChurnConfig {
   /// instead of silently continuing on a disconnected layout when every
   /// connect attempt is rejected.
   bool require_connected = false;
-  /// Cell storage for the engine's grids: kSparse exercises the O(n)
-  /// interned index regardless of lattice size. State hashes are
-  /// identical in every mode.
-  geom::GridIndex grid = geom::GridIndex::kAuto;
+  /// Selects nothing. Kept because perfbench/runner.cpp still sets it;
+  /// deleted at the next benchmark change.
+  geom::GridIndex grid{};
   /// Build the initial topology CSR with the streaming counting sweep —
   /// same graph, lower cold-build peak RSS.
   bool streaming_build = false;
@@ -108,7 +107,7 @@ struct ChurnConfig {
   /// (geom::generate_unit_disk_cell_order) and check connectivity with
   /// a union-find sweep instead of building a throwaway graph per
   /// rejection-sampling attempt: the cold start's working memory is
-  /// O(occupied cells) beyond the positions themselves. The layout
+  /// O(n) beyond the positions themselves. The layout
   /// comes out cell-major already, so this subsumes `cell_order`
   /// (a different but equally distributed run than the non-streaming
   /// path — hash comparisons must use it on both sides).
@@ -171,6 +170,9 @@ struct ChurnResult {
   /// exhaustion).
   bool connected = false;
   std::size_t connect_attempts_used = 0;
+  /// Share of the nodes in the initial topology's largest connected
+  /// component (1 when connected).
+  double giant_fraction = 0.0;
 };
 
 /// Human-readable tags ("waypoint" / "direction", "incr" / "proto") for

@@ -7,6 +7,7 @@
 
 #include "common/assert.hpp"
 #include "geom/unit_disk.hpp"
+#include "graph/algorithms.hpp"
 
 namespace manet::exp {
 
@@ -16,6 +17,8 @@ MobilityMix::MobilityMix(const ChurnConfig& config) {
                 "move fraction must be in (0, 1]");
 
   const std::size_t n = config.nodes;
+  ids_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) ids_[i] = static_cast<NodeId>(i);
   geom::UnitDiskConfig net;
   net.width = config.width;
   net.height = config.height;
@@ -46,24 +49,29 @@ MobilityMix::MobilityMix(const ChurnConfig& config) {
     // with a union-find sweep instead of a throwaway graph build. On an
     // exhausted budget the last attempt's layout is kept (one draw
     // fewer than the non-streaming path — a different stream anyway).
-    for (attempts_used_ = 0; attempts_used_ < attempt_budget && !connected_;) {
+    for (attempts_used_ = 0; attempts_used_ < attempt_budget && !connected();) {
       layout = geom::generate_unit_disk_cell_order(net, topo_rng);
       ++attempts_used_;
-      connected_ = geom::unit_disk_connected(layout, net.range, config.grid);
+      largest_component_ =
+          geom::unit_disk_largest_component(layout, net.range);
     }
-    if (!connected_) reject_connectivity();
+    if (!connected()) reject_connectivity();
   } else {
     auto network = geom::generate_connected_unit_disk(net, topo_rng,
                                                       attempt_budget,
                                                       &attempts_used_);
-    connected_ = network.has_value();
+    largest_component_ = n;
     if (!network) {
       reject_connectivity();
       network = geom::generate_unit_disk(net, topo_rng);
+      const auto [label, count] = graph::components(network->graph);
+      std::vector<std::size_t> size(count, 0);
+      for (const std::uint32_t c : label) ++size[c];
+      largest_component_ = *std::max_element(size.begin(), size.end());
     }
     layout = std::move(network->positions);
     if (config.cell_order)
-      layout = geom::cell_order_layout(layout, net.range, config.grid);
+      layout = geom::cell_order_layout(layout, net.range);
   }
 
   Rng mover_rng(derive_seed(config.seed, 0, 1));
@@ -85,8 +93,6 @@ MobilityMix::MobilityMix(const ChurnConfig& config) {
   movers_per_tick_ = std::max<std::size_t>(
       1, static_cast<std::size_t>(
              std::llround(config.move_fraction * static_cast<double>(n))));
-  ids_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) ids_[i] = static_cast<NodeId>(i);
 }
 
 const std::vector<geom::Point>& MobilityMix::positions() const {

@@ -31,7 +31,13 @@ class MobilityMix {
   const std::vector<geom::Point>& positions() const;
   /// Unit-disk communication range of the layout.
   double range() const { return range_; }
-  bool connected() const { return connected_; }
+  /// Whether the initial layout is connected, and the share of its nodes
+  /// in its largest connected component (1 when connected).
+  bool connected() const { return largest_component_ == ids_.size(); }
+  double giant_fraction() const {
+    return static_cast<double>(largest_component_) /
+           static_cast<double>(ids_.size());
+  }
   std::size_t connect_attempts_used() const { return attempts_used_; }
   /// Default movers per tick (ceil-ish of move_fraction * n, min 1).
   std::size_t movers_per_tick() const { return movers_per_tick_; }
@@ -47,7 +53,7 @@ class MobilityMix {
       std::variant<mobility::WaypointModel, mobility::RandomDirectionModel>;
 
   double range_ = 0.0;
-  bool connected_ = false;
+  std::size_t largest_component_ = 0;  ///< of the initial layout
   std::size_t attempts_used_ = 0;
   std::size_t movers_per_tick_ = 0;
   std::optional<Mover> mover_;  ///< engaged by the ctor (deferred init)

@@ -1,18 +1,11 @@
 #include "geom/spatial_grid.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/assert.hpp"
 
 namespace manet::geom {
 namespace {
-
-// Per-dimension bound for the sparse index. Keys are row * cols + col in
-// a uint64, so dims up to 2^25 keep keys below 2^50 with no overflow.
-// Capping only grows the cell side, which widens candidate sets but never
-// loses an in-range pair.
-constexpr std::size_t kMaxSparseDim = std::size_t{1} << 25;
 
 std::size_t clamp_index(double v, std::size_t bound) {
   if (!(v > 0.0)) return 0;  // also catches NaN
@@ -20,9 +13,10 @@ std::size_t clamp_index(double v, std::size_t bound) {
   return idx < bound ? idx : bound - 1;
 }
 
-// floor(extent / cell_size) with the double clamped before the integer
-// cast (extent / cell_size can exceed the size_t range for degenerate
-// huge-area / tiny-cell inputs, where the cast would be undefined).
+// floor(extent / cell_size) clamped into [1, max_dim], with the double
+// clamped before the integer cast (extent / cell_size can exceed the
+// size_t range for degenerate huge-area / tiny-cell inputs, where the
+// cast would be undefined).
 std::size_t dim_for(double extent, double cell_size, std::size_t max_dim) {
   const double cells = extent / cell_size;
   if (!(cells > 1.0)) return 1;
@@ -32,12 +26,11 @@ std::size_t dim_for(double extent, double cell_size, std::size_t max_dim) {
 
 }  // namespace
 
-SpatialGrid::SpatialGrid(const std::vector<Point>& positions, double cell_size,
-                         GridIndex index) {
+SpatialGrid::SpatialGrid(const std::vector<Point>& positions,
+                         double cell_size) {
   MANET_REQUIRE(cell_size > 0.0, "cell size must be positive");
   const std::size_t n = positions.size();
-  sparse_ = index == GridIndex::kSparse;
-  offsets_.assign(sparse_ ? 1 : 2, 0);  // 1x1-grid placeholder when empty
+  offsets_.assign(2, 0);  // 1x1-grid placeholder when empty
   if (n == 0) return;
 
   double max_x = positions[0].x, max_y = positions[0].y;
@@ -53,51 +46,30 @@ SpatialGrid::SpatialGrid(const std::vector<Point>& positions, double cell_size,
   const double height = max_y - min_y_;
 
   // floor(extent / cell_size) keeps the actual cell side >= cell_size, so
-  // any pair within cell_size is confined to a 3x3 cell block.
-  cols_ = dim_for(width, cell_size, kMaxSparseDim);
-  rows_ = dim_for(height, cell_size, kMaxSparseDim);
-
-  // The dense index clamps the cell array to O(n): growing cells only
-  // widens the candidate set, never loses a pair, so correctness is
-  // preserved. kAuto stays dense (bit-compatible with the historical
-  // grid) while the unclamped lattice fits that cap, and switches to the
-  // sparse occupied-cell index beyond it, keeping full resolution.
+  // any pair within cell_size is confined to a 3x3 cell block. The cell
+  // array is clamped to O(n) by halving the longer side: growing cells
+  // only widens the candidate set, never loses a pair. Each side starts
+  // at most cell_cap, and the test divides instead of multiplying, so
+  // nothing overflows.
   const std::size_t cell_cap = std::max<std::size_t>(64, 4 * n);
-  if (index == GridIndex::kAuto && cols_ * rows_ > cell_cap) sparse_ = true;
-  if (!sparse_) {
-    while (cols_ * rows_ > cell_cap) {
-      if (cols_ >= rows_)
-        cols_ = (cols_ + 1) / 2;
-      else
-        rows_ = (rows_ + 1) / 2;
-    }
+  cols_ = dim_for(width, cell_size, cell_cap);
+  rows_ = dim_for(height, cell_size, cell_cap);
+  while (cols_ > cell_cap / rows_) {
+    if (cols_ >= rows_)
+      cols_ = (cols_ + 1) / 2;
+    else
+      rows_ = (rows_ + 1) / 2;
   }
 
   inv_cell_x_ = width > 0.0 ? static_cast<double>(cols_) / width : 0.0;
   inv_cell_y_ = height > 0.0 ? static_cast<double>(rows_) / height : 0.0;
 
   // Two-pass counting sort of node ids into cells; scanning ids in order
-  // leaves each cell's id list sorted. The sparse index first compacts
-  // the occupied cell keys and counts into their rank instead of the raw
-  // lattice index — everything downstream is identical.
-  std::vector<std::uint64_t> key_of_node(n);
-  for (std::size_t i = 0; i < n; ++i) key_of_node[i] = key_of(positions[i]);
-  if (sparse_) {
-    keys_ = key_of_node;
-    std::sort(keys_.begin(), keys_.end());
-    keys_.erase(std::unique(keys_.begin(), keys_.end()), keys_.end());
-    offsets_.assign(keys_.size() + 1, 0);
-  } else {
-    offsets_.assign(cols_ * rows_ + 1, 0);
-  }
+  // leaves each cell's id list sorted.
+  offsets_.assign(cols_ * rows_ + 1, 0);
   std::vector<std::size_t> cell_of(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t c =
-        sparse_ ? static_cast<std::size_t>(
-                      std::lower_bound(keys_.begin(), keys_.end(),
-                                       key_of_node[i]) -
-                      keys_.begin())
-                : static_cast<std::size_t>(key_of_node[i]);
+    const std::size_t c = row_of(positions[i]) * cols_ + col_of(positions[i]);
     cell_of[i] = c;
     ++offsets_[c + 1];
   }
@@ -115,14 +87,6 @@ SpatialGrid::SpatialGrid(const std::vector<Point>& positions, double cell_size,
   }
 }
 
-std::size_t SpatialGrid::occupied_cells() const {
-  if (sparse_) return keys_.size();
-  std::size_t count = 0;
-  for (std::size_t c = 0; c + 1 < offsets_.size(); ++c)
-    if (offsets_[c] != offsets_[c + 1]) ++count;
-  return count;
-}
-
 std::size_t SpatialGrid::col_of(const Point& p) const {
   return clamp_index((p.x - min_x_) * inv_cell_x_, cols_);
 }
@@ -131,32 +95,11 @@ std::size_t SpatialGrid::row_of(const Point& p) const {
   return clamp_index((p.y - min_y_) * inv_cell_y_, rows_);
 }
 
-std::uint64_t SpatialGrid::key_of(const Point& p) const {
-  return static_cast<std::uint64_t>(row_of(p)) * cols_ + col_of(p);
-}
-
 std::span<const NodeId> SpatialGrid::cell(std::size_t col,
                                           std::size_t row) const {
   MANET_REQUIRE(col < cols_ && row < rows_, "cell index out of range");
   const std::size_t b = cell_begin(col, row);
   return {ids_.data() + b, cell_end(col, row) - b};
-}
-
-std::size_t SpatialGrid::cell_begin(std::size_t col, std::size_t row) const {
-  const std::uint64_t key = static_cast<std::uint64_t>(row) * cols_ + col;
-  if (!sparse_) return offsets_[static_cast<std::size_t>(key)];
-  const auto it = std::lower_bound(keys_.begin(), keys_.end(), key);
-  return offsets_[static_cast<std::size_t>(it - keys_.begin())];
-}
-
-std::size_t SpatialGrid::cell_end(std::size_t col, std::size_t row) const {
-  const std::uint64_t key = static_cast<std::uint64_t>(row) * cols_ + col;
-  if (!sparse_) return offsets_[static_cast<std::size_t>(key) + 1];
-  // lower_bound on key+1: lands one past this cell's slot span whether or
-  // not the cell is occupied, so empty cells yield empty spans and
-  // contiguous cell ranges yield contiguous slot spans.
-  const auto it = std::lower_bound(keys_.begin(), keys_.end(), key + 1);
-  return offsets_[static_cast<std::size_t>(it - keys_.begin())];
 }
 
 }  // namespace manet::geom

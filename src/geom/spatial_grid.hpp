@@ -5,12 +5,15 @@
 // every such pair sits in the same or an adjacent cell, so the O(n^2)
 // pair scan collapses to an expected O(n * d) sweep over 3x3 cell
 // neighborhoods (d = average degree). The grid is rebuilt from scratch
-// per topology — construction is a two-pass counting sort (dense index)
-// or a key sort over occupied cells (sparse index), O(n) / O(n log n).
+// per topology by a two-pass counting sort over one CSR offset per
+// lattice cell, O(n + cells). The lattice is clamped to at most
+// max(64, 4n) cells: a degree-calibrated layout (mean degree d >= pi/4
+// over its field) needs about n * pi / d cells and never reaches the
+// clamp; a tiny range over a huge field gets coarser cells instead,
+// which widens candidate sets but never loses a pair.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -19,40 +22,23 @@
 
 namespace manet::geom {
 
-/// How the grid stores its cells.
-///
-///  * kDense  — a CSR offset per lattice cell, O(cols * rows) memory;
-///    the lattice is clamped to O(n) cells, which can coarsen cells (and
-///    so widen candidate sets) for tiny cell sizes over huge areas.
-///  * kSparse — CSR offsets over *occupied* cells only, keyed by the
-///    row-major cell index, O(n) memory at full lattice resolution no
-///    matter how large the field or how small the cell.
-///  * kAuto   — dense while the unclamped lattice fits the dense cap
-///    (identical to the historical grid), sparse beyond it.
-///
-/// Both index modes bucket identically (same cell geometry up to the
-/// dense clamp, ids ascending within a cell, row-major cell order), so
-/// every consumer sees the same candidate sets in the same order.
-enum class GridIndex { kAuto, kDense, kSparse };
+/// Selects nothing: the grid has one cell storage. Kept because
+/// perfbench/runner.cpp still names its one value; deleted at the next
+/// benchmark change.
+enum class GridIndex { kSparse };
 
 /// A uniform cell grid over the bounding box of a point set. Cells are
-/// squares of side >= cell_size.
+/// squares of side >= cell_size, except where the O(n) clamp coarsens
+/// them.
 class SpatialGrid {
  public:
   /// Buckets `positions` (indexed by NodeId) into cells of side at least
   /// `cell_size` (> 0). The point vector must outlive nothing — the grid
   /// copies nothing and stores only ids.
-  SpatialGrid(const std::vector<Point>& positions, double cell_size,
-              GridIndex index = GridIndex::kAuto);
+  SpatialGrid(const std::vector<Point>& positions, double cell_size);
 
   std::size_t cols() const { return cols_; }
   std::size_t rows() const { return rows_; }
-
-  /// True when the grid resolved to the sparse occupied-cell index.
-  bool sparse() const { return sparse_; }
-
-  /// Number of cells holding at least one node.
-  std::size_t occupied_cells() const;
 
   /// Column of `p` (clamped to the grid, so out-of-box points land on the
   /// border cells).
@@ -78,18 +64,9 @@ class SpatialGrid {
   }
 
   /// Calls `fn(col, row, slot_begin, slot_end)` for every *occupied*
-  /// cell in row-major order — the sweep unit_disk_graph iterates, and
-  /// the only full-grid traversal the sparse index supports (iterating
-  /// the whole lattice would be O(cols * rows)).
+  /// cell in row-major order — the sweep unit_disk_graph iterates.
   template <typename Fn>
   void for_each_occupied(Fn&& fn) const {
-    if (sparse_) {
-      for (std::size_t i = 0; i < keys_.size(); ++i)
-        fn(static_cast<std::size_t>(keys_[i] % cols_),
-           static_cast<std::size_t>(keys_[i] / cols_), offsets_[i],
-           offsets_[i + 1]);
-      return;
-    }
     for (std::size_t cell_idx = 0; cell_idx + 1 < offsets_.size(); ++cell_idx)
       if (offsets_[cell_idx] != offsets_[cell_idx + 1])
         fn(cell_idx % cols_, cell_idx / cols_, offsets_[cell_idx],
@@ -107,27 +84,24 @@ class SpatialGrid {
   std::span<const double> slot_x() const { return xs_; }
   std::span<const double> slot_y() const { return ys_; }
 
-  /// First slot index of cell (col, row). In sparse mode an empty cell
-  /// resolves to the slot where its content would sit, so contiguous
-  /// cell ranges still map to contiguous slot spans.
-  std::size_t cell_begin(std::size_t col, std::size_t row) const;
+  /// First slot index of cell (col, row); contiguous cell ranges map to
+  /// contiguous slot spans.
+  std::size_t cell_begin(std::size_t col, std::size_t row) const {
+    return offsets_[row * cols_ + col];
+  }
   /// One-past-last slot index of cell (col, row).
-  std::size_t cell_end(std::size_t col, std::size_t row) const;
+  std::size_t cell_end(std::size_t col, std::size_t row) const {
+    return offsets_[row * cols_ + col + 1];
+  }
 
  private:
-  std::uint64_t key_of(const Point& p) const;
-
-  bool sparse_ = false;
   std::size_t cols_ = 1;
   std::size_t rows_ = 1;
   double min_x_ = 0.0;
   double min_y_ = 0.0;
   double inv_cell_x_ = 0.0;  // cols / width  (0 when width is 0)
   double inv_cell_y_ = 0.0;  // rows / height (0 when height is 0)
-  /// Dense: CSR over all cols*rows cells (size cols*rows + 1).
-  /// Sparse: CSR over keys_ (size keys_.size() + 1).
-  std::vector<std::size_t> offsets_;
-  std::vector<std::uint64_t> keys_;   // sparse only: sorted occupied cells
+  std::vector<std::size_t> offsets_;  // CSR over the cols*rows cells
   std::vector<NodeId> ids_;           // node ids grouped by cell
   std::vector<double> xs_;            // coordinates in slot order
   std::vector<double> ys_;

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 
 #include "common/assert.hpp"
+#include "geom/spatial_grid.hpp"
 #include "graph/algorithms.hpp"
 
 namespace manet::geom {
@@ -15,9 +17,7 @@ namespace {
 // pair lies in the same cell or in adjacent cells; each slot's "forward"
 // candidates — the rest of its own cell plus the E neighbor cell, and the
 // SW/S/SE cells of the next row — are exactly two contiguous slot spans,
-// scanned linearly over the grid's cell-ordered coordinate arrays. Only
-// occupied cells are walked, so the sweep is O(n * d) for the sparse
-// index too, where the full lattice would be O(cols * rows).
+// scanned linearly over the grid's cell-ordered coordinate arrays.
 template <typename PairFn>
 void sweep_in_range_pairs(const SpatialGrid& grid, double range_sq,
                           PairFn&& fn) {
@@ -62,12 +62,12 @@ double range_for_average_degree(double d, std::size_t n, double width,
                    (static_cast<double>(n) * std::numbers::pi));
 }
 
-graph::Graph unit_disk_graph(const std::vector<Point>& positions, double range,
-                             GridIndex index) {
+graph::Graph unit_disk_graph(const std::vector<Point>& positions,
+                             double range) {
   MANET_REQUIRE(range > 0.0, "transmission range must be positive");
   const std::size_t n = positions.size();
   graph::GraphBuilder builder(n);
-  const SpatialGrid grid(positions, range, index);
+  const SpatialGrid grid(positions, range);
   const auto ids = grid.slots();
   builder.reserve(n * 4);  // ballpark for typical paper densities
   sweep_in_range_pairs(grid, range * range, [&](std::size_t k, std::size_t j) {
@@ -77,10 +77,10 @@ graph::Graph unit_disk_graph(const std::vector<Point>& positions, double range,
 }
 
 graph::Graph unit_disk_graph_streaming(const std::vector<Point>& positions,
-                                       double range, GridIndex index) {
+                                       double range) {
   MANET_REQUIRE(range > 0.0, "transmission range must be positive");
   const std::size_t n = positions.size();
-  const SpatialGrid grid(positions, range, index);
+  const SpatialGrid grid(positions, range);
   const auto ids = grid.slots();
   const double range_sq = range * range;
 
@@ -118,8 +118,8 @@ graph::Graph unit_disk_graph_streaming(const std::vector<Point>& positions,
 }
 
 std::vector<Point> cell_order_layout(const std::vector<Point>& positions,
-                                     double cell_size, GridIndex index) {
-  const SpatialGrid grid(positions, cell_size, index);
+                                     double cell_size) {
+  const SpatialGrid grid(positions, cell_size);
   std::vector<Point> out;
   out.reserve(positions.size());
   for (NodeId v : grid.slots()) out.push_back(positions[v]);
@@ -189,12 +189,12 @@ std::vector<Point> generate_unit_disk_cell_order(const UnitDiskConfig& config,
   return out;
 }
 
-bool unit_disk_connected(const std::vector<Point>& positions, double range,
-                         GridIndex index) {
+std::size_t unit_disk_largest_component(const std::vector<Point>& positions,
+                                        double range) {
   MANET_REQUIRE(range > 0.0, "transmission range must be positive");
   const std::size_t n = positions.size();
-  if (n <= 1) return true;
-  const SpatialGrid grid(positions, range, index);
+  if (n <= 1) return n;
+  const SpatialGrid grid(positions, range);
   std::vector<std::uint32_t> parent(n);
   for (std::uint32_t i = 0; i < n; ++i) parent[i] = i;
   const auto find = [&](std::uint32_t x) {
@@ -204,8 +204,7 @@ bool unit_disk_connected(const std::vector<Point>& positions, double range,
     }
     return x;
   };
-  std::size_t components = n;
-  // Slot-space union-find: connectivity is label-invariant, so the
+  // Slot-space union-find: component sizes are label-invariant, so the
   // sweep's slot indices serve directly.
   sweep_in_range_pairs(grid, range * range,
                        [&](std::size_t k, std::size_t j) {
@@ -213,11 +212,13 @@ bool unit_disk_connected(const std::vector<Point>& positions, double range,
                              find(static_cast<std::uint32_t>(k));
                          const std::uint32_t b =
                              find(static_cast<std::uint32_t>(j));
-                         if (a == b) return;
-                         parent[std::max(a, b)] = std::min(a, b);
-                         --components;
+                         if (a != b) parent[std::max(a, b)] = std::min(a, b);
                        });
-  return components == 1;
+  std::vector<std::uint32_t> size(n, 0);
+  std::uint32_t largest = 0;
+  for (std::uint32_t i = 0; i < n; ++i)
+    largest = std::max(largest, ++size[find(i)]);
+  return largest;
 }
 
 graph::Graph unit_disk_graph_reference(const std::vector<Point>& positions,

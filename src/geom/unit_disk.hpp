@@ -14,7 +14,6 @@
 #include "common/ids.hpp"
 #include "common/rng.hpp"
 #include "geom/point.hpp"
-#include "geom/spatial_grid.hpp"
 #include "graph/graph.hpp"
 
 namespace manet::geom {
@@ -46,10 +45,8 @@ UnitDiskNetwork generate_unit_disk(const UnitDiskConfig& config, Rng& rng);
 /// Builds the unit-disk graph induced by fixed positions (used by the
 /// mobility module after each movement step). Uses a spatial grid with
 /// cell size = range, so construction is expected O(n * d) instead of the
-/// naive O(n^2) pair scan. `index` picks the grid's cell storage (see
-/// GridIndex); the resulting graph is identical in every mode.
-graph::Graph unit_disk_graph(const std::vector<Point>& positions, double range,
-                             GridIndex index = GridIndex::kAuto);
+/// naive O(n^2) pair scan.
+graph::Graph unit_disk_graph(const std::vector<Point>& positions, double range);
 
 /// Same graph as unit_disk_graph, built by a two-pass counting sweep
 /// (degree count, prefix sum, cursor fill) straight into CSR arrays — no
@@ -58,8 +55,7 @@ graph::Graph unit_disk_graph(const std::vector<Point>& positions, double range,
 /// twice); use for large-n cold builds where memory is the binding
 /// constraint.
 graph::Graph unit_disk_graph_streaming(const std::vector<Point>& positions,
-                                       double range,
-                                       GridIndex index = GridIndex::kAuto);
+                                       double range);
 
 /// Returns `positions` permuted into spatial-grid slot order (row-major
 /// cells of side >= cell_size, original index ascending within a cell).
@@ -69,14 +65,13 @@ graph::Graph unit_disk_graph_streaming(const std::vector<Point>& positions,
 /// i.i.d. random placements the relabeling does not change the
 /// distribution.
 std::vector<Point> cell_order_layout(const std::vector<Point>& positions,
-                                     double cell_size,
-                                     GridIndex index = GridIndex::kAuto);
+                                     double cell_size);
 
 /// Streaming cell-major placement: draws the exact same uniform point
 /// stream as generate_unit_disk (`rng` is advanced identically) but
 /// writes each point straight into its row-major lattice-cell slot —
 /// square cells of side >= range over [0, width] x [0, height], cell
-/// count capped at O(n) like the dense grid. Two passes over a replayed
+/// count capped at O(n) like SpatialGrid's. Two passes over a replayed
 /// copy of the rng (count per-cell occupancy, prefix-sum, re-draw and
 /// scatter), so the only working memory beyond the returned vector is
 /// the per-cell offset table: no intermediate layout copy, no
@@ -86,12 +81,14 @@ std::vector<Point> cell_order_layout(const std::vector<Point>& positions,
 std::vector<Point> generate_unit_disk_cell_order(const UnitDiskConfig& config,
                                                  Rng& rng);
 
-/// Connectivity of the unit-disk graph induced by `positions`, without
-/// materializing the graph: a union-find over the grid sweep's in-range
-/// pairs. Equivalent to graph::is_connected(unit_disk_graph(positions,
-/// range, index)) at O(n) working memory instead of O(n + m).
-bool unit_disk_connected(const std::vector<Point>& positions, double range,
-                         GridIndex index = GridIndex::kAuto);
+/// Size of the largest connected component of the unit-disk graph
+/// induced by `positions`, without materializing the graph: a union-find
+/// over the grid sweep's in-range pairs. Equals the largest component
+/// size of graph::components(unit_disk_graph(positions, range)) at O(n)
+/// working memory instead of O(n + m); the graph is connected exactly
+/// when the answer is positions.size(). 0 for no positions.
+std::size_t unit_disk_largest_component(const std::vector<Point>& positions,
+                                        double range);
 
 /// Reference O(n^2) pair-scan implementation. Kept for cross-checking the
 /// grid-based unit_disk_graph (tests assert identical edge sets) and as

@@ -11,13 +11,8 @@
 namespace manet::incr {
 namespace {
 
-// Per-dimension bound for the sparse lattice: keys row * cols + col stay
-// below 2^50 in a uint64. Capping only grows the cell side, which widens
-// rescan blocks but never loses an in-range pair.
-constexpr std::size_t kMaxSparseDim = std::size_t{1} << 25;
-
-// splitmix64 finalizer — the probe hash for both open-addressing maps.
-// A pure function of the key, so probing is deterministic across runs.
+// splitmix64 finalizer — the probe hash of the paint map. A pure
+// function of the key, so probing is deterministic across runs.
 std::uint64_t mix64(std::uint64_t x) {
   x ^= x >> 30;
   x *= 0xbf58476d1ce4e5b9ULL;
@@ -27,14 +22,14 @@ std::uint64_t mix64(std::uint64_t x) {
   return x;
 }
 
-// floor(extent / cell) clamped into [1, kMaxSparseDim], computed in
-// double so degenerate huge-area / tiny-range inputs cannot overflow the
-// integer cast.
-std::size_t lattice_dim(double extent, double cell) {
+// floor(extent / cell) clamped into [1, max_dim], computed in double so
+// degenerate huge-area / tiny-range inputs cannot overflow the integer
+// cast.
+std::size_t lattice_dim(double extent, double cell, std::size_t max_dim) {
   const double cells = extent / cell;
   if (!(cells > 1.0)) return 1;
-  if (cells >= static_cast<double>(kMaxSparseDim)) return kMaxSparseDim;
-  return std::max<std::size_t>(1, static_cast<std::size_t>(cells));
+  if (cells >= static_cast<double>(max_dim)) return max_dim;
+  return static_cast<std::size_t>(cells);
 }
 
 // A NaN or infinite coordinate has no cell (its cast to an index would
@@ -88,12 +83,11 @@ std::vector<T> merge_sorted(std::vector<std::vector<T>>& parts) {
 }  // namespace
 
 DeltaTracker::DeltaTracker(std::vector<geom::Point> positions, double range,
-                           double width, double height, geom::GridIndex index,
-                           bool streaming_build)
+                           double width, double height, bool streaming_build)
     : positions_(require_finite(std::move(positions))),
       adjacency_(streaming_build
-                     ? geom::unit_disk_graph_streaming(positions_, range, index)
-                     : geom::unit_disk_graph(positions_, range, index)),
+                     ? geom::unit_disk_graph_streaming(positions_, range)
+                     : geom::unit_disk_graph(positions_, range)),
       range_(range),
       range_sq_(range * range),
       width_(width),
@@ -103,120 +97,32 @@ DeltaTracker::DeltaTracker(std::vector<geom::Point> positions, double range,
   MANET_REQUIRE(width_ > 0.0 && height_ > 0.0, "area must be positive");
 
   // Square cells of side >= range (so any in-range pair sits in the same
-  // or an adjacent cell). The dense index clamps the per-dimension cell
-  // count to keep the cell array O(n) even for a tiny range over a huge
-  // area; the sparse index runs the lattice unclamped and interns only
-  // occupied cells. kAuto goes sparse exactly when the dense clamp would
-  // have had to coarsen the cells.
+  // or an adjacent cell), with the per-dimension cell count clamped to
+  // keep the bucket array O(n) even for a tiny range over a huge area.
   const std::size_t n = positions_.size();
   const auto cap = static_cast<std::size_t>(
                        std::ceil(std::sqrt(4.0 * static_cast<double>(n)))) +
                    1;
-  const std::size_t fit_x = lattice_dim(width_, range_);
-  const std::size_t fit_y = lattice_dim(height_, range_);
-  sparse_ = index == geom::GridIndex::kSparse ||
-            (index == geom::GridIndex::kAuto && (fit_x > cap || fit_y > cap));
-  cols_ = sparse_ ? fit_x : std::clamp<std::size_t>(fit_x, 1, cap);
-  rows_ = sparse_ ? fit_y : std::clamp<std::size_t>(fit_y, 1, cap);
+  cols_ = lattice_dim(width_, range_, cap);
+  rows_ = lattice_dim(height_, range_, cap);
   inv_cell_x_ = static_cast<double>(cols_) / width_;
   inv_cell_y_ = static_cast<double>(rows_) / height_;
 
-  if (sparse_) {
-    const std::size_t table = pow2_at_least(2 * n);
-    table_keys_.assign(table, ~std::uint64_t{0});
-    table_slots_.resize(table);
-  } else {
-    cells_.resize(cols_ * rows_);
-  }
+  cells_.resize(cols_ * rows_);
   cell_of_node_.resize(n);
   is_staged_.assign(n, 0);
   for (NodeId v = 0; v < n; ++v) {
-    const std::uint32_t slot = intern(cell_key(positions_[v]));
-    cell_of_node_[v] = slot;
-    if (cells_[slot].empty()) ++occupied_cells_;
-    cells_[slot].push_back(v);
+    const std::uint32_t key = cell_key(positions_[v]);
+    cell_of_node_[v] = key;
+    cells_[key].push_back(v);
   }
 }
 
-std::uint64_t DeltaTracker::cell_key(const geom::Point& p) const {
+std::uint32_t DeltaTracker::cell_key(const geom::Point& p) const {
   // Out-of-box positions clamp onto the border cells, like SpatialGrid.
   const std::size_t col = clamp_cell(p.x * inv_cell_x_, cols_);
   const std::size_t row = clamp_cell(p.y * inv_cell_y_, rows_);
-  return static_cast<std::uint64_t>(row) * cols_ + col;
-}
-
-std::uint32_t DeltaTracker::slot_of(std::uint64_t key) const {
-  if (!sparse_) return static_cast<std::uint32_t>(key);
-  const std::size_t mask = table_keys_.size() - 1;
-  for (std::size_t h = mix64(key) & mask;; h = (h + 1) & mask) {
-    if (table_keys_[h] == key) return table_slots_[h];
-    if (table_keys_[h] == ~std::uint64_t{0}) return kNoSlot;
-  }
-}
-
-std::uint32_t DeltaTracker::intern(std::uint64_t key) {
-  if (!sparse_) return static_cast<std::uint32_t>(key);
-  const std::size_t mask = table_keys_.size() - 1;
-  for (std::size_t h = mix64(key) & mask;; h = (h + 1) & mask) {
-    if (table_keys_[h] == key) return table_slots_[h];
-    if (table_keys_[h] != ~std::uint64_t{0}) continue;
-    const auto slot = static_cast<std::uint32_t>(slot_keys_.size());
-    table_keys_[h] = key;
-    table_slots_[h] = slot;
-    slot_keys_.push_back(key);
-    cells_.emplace_back();
-    if (2 * slot_keys_.size() > table_keys_.size()) grow_table();
-    return slot;
-  }
-}
-
-std::uint64_t DeltaTracker::key_of_slot(std::uint32_t slot) const {
-  return sparse_ ? slot_keys_[slot] : slot;
-}
-
-void DeltaTracker::grow_table() { rebuild_table(table_keys_.size() * 2); }
-
-void DeltaTracker::rebuild_table(std::size_t cap) {
-  table_keys_.assign(cap, ~std::uint64_t{0});
-  table_slots_.resize(cap);
-  const std::size_t mask = cap - 1;
-  for (std::uint32_t slot = 0; slot < slot_keys_.size(); ++slot) {
-    std::size_t h = mix64(slot_keys_[slot]) & mask;
-    while (table_keys_[h] != ~std::uint64_t{0}) h = (h + 1) & mask;
-    table_keys_[h] = slot_keys_[slot];
-    table_slots_[h] = slot;
-  }
-}
-
-void DeltaTracker::maybe_compact() {
-  if (!sparse_) return;
-  if (slot_keys_.size() < 4 * occupied_cells_ + 64) return;
-  ++compactions_;
-
-  // Survivors keep their relative order, so the renumbering (and with
-  // it every future intern) is a pure function of the commit history —
-  // independent of thread count or pipelining.
-  std::vector<std::uint32_t> remap(slot_keys_.size(), kNoSlot);
-  std::vector<std::uint64_t> keys;
-  std::vector<std::vector<NodeId>> buckets;
-  keys.reserve(occupied_cells_);
-  buckets.reserve(occupied_cells_);
-  for (std::uint32_t slot = 0; slot < slot_keys_.size(); ++slot) {
-    if (cells_[slot].empty()) continue;
-    remap[slot] = static_cast<std::uint32_t>(keys.size());
-    keys.push_back(slot_keys_[slot]);
-    buckets.push_back(std::move(cells_[slot]));
-  }
-  MANET_ASSERT(keys.size() == occupied_cells_,
-               "occupancy count out of sync with cell buckets");
-  slot_keys_ = std::move(keys);
-  cells_ = std::move(buckets);
-  for (auto& slot : cell_of_node_) {
-    slot = remap[slot];  // every node's cell is occupied by definition
-    MANET_ASSERT(slot != kNoSlot, "node mapped to an evicted cell slot");
-  }
-  rebuild_table(pow2_at_least(
-      2 * std::max(positions_.size(), slot_keys_.size())));
+  return static_cast<std::uint32_t>(row * cols_ + col);
 }
 
 void DeltaTracker::stage_move(NodeId v, geom::Point p) {
@@ -252,9 +158,9 @@ void DeltaTracker::scan_chunk(std::size_t begin, std::size_t end,
   for (std::size_t i = begin; i < end; ++i) {
     const NodeId v = staged_[i];
     const geom::Point p = positions_[v];
-    const std::uint64_t key = key_of_slot(cell_of_node_[v]);
-    const auto col = static_cast<std::size_t>(key % cols_);
-    const auto row = static_cast<std::size_t>(key / cols_);
+    const std::size_t key = cell_of_node_[v];
+    const std::size_t col = key % cols_;
+    const std::size_t row = key / cols_;
     const std::size_t c0 = col > 0 ? col - 1 : 0;
     const std::size_t c1 = col + 1 < cols_ ? col + 1 : cols_ - 1;
     const std::size_t r0 = row > 0 ? row - 1 : 0;
@@ -262,11 +168,9 @@ void DeltaTracker::scan_chunk(std::size_t begin, std::size_t end,
     now.clear();
     for (std::size_t r = r0; r <= r1; ++r)
       for (std::size_t c = c0; c <= c1; ++c) {
-        const std::uint64_t k = static_cast<std::uint64_t>(r) * cols_ + c;
+        const std::size_t k = r * cols_ + c;
         keys.push_back(k);
-        const std::uint32_t slot = slot_of(k);
-        if (slot == kNoSlot) continue;  // sparse: cell never occupied
-        for (const NodeId w : cells_[slot])
+        for (const NodeId w : cells_[k])
           if (w != v && geom::distance_sq(p, positions_[w]) < range_sq_)
             now.push_back(w);
       }
@@ -311,26 +215,23 @@ EdgeDelta DeltaTracker::commit(const CommitOptions& opts) {
   if (staged_.empty()) return delta;
 
   // Phase 1: migrate every dirty node to its (possibly new) cell, so all
-  // neighborhood scans below see final positions. The pre-move slots are
+  // neighborhood scans below see final positions. The pre-move cells are
   // kept: removed edges live near the *old* positions, so the region
   // partition must treat both blocks of a mover as dirty.
-  std::vector<std::uint32_t> old_slots(staged_.size());
+  std::vector<std::uint32_t> old_cells(staged_.size());
   for (std::size_t i = 0; i < staged_.size(); ++i) {
     const NodeId v = staged_[i];
-    const std::uint64_t key = cell_key(positions_[v]);
-    const std::uint32_t old_slot = cell_of_node_[v];
-    old_slots[i] = old_slot;
-    if (key == key_of_slot(old_slot)) continue;
-    const std::uint32_t slot = intern(key);
-    auto& bucket = cells_[old_slot];
+    const std::uint32_t key = cell_key(positions_[v]);
+    const std::uint32_t old_key = cell_of_node_[v];
+    old_cells[i] = old_key;
+    if (key == old_key) continue;
+    auto& bucket = cells_[old_key];
     const auto it = std::find(bucket.begin(), bucket.end(), v);
     MANET_ASSERT(it != bucket.end(), "node missing from its grid cell");
     *it = bucket.back();
     bucket.pop_back();
-    if (bucket.empty()) --occupied_cells_;
-    if (cells_[slot].empty()) ++occupied_cells_;
-    cells_[slot].push_back(v);
-    cell_of_node_[v] = slot;
+    cells_[key].push_back(v);
+    cell_of_node_[v] = key;
   }
 
   // Phase 2: rescan the dirty 3x3 blocks against the frozen adjacency,
@@ -363,9 +264,8 @@ EdgeDelta DeltaTracker::commit(const CommitOptions& opts) {
     for (auto& c : chunk_deltas) parts.push_back(std::move(c.removed));
     delta.removed = merge_sorted(parts);
   }
-  // Overlapping dirty blocks count once, whether or not their cells have
-  // ever been occupied (the dense index used to stamp per-cell scratch;
-  // key dedup gives the identical count without O(cells) state).
+  // Overlapping dirty blocks count once, whether or not their cells are
+  // occupied (key dedup, without O(cells) per-commit state).
   scanned_keys_ = merge_sorted(chunk_keys);
   last_cells_scanned_ = static_cast<std::size_t>(
       std::unique(scanned_keys_.begin(), scanned_keys_.end()) -
@@ -384,9 +284,8 @@ EdgeDelta DeltaTracker::commit(const CommitOptions& opts) {
   normalize(delta.touched);
 
   if (!opts.defer_adjacency) apply_delta(delta);
-  if (opts.regions) build_regions(delta, old_slots, opts, *opts.regions);
+  if (opts.regions) build_regions(delta, old_cells, opts, *opts.regions);
   staged_.clear();
-  maybe_compact();
   return delta;
 }
 
@@ -452,12 +351,12 @@ std::uint32_t DeltaTracker::scope_region(NodeId v) const {
   // Empty until a commit builds regions, which also sizes the paint map
   // (an empty map has no probe mask).
   if (paint_region_.empty()) return kNoRegion;
-  const std::uint32_t label = paint_find(key_of_slot(cell_of_node_[v]));
+  const std::uint32_t label = paint_find(cell_of_node_[v]);
   return label == kNoSlot ? kNoRegion : paint_region_[label];
 }
 
 void DeltaTracker::build_regions(const EdgeDelta& delta,
-                                 const std::vector<std::uint32_t>& old_slots,
+                                 const std::vector<std::uint32_t>& old_cells,
                                  const CommitOptions& opts,
                                  RegionPartition& out) {
   // Union-find over staged indices. One label covers BOTH of a mover's
@@ -522,8 +421,7 @@ void DeltaTracker::build_regions(const EdgeDelta& delta,
   // Non-overlap of grown blocks then guarantees core cells of distinct
   // regions are >= g_a + g_b + 1 apart (Chebyshev) for the two movers'
   // tiers. The paint map is keyed by cell key, so unoccupied cells
-  // paint (and merge) the same way they did on the dense per-cell
-  // arrays.
+  // paint (and merge) like occupied ones.
   //
   // Sized for the common heavily-overlapping case (a few cells per
   // mover); paint_insert doubles on demand up to the true worst case of
@@ -532,21 +430,19 @@ void DeltaTracker::build_regions(const EdgeDelta& delta,
   for (std::size_t i = 0; i < staged_.size(); ++i) {
     const std::size_t kReach =
         1 + (tiered ? growth_of[i] : opts.growth_cells);
-    const std::uint64_t centers[2] = {key_of_slot(old_slots[i]),
-                                      key_of_slot(cell_of_node_[staged_[i]])};
+    const std::uint32_t centers[2] = {old_cells[i], cell_of_node_[staged_[i]]};
     for (int which = 0; which < (centers[0] == centers[1] ? 1 : 2);
          ++which) {
-      const auto col = static_cast<std::size_t>(centers[which] % cols_);
-      const auto row = static_cast<std::size_t>(centers[which] / cols_);
+      const std::size_t col = centers[which] % cols_;
+      const std::size_t row = centers[which] / cols_;
       const std::size_t c0 = col > kReach ? col - kReach : 0;
       const std::size_t c1 = std::min(col + kReach, cols_ - 1);
       const std::size_t r0 = row > kReach ? row - kReach : 0;
       const std::size_t r1 = std::min(row + kReach, rows_ - 1);
       for (std::size_t r = r0; r <= r1; ++r)
         for (std::size_t c = c0; c <= c1; ++c) {
-          const std::uint64_t k = static_cast<std::uint64_t>(r) * cols_ + c;
           const std::uint32_t prev =
-              paint_insert(k, static_cast<std::uint32_t>(i));
+              paint_insert(r * cols_ + c, static_cast<std::uint32_t>(i));
           if (prev != kNoSlot) unite(static_cast<std::uint32_t>(i), prev);
         }
     }
@@ -569,20 +465,18 @@ void DeltaTracker::build_regions(const EdgeDelta& delta,
   // always share a region (their grown blocks overlap), so per-region
   // dedup equals the global dedup the dense stamps used to do.
   for (std::size_t i = 0; i < staged_.size(); ++i) {
-    const std::uint64_t centers[2] = {key_of_slot(old_slots[i]),
-                                      key_of_slot(cell_of_node_[staged_[i]])};
+    const std::uint32_t centers[2] = {old_cells[i], cell_of_node_[staged_[i]]};
     for (int which = 0; which < (centers[0] == centers[1] ? 1 : 2);
          ++which) {
-      const auto col = static_cast<std::size_t>(centers[which] % cols_);
-      const auto row = static_cast<std::size_t>(centers[which] / cols_);
+      const std::size_t col = centers[which] % cols_;
+      const std::size_t row = centers[which] / cols_;
       const std::size_t c0 = col > 0 ? col - 1 : 0;
       const std::size_t c1 = std::min(col + 1, cols_ - 1);
       const std::size_t r0 = row > 0 ? row - 1 : 0;
       const std::size_t r1 = std::min(row + 1, rows_ - 1);
       for (std::size_t r = r0; r <= r1; ++r)
         for (std::size_t c = c0; c <= c1; ++c)
-          out.core_cells[paint_region_[i]].push_back(
-              static_cast<std::uint64_t>(r) * cols_ + c);
+          out.core_cells[paint_region_[i]].push_back(r * cols_ + c);
     }
   }
   for (auto& cells : out.core_cells) {
@@ -602,8 +496,8 @@ void DeltaTracker::build_regions(const EdgeDelta& delta,
   // of the same region (painting covers every endpoint's cell and the
   // blocks overlap), so any endpoint names the edge's region; iterating
   // the globally sorted lists keeps every per-region slice sorted.
-  const auto region_of_cell = [&](std::uint32_t slot) {
-    const std::uint32_t label = paint_find(key_of_slot(slot));
+  const auto region_of_cell = [&](std::uint32_t key) {
+    const std::uint32_t label = paint_find(key);
     MANET_ASSERT(label != kNoSlot,
                  "delta endpoint outside the painted dirty region");
     return paint_region_[label];

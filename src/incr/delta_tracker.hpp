@@ -13,20 +13,21 @@
 // edge-identical to a from-scratch unit_disk_graph over the current
 // positions (the pipeline's oracle mode asserts exactly that).
 //
-// Cell storage follows geom::GridIndex: the dense index allocates one
-// bucket per lattice cell with the per-dimension cell count clamped to
-// O(sqrt(n)) (the historical layout), while the sparse index interns
-// only cells that have ever held a node — uint64 row-major cell keys
-// mapped to compact bucket slots through an open-addressing table — so
-// memory stays O(n + moves) at full lattice resolution no matter how
-// large the field. Both indexes run the same commit path (a dense slot
-// IS its cell key), and the maintained adjacency, deltas, and region
-// partitions are pure functions of positions and range either way.
+// Cell storage is one bucket per lattice cell, indexed by the cell's
+// row-major key, with the per-dimension cell count clamped to
+// ceil(sqrt(4n)) + 1 so the bucket array stays O(n). A degree-calibrated
+// layout (mean degree >= pi/4 over the working space) never reaches the
+// clamp; a tiny range over a huge field gets coarser cells instead,
+// which widens rescan blocks and repair regions but never loses a link.
+// The maintained adjacency and deltas are pure functions of positions
+// and range; region partitions and scopes are pure functions of those
+// and the lattice.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -67,8 +68,7 @@ struct RegionPartition {
   /// Per-region sorted-unique core cell keys (row * cols + col of the
   /// 3x3 blocks around each staged node's old and new cells, before
   /// growth): the region size metric and the separation the property
-  /// tests assert. 64-bit because the sparse index runs the lattice
-  /// unclamped.
+  /// tests assert.
   std::vector<std::vector<std::uint64_t>> core_cells;
   std::size_t cols = 1;            ///< grid shape, for cell geometry
   std::size_t rows = 1;
@@ -121,26 +121,27 @@ class DeltaTracker {
   /// space [0, width] x [0, height] fixes the cell geometry; positions
   /// outside it are clamped onto border cells (matching SpatialGrid).
   /// Coordinates must be finite (std::invalid_argument otherwise).
-  /// `index` picks the cell storage (kAuto: dense until the lattice
-  /// outgrows the dense clamp). `streaming_build` constructs the
-  /// initial adjacency through unit_disk_graph_streaming — same graph,
-  /// no intermediate edge list, for memory-bound cold builds.
+  /// `streaming_build` constructs the initial adjacency through
+  /// unit_disk_graph_streaming — same graph, no intermediate edge list,
+  /// for memory-bound cold builds.
   DeltaTracker(std::vector<geom::Point> positions, double range, double width,
-               double height, geom::GridIndex index = geom::GridIndex::kAuto,
-               bool streaming_build = false);
+               double height, bool streaming_build = false);
+
+  /// The same tracker; the cell index selects nothing. Kept because
+  /// perfbench/runner.cpp still passes one; deleted at the next
+  /// benchmark change.
+  DeltaTracker(std::vector<geom::Point> positions, double range, double width,
+               double height, geom::GridIndex /*index*/, bool streaming_build)
+      : DeltaTracker(std::move(positions), range, width, height,
+                     streaming_build) {}
 
   std::size_t size() const { return positions_.size(); }
   double range() const { return range_; }
   const std::vector<geom::Point>& positions() const { return positions_; }
 
-  /// True when cell storage resolved to the sparse interned index.
-  bool sparse() const { return sparse_; }
+  /// Lattice shape: cells per side, at most ceil(sqrt(4n)) + 1 each.
   std::size_t cols() const { return cols_; }
   std::size_t rows() const { return rows_; }
-
-  /// Allocated cell buckets: cols*rows for the dense index, cells ever
-  /// occupied (O(n + committed moves)) for the sparse one.
-  std::size_t cell_slots() const { return cells_.size(); }
 
   /// The maintained adjacency overlay (always consistent with the last
   /// committed positions).
@@ -188,44 +189,12 @@ class DeltaTracker {
   /// scan (the scan diffs against the current overlay).
   void apply_delta(const EdgeDelta& delta);
 
-  /// Sparse-index slot compactions performed so far (satellite: the
-  /// intern table used to grow forever under long teleporting churn).
-  std::uint64_t compactions() const { return compactions_; }
-
-  /// Cell buckets currently holding at least one node.
-  std::size_t occupied_cells() const { return occupied_cells_; }
-
  private:
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
-  /// Row-major cell key of `p` (row * cols + col, 64-bit so the sparse
-  /// lattice never clamps).
-  std::uint64_t cell_key(const geom::Point& p) const;
-
-  /// Bucket slot of `key`, or kNoSlot when the sparse index has never
-  /// seen the cell. Dense: the key itself.
-  std::uint32_t slot_of(std::uint64_t key) const;
-
-  /// Slot of `key`, creating a bucket on first occupancy (sparse).
-  std::uint32_t intern(std::uint64_t key);
-
-  /// Inverse of intern for occupied slots.
-  std::uint64_t key_of_slot(std::uint32_t slot) const;
-
-  /// Doubles the sparse key->slot table.
-  void grow_table();
-
-  /// Rebuilds the key->slot table at `cap` buckets (pow2) from
-  /// slot_keys_.
-  void rebuild_table(std::size_t cap);
-
-  /// Sparse index only: when the ever-interned slot count has outgrown
-  /// the occupied-cell count by 4x, drop the empty buckets and renumber
-  /// the survivors (ascending old-slot order, so the result is a pure
-  /// function of the commit history). Slot ids are internal — nothing
-  /// outside the tracker keys off them — so renumbering is invisible to
-  /// deltas, regions, and adjacency.
-  void maybe_compact();
+  /// Row-major cell key of `p` (row * cols + col): the index of its
+  /// bucket in cells_.
+  std::uint32_t cell_key(const geom::Point& p) const;
 
   /// Diffs staged_[i], i in [begin, end), against the frozen adjacency
   /// and appends normalized changed edges plus scanned cell keys to the
@@ -249,10 +218,10 @@ class DeltaTracker {
   /// Paints the grown dirty blocks (per-mover growth per CommitOptions'
   /// tiering), unions overlapping labels, maps every label to its
   /// region in paint_region_, and fills `out` from the committed
-  /// `delta`. `old_slots[i]` is the slot staged_[i] occupied before
+  /// `delta`. `old_cells[i]` is the cell staged_[i] occupied before
   /// migration.
   void build_regions(const EdgeDelta& delta,
-                     const std::vector<std::uint32_t>& old_slots,
+                     const std::vector<std::uint32_t>& old_cells,
                      const CommitOptions& opts, RegionPartition& out);
 
   std::vector<geom::Point> positions_;
@@ -261,21 +230,15 @@ class DeltaTracker {
   double range_sq_;
   double width_;
   double height_;
-  bool sparse_ = false;
   std::size_t cols_ = 1;
   std::size_t rows_ = 1;
   double inv_cell_x_ = 0.0;  // cols / width
   double inv_cell_y_ = 0.0;  // rows / height
-  std::vector<std::vector<NodeId>> cells_;    // per-slot id buckets
-  std::vector<std::uint64_t> slot_keys_;      // sparse: slot -> cell key
-  std::vector<std::uint64_t> table_keys_;     // sparse: open addressing,
-  std::vector<std::uint32_t> table_slots_;    //   UINT64_MAX = empty
-  std::vector<std::uint32_t> cell_of_node_;   // node -> bucket slot
+  std::vector<std::vector<NodeId>> cells_;    // per-cell id buckets
+  std::vector<std::uint32_t> cell_of_node_;   // node -> cell key
   std::vector<NodeId> staged_;                // dirty node ids
   std::vector<char> is_staged_;               // dedup flag per node
   std::size_t last_cells_scanned_ = 0;        // dirty-block cells, last commit
-  std::size_t occupied_cells_ = 0;            // buckets with >= 1 node
-  std::uint64_t compactions_ = 0;             // sparse slot compactions
 
   // Per-commit scratch (allocated once, O(staged) per tick): dirty-block
   // keys for the cells-scanned count, the open-addressing paint map of

@@ -49,7 +49,7 @@ IncrementalPipeline::IncrementalPipeline(std::vector<geom::Point> positions,
                                          double range, double width,
                                          double height,
                                          PipelineOptions options)
-    : tracker_(std::move(positions), range, width, height, options.grid,
+    : tracker_(std::move(positions), range, width, height,
                options.streaming_build),
       backbone_(tracker_.adjacency(), options.mode),
       options_(options) {
@@ -85,7 +85,6 @@ void IncrementalPipeline::set_obs(obs::Session* session) {
     regions_counter_ = r.counter("incr.regions");
     region_size_hist_ = r.histogram("incr.region_size",
                                     {1, 2, 4, 8, 16, 32, 64, 128, 256});
-    compactions_gauge_ = r.gauge("incr.slot_compactions");
     // Configuration record, not a measurement — but it differs between
     // runs that must otherwise snapshot identically (depth 1 vs 2), so
     // it lives under the .pool. prefix that deterministic() drops.
@@ -97,7 +96,6 @@ void IncrementalPipeline::set_obs(obs::Session* session) {
     dirty_cells_counter_ = obs::Counter();
     regions_counter_ = obs::Counter();
     region_size_hist_ = obs::Histogram();
-    compactions_gauge_ = obs::Gauge();
   }
 }
 
@@ -138,7 +136,6 @@ TickStats IncrementalPipeline::tick_pipelined() {
     span.set_arg(cur.delta.link_changes());
   }
   dirty_cells_counter_.add(tracker_.last_cells_scanned());
-  compactions_gauge_.set(static_cast<std::int64_t>(tracker_.compactions()));
   regions_counter_.add(cur.partition.count);
   for (const auto& cells : cur.partition.core_cells)
     region_size_hist_.record(cells.size());
@@ -180,7 +177,6 @@ TickStats IncrementalPipeline::tick_sync() {
     span.set_arg(delta.link_changes());
   }
   dirty_cells_counter_.add(tracker_.last_cells_scanned());
-  compactions_gauge_.set(static_cast<std::int64_t>(tracker_.compactions()));
   regions_counter_.add(partition_.count);
   for (const auto& cells : partition_.core_cells)
     region_size_hist_.record(cells.size());

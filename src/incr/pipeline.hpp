@@ -56,12 +56,9 @@ struct PipelineOptions {
   /// Incompatible with oracle_check (which must observe every tick
   /// synchronously).
   std::size_t pipeline_depth = 1;
-  /// Cell storage of the DeltaTracker grid (and of the SpatialGrid used
-  /// for the initial topology build): kAuto = dense until the lattice
-  /// outgrows the dense clamp, kSparse = O(n) interned occupied cells at
-  /// full lattice resolution. The maintained state is identical in every
-  /// mode.
-  geom::GridIndex grid = geom::GridIndex::kAuto;
+  /// Selects nothing. Kept because perfbench/runner.cpp still sets it;
+  /// deleted at the next benchmark change.
+  geom::GridIndex grid{};
   /// Build the initial unit-disk CSR with the streaming two-pass counting
   /// sweep instead of the edge-list GraphBuilder — same graph, roughly
   /// half the cold-build peak RSS.
@@ -163,9 +160,6 @@ class IncrementalPipeline {
   obs::Counter dirty_cells_counter_;
   obs::Counter regions_counter_;
   obs::Histogram region_size_hist_;
-  /// Sparse intern-table compactions so far — a pure function of the
-  /// commit history, so it stays in the deterministic snapshot.
-  obs::Gauge compactions_gauge_;
   /// Previous oracle clustering (oracle mode): the full-rebuild path is
   /// lcc_update from the previous tick's structure, exactly what the
   /// engine repairs incrementally.

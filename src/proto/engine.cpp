@@ -79,7 +79,7 @@ MaintenanceEngine::MaintenanceEngine(std::vector<geom::Point> positions,
                                      double range, double width,
                                      double height, EngineOptions options)
     : options_(options),
-      tracker_(std::move(positions), range, width, height, options.grid,
+      tracker_(std::move(positions), range, width, height,
                options.streaming_build) {
   const std::size_t n = tracker_.size();
 

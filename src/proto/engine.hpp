@@ -49,8 +49,9 @@ struct EngineOptions {
   /// require bitwise equality plus gateway-flag consistency. Slow — for
   /// tests and the equivalence soak only.
   bool oracle_check = false;
-  /// Cell storage of the DeltaTracker grid (identical state either way).
-  geom::GridIndex grid = geom::GridIndex::kAuto;
+  /// Selects nothing. Kept because perfbench/runner.cpp still sets it;
+  /// deleted at the next benchmark change.
+  geom::GridIndex grid{};
   /// Build the initial unit-disk CSR with the streaming counting sweep.
   bool streaming_build = false;
   /// Observability session (`proto.*` metrics, per-tick trace spans,

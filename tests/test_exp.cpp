@@ -3,13 +3,17 @@
 // and the paper's qualitative shapes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <stdexcept>
+#include <vector>
 
 #include "exp/churn.hpp"
 #include "exp/figures.hpp"
+#include "exp/mobility_mix.hpp"
 #include "exp/report.hpp"
 #include "exp/scenario.hpp"
+#include "geom/unit_disk.hpp"
 #include "graph/algorithms.hpp"
 
 namespace manet::exp {
@@ -68,9 +72,22 @@ TEST(ChurnRunnerTest, ReportsConnectedTopologyAndAttempts) {
   config.rebuild_baseline = false;
   const ChurnResult r = run_churn(config);
   EXPECT_TRUE(r.connected);
+  EXPECT_EQ(r.giant_fraction, 1.0);
   EXPECT_GE(r.connect_attempts_used, 1u);
   EXPECT_LE(r.connect_attempts_used, config.connect_attempts);
   EXPECT_NE(r.state_hash, 0u);
+}
+
+/// Share of the nodes in the largest component of `config`'s initial
+/// layout, read off the materialized unit-disk graph.
+double initial_giant_fraction(const ChurnConfig& config) {
+  const MobilityMix mix(config);
+  const auto [label, count] =
+      graph::components(geom::unit_disk_graph(mix.positions(), mix.range()));
+  std::vector<std::size_t> size(count, 0);
+  for (const std::uint32_t c : label) ++size[c];
+  return static_cast<double>(*std::max_element(size.begin(), size.end())) /
+         static_cast<double>(config.nodes);
 }
 
 TEST(ChurnRunnerTest, ExhaustedConnectBudgetIsReportedOrFatal) {
@@ -88,6 +105,16 @@ TEST(ChurnRunnerTest, ExhaustedConnectBudgetIsReportedOrFatal) {
   const ChurnResult r = run_churn(config);
   EXPECT_FALSE(r.connected);
   EXPECT_EQ(r.connect_attempts_used, 3u);
+  // The result reports the initial layout's giant component, on both
+  // placement paths.
+  EXPECT_GT(r.giant_fraction, 0.0);
+  EXPECT_LT(r.giant_fraction, 1.0);
+  EXPECT_EQ(r.giant_fraction, initial_giant_fraction(config));
+  ChurnConfig streaming = config;
+  streaming.streaming_placement = true;
+  const ChurnResult s = run_churn(streaming);
+  EXPECT_LT(s.giant_fraction, 1.0);
+  EXPECT_EQ(s.giant_fraction, initial_giant_fraction(streaming));
 
   config.require_connected = true;
   EXPECT_THROW(run_churn(config), std::invalid_argument);

@@ -23,6 +23,7 @@
 #include "core/state_hash.hpp"
 #include "core/static_backbone.hpp"
 #include "exp/churn.hpp"
+#include "geom/spatial_grid.hpp"
 #include "geom/unit_disk.hpp"
 #include "graph/dynamic_adjacency.hpp"
 #include "graph/graph.hpp"
@@ -185,54 +186,24 @@ void expect_adjacency_matches(const DeltaTracker& tracker,
       << "overlay diverged at round " << round;
 }
 
-// Two trackers over the same move stream, one per cell-index mode; the
-// sparse interned index must report the identical delta and converge to
-// the identical overlay, round for round. (Sparse keeps the unclamped
-// lattice, so the cell *geometry* may differ — the produced graph and
-// deltas may not.)
-struct TrackerPair {
-  TrackerPair(const std::vector<geom::Point>& positions, double range)
-      : dense(positions, range, 100, 100, geom::GridIndex::kDense),
-        sparse(positions, range, 100, 100, geom::GridIndex::kSparse) {}
-
-  void stage(NodeId v, geom::Point p) {
-    dense.stage_move(v, p);
-    sparse.stage_move(v, p);
-  }
-
-  void commit_and_check(const std::vector<geom::Point>& positions,
-                        double range, int round) {
-    const EdgeDelta d = dense.commit();
-    const EdgeDelta s = sparse.commit();
-    EXPECT_EQ(d.added, s.added) << "round " << round;
-    EXPECT_EQ(d.removed, s.removed) << "round " << round;
-    EXPECT_EQ(d.touched, s.touched) << "round " << round;
-    expect_adjacency_matches(dense, positions, range, round);
-    expect_adjacency_matches(sparse, positions, range, round);
-  }
-
-  DeltaTracker dense;
-  DeltaTracker sparse;
-};
-
 TEST(DeltaTrackerPropertyTest, CellBoundaryOscillation) {
   // Half the population parked on a vertical cell edge, nudged across it
   // and back every commit: maximal cell-migration churn from near-zero
-  // motion, the worst case for the bucket bookkeeping (and for the
-  // sparse index's intern table, which keeps absorbing new cells).
+  // motion, the worst case for the bucket bookkeeping.
   Rng rng(501);
   const std::size_t n = 60;
   const double range = 10.0;
   auto positions = random_layout(n, rng);
-  TrackerPair pair(positions, range);
+  DeltaTracker tracker(positions, range, 100, 100);
   for (int round = 0; round < 60; ++round) {
     for (NodeId v = 0; v < n; v += 2) {
       const double edge = std::round(positions[v].x / range) * range;
       const double eps = (round % 2 == 0) ? 1e-7 : -1e-7;
       positions[v].x = std::clamp(edge + eps, 0.0, 100.0);
-      pair.stage(v, positions[v]);
+      tracker.stage_move(v, positions[v]);
     }
-    pair.commit_and_check(positions, range, round);
+    tracker.commit();
+    expect_adjacency_matches(tracker, positions, range, round);
   }
 }
 
@@ -244,60 +215,56 @@ TEST(DeltaTrackerPropertyTest, MassTeleportAllNodes) {
   const double range = geom::range_for_average_degree(8.0, n, 100, 100);
   auto positions = random_layout(n, rng);
   DeltaTracker tracker(positions, range, 100, 100);
-  DeltaTracker sparse(positions, range, 100, 100, geom::GridIndex::kSparse);
   RegionPartition regions;
-  RegionPartition sparse_regions;
   for (int round = 0; round < 25; ++round) {
     for (NodeId v = 0; v < n; ++v) {
       positions[v] = {rng.uniform(0, 100), rng.uniform(0, 100)};
       tracker.stage_move(v, positions[v]);
-      sparse.stage_move(v, positions[v]);
     }
     tracker.commit(&regions);
-    sparse.commit(&sparse_regions);
     expect_adjacency_matches(tracker, positions, range, round);
-    expect_adjacency_matches(sparse, positions, range, round);
     EXPECT_GE(regions.count, 1u);
-    EXPECT_GE(sparse_regions.count, 1u);
   }
 }
 
 TEST(DeltaTrackerPropertyTest, AllNodesIntoOneCell) {
   // The density extremes: everyone converges into one cell (a clique in
-  // one bucket — the sparse index down to a single interned key), then
-  // scatters back out.
+  // one bucket), then scatters back out.
   Rng rng(503);
   const std::size_t n = 80;
   const double range = 10.0;
   auto positions = random_layout(n, rng);
-  TrackerPair pair(positions, range);
+  DeltaTracker tracker(positions, range, 100, 100);
   for (int round = 0; round < 6; ++round) {
     for (NodeId v = 0; v < n; ++v) {
       positions[v] =
           (round % 2 == 0)
               ? geom::Point{55.0 + rng.uniform(0, 4), 55.0 + rng.uniform(0, 4)}
               : geom::Point{rng.uniform(0, 100), rng.uniform(0, 100)};
-      pair.stage(v, positions[v]);
+      tracker.stage_move(v, positions[v]);
     }
-    pair.commit_and_check(positions, range, round);
+    tracker.commit();
+    expect_adjacency_matches(tracker, positions, range, round);
   }
 }
 
-TEST(DeltaTrackerPropertyTest, SparseSlotCompactionBoundsInternTable) {
-  // A marching flock over the sparse index: every round the whole
-  // population teleports into a fresh patch of the world, abandoning
-  // its old cells. Without compaction the intern table accumulates one
-  // slot per cell ever visited; with it, slot count must stay within
-  // the compaction threshold of the live cell count — while the overlay
-  // keeps matching the from-scratch graph exactly.
+TEST(DeltaTrackerPropertyTest, RoamingFlockStaysOnTheClampedLattice) {
+  // A marching flock over a field far wider than sqrt(n) ranges: every
+  // round the whole population teleports into a fresh patch of the
+  // world. The 500x500-cell lattice clamps to ceil(sqrt(4n)) + 1 cells a
+  // side, so each cell is ~29 ranges wide and the flock shares one or
+  // two buckets — and the overlay must still match the from-scratch
+  // graph exactly.
   Rng rng(506);
   const std::size_t n = 60;
-  const double range = 2.0;  // 500x500-cell lattice — sparse territory
+  const double range = 2.0;
   std::vector<geom::Point> positions;
   for (std::size_t i = 0; i < n; ++i)
     positions.push_back({rng.uniform(0, 8), rng.uniform(0, 8)});
-  DeltaTracker tracker(positions, range, 1000, 1000,
-                       geom::GridIndex::kSparse);
+  DeltaTracker tracker(positions, range, 1000, 1000);
+  const auto side = static_cast<std::size_t>(
+                        std::ceil(std::sqrt(4.0 * static_cast<double>(n)))) +
+                    1;
   for (int round = 0; round < 80; ++round) {
     const double ox = rng.uniform(0, 992);
     const double oy = rng.uniform(0, 992);
@@ -307,13 +274,38 @@ TEST(DeltaTrackerPropertyTest, SparseSlotCompactionBoundsInternTable) {
     }
     tracker.commit();
     expect_adjacency_matches(tracker, positions, range, round);
-    ASSERT_LE(tracker.cell_slots(), 4 * tracker.occupied_cells() + 64)
-        << "intern table leaked abandoned slots at round " << round;
+    ASSERT_LE(tracker.cols() * tracker.rows(), side * side)
+        << "lattice outgrew its O(n) clamp at round " << round;
   }
-  EXPECT_GT(tracker.compactions(), 0u);
-  // Occupancy accounting stayed truthful: the flock fits in few cells.
-  EXPECT_LE(tracker.occupied_cells(), n);
-  EXPECT_GE(tracker.occupied_cells(), 1u);
+}
+
+TEST(DeltaTrackerTest, DegreeCalibratedLayoutsKeepTheFullLattice) {
+  // The paper's layouts (n nodes uniform in 100 x 100, the range set for
+  // mean degree d) need about n * pi / d cells, within both grids'
+  // clamps for every d >= pi / 4. So neither grid coarsens them: the
+  // tracker keeps floor(100 / r) cells a side, and SpatialGrid
+  // floor(extent / r) of the layout's bounding box.
+  Rng rng(508);
+  for (const std::size_t n : {std::size_t{100}, std::size_t{10000}})
+    for (const double d : {6.0, 18.0}) {
+      SCOPED_TRACE("n " + std::to_string(n) + " d " + std::to_string(d));
+      const double r = geom::range_for_average_degree(d, n, 100, 100);
+      const auto positions = random_layout(n, rng);
+      const DeltaTracker tracker(positions, r, 100, 100);
+      EXPECT_EQ(tracker.cols(), static_cast<std::size_t>(100 / r));
+      EXPECT_EQ(tracker.rows(), static_cast<std::size_t>(100 / r));
+      double min_x = positions[0].x, max_x = positions[0].x;
+      double min_y = positions[0].y, max_y = positions[0].y;
+      for (const geom::Point& p : positions) {
+        min_x = std::min(min_x, p.x);
+        max_x = std::max(max_x, p.x);
+        min_y = std::min(min_y, p.y);
+        max_y = std::max(max_y, p.y);
+      }
+      const geom::SpatialGrid grid(positions, r);
+      EXPECT_EQ(grid.cols(), static_cast<std::size_t>((max_x - min_x) / r));
+      EXPECT_EQ(grid.rows(), static_cast<std::size_t>((max_y - min_y) / r));
+    }
 }
 
 TEST(DeltaTrackerTest, DeferredCommitMatchesImmediate) {
@@ -352,17 +344,14 @@ TEST(DeltaTrackerTest, DeferredCommitMatchesImmediate) {
 
 TEST(DeltaTrackerTest, StreamingBuildMatchesBuilderPath) {
   // The streaming counting-sweep cold build must seed the tracker with
-  // the exact same adjacency as the GraphBuilder path, in both index
-  // modes.
+  // the exact same adjacency as the GraphBuilder path.
   Rng rng(505);
   const std::size_t n = 150;
   const double range = geom::range_for_average_degree(8.0, n, 100, 100);
   const auto positions = random_layout(n, rng);
-  const auto expected = geom::unit_disk_graph(positions, range).edges();
-  for (const auto index : {geom::GridIndex::kDense, geom::GridIndex::kSparse}) {
-    DeltaTracker streamed(positions, range, 100, 100, index, true);
-    EXPECT_EQ(streamed.adjacency().freeze().edges(), expected);
-  }
+  const DeltaTracker streamed(positions, range, 100, 100, true);
+  EXPECT_EQ(streamed.adjacency().freeze().edges(),
+            geom::unit_disk_graph(positions, range).edges());
 }
 
 TEST(DeltaTrackerTest, CellsScannedCountsDistinctCells) {
@@ -376,18 +365,34 @@ TEST(DeltaTrackerTest, CellsScannedCountsDistinctCells) {
   EXPECT_EQ(tracker.last_cells_scanned(), 9u);
 }
 
-void region_partition_soak(geom::GridIndex index, std::uint64_t seed) {
+// The "Sparse" region and scope soaks run 400 nodes at mean degree 0.5
+// (range ~2): the lattice would be 50 cells a side and clamps to
+// ceil(sqrt(1600)) + 1 = 41, so they cover the coarsened cells of a
+// field wider than sqrt(n) ranges. The "Dense" ones run the paper's
+// degree 6 on the full 14x14 lattice.
+constexpr double kSparseDegree = 0.5;
+
+// The soaks' premise: a degree below pi/4 clamps the lattice, the paper's
+// degrees never do.
+void expect_clamped_iff_sparse(const DeltaTracker& tracker, double degree,
+                               double side) {
+  EXPECT_EQ(tracker.cols() < static_cast<std::size_t>(side / tracker.range()),
+            degree == kSparseDegree)
+      << tracker.cols() << " cells a side at degree " << degree;
+}
+
+void region_partition_soak(double degree, std::uint64_t seed) {
   // The S30 contract: per-region deltas partition the tick delta exactly
   // (every changed edge, both endpoints, in one region) and core cells
   // of distinct regions stay >= 2*kRegionGrowthCells+1 grid cells apart
-  // in Chebyshev distance. Holds in every index mode — the sparse index
-  // keeps the unclamped lattice, so its cell keys differ from the dense
-  // run's, but the partition invariants are geometry-relative.
+  // in Chebyshev distance. Holds on the clamped lattice too: the
+  // partition invariants are geometry-relative.
   Rng rng(seed);
   const std::size_t n = 400;
-  const double range = geom::range_for_average_degree(6.0, n, 100, 100);
+  const double range = geom::range_for_average_degree(degree, n, 100, 100);
   auto positions = random_layout(n, rng);
-  DeltaTracker tracker(positions, range, 100, 100, index);
+  DeltaTracker tracker(positions, range, 100, 100);
+  expect_clamped_iff_sparse(tracker, degree, 100);
   RegionPartition parts;
   const std::size_t min_sep = 2 * kRegionGrowthCells + 1;
   for (int round = 0; round < 40; ++round) {
@@ -439,11 +444,11 @@ void region_partition_soak(geom::GridIndex index, std::uint64_t seed) {
 }
 
 TEST(DeltaTrackerPropertyTest, RegionPartitionIsValidAndSeparated) {
-  region_partition_soak(geom::GridIndex::kAuto, 504);
+  region_partition_soak(6.0, 504);
 }
 
 TEST(DeltaTrackerPropertyTest, RegionPartitionIsValidAndSeparatedSparse) {
-  region_partition_soak(geom::GridIndex::kSparse, 506);
+  region_partition_soak(kSparseDegree, 506);
 }
 
 TEST(DeltaTrackerPropertyTest, TieredGrowthPartitionsExactlyAndShrinksScopes) {
@@ -565,7 +570,7 @@ std::size_t chebyshev(Cell a, Cell b) {
   return std::max(d(a.first, b.first), d(a.second, b.second));
 }
 
-void scope_lookup_reference_soak(geom::GridIndex index, bool tiered,
+void scope_lookup_reference_soak(double degree, bool tiered,
                                  std::uint64_t seed) {
   // The scope lookup against a brute-force reference built from the
   // definition alone: a mover with growth g paints every cell within
@@ -576,9 +581,10 @@ void scope_lookup_reference_soak(geom::GridIndex index, bool tiered,
   Rng rng(seed);
   const std::size_t n = 400;
   const double side = 100;
-  const double range = geom::range_for_average_degree(6.0, n, side, side);
+  const double range = geom::range_for_average_degree(degree, n, side, side);
   auto positions = random_layout(n, rng);
-  DeltaTracker tracker(positions, range, side, side, index);
+  DeltaTracker tracker(positions, range, side, side);
+  expect_clamped_iff_sparse(tracker, degree, side);
   std::vector<NodeId> head_of(n);
   for (NodeId v = 0; v < n; ++v) head_of[v] = v - v % 5;  // 1 in 5 a head
   RegionPartition parts;
@@ -686,19 +692,19 @@ void scope_lookup_reference_soak(geom::GridIndex index, bool tiered,
 }
 
 TEST(DeltaTrackerPropertyTest, ScopeLookupMatchesReferenceDenseUniform) {
-  scope_lookup_reference_soak(geom::GridIndex::kDense, false, 911);
+  scope_lookup_reference_soak(6.0, false, 911);
 }
 
 TEST(DeltaTrackerPropertyTest, ScopeLookupMatchesReferenceDenseTiered) {
-  scope_lookup_reference_soak(geom::GridIndex::kDense, true, 912);
+  scope_lookup_reference_soak(6.0, true, 912);
 }
 
 TEST(DeltaTrackerPropertyTest, ScopeLookupMatchesReferenceSparseUniform) {
-  scope_lookup_reference_soak(geom::GridIndex::kSparse, false, 913);
+  scope_lookup_reference_soak(kSparseDegree, false, 913);
 }
 
 TEST(DeltaTrackerPropertyTest, ScopeLookupMatchesReferenceSparseTiered) {
-  scope_lookup_reference_soak(geom::GridIndex::kSparse, true, 914);
+  scope_lookup_reference_soak(kSparseDegree, true, 914);
 }
 
 TEST(DeltaTrackerPropertyTest, TeleportOldAndNewBlocksShareOneRegion) {
@@ -756,38 +762,45 @@ TEST(DeltaTrackerTest, FarPositionsClampOntoTheBorder) {
   // link, the overlay stays the unit-disk graph, and moving back
   // restores the links.
   const std::vector<geom::Point> pts{{10, 10}, {20, 10}, {22, 12}, {90, 90}};
-  for (const auto index : {geom::GridIndex::kDense, geom::GridIndex::kSparse}) {
-    std::vector<geom::Point> positions = pts;
-    DeltaTracker tracker(positions, 15.0, 100, 100, index);
-    ASSERT_TRUE(tracker.adjacency().has_edge(0, 1));
-    ASSERT_TRUE(tracker.adjacency().has_edge(1, 2));
-    positions[1] = {1e300, 3};
-    tracker.stage_move(1, positions[1]);
-    tracker.commit();
-    EXPECT_EQ(tracker.adjacency().degree(1), 0u);
-    EXPECT_EQ(tracker.adjacency().freeze().edges(),
-              geom::unit_disk_graph(positions, 15.0).edges());
-    positions[1] = pts[1];
-    tracker.stage_move(1, positions[1]);
-    tracker.commit();
-    EXPECT_TRUE(tracker.adjacency().has_edge(0, 1));
-    EXPECT_TRUE(tracker.adjacency().has_edge(1, 2));
-    EXPECT_EQ(tracker.adjacency().freeze().edges(),
-              geom::unit_disk_graph(pts, 15.0).edges());
-  }
+  std::vector<geom::Point> positions = pts;
+  DeltaTracker tracker(positions, 15.0, 100, 100);
+  ASSERT_TRUE(tracker.adjacency().has_edge(0, 1));
+  ASSERT_TRUE(tracker.adjacency().has_edge(1, 2));
+  positions[1] = {1e300, 3};
+  tracker.stage_move(1, positions[1]);
+  tracker.commit();
+  EXPECT_EQ(tracker.adjacency().degree(1), 0u);
+  EXPECT_EQ(tracker.adjacency().freeze().edges(),
+            geom::unit_disk_graph(positions, 15.0).edges());
+  positions[1] = pts[1];
+  tracker.stage_move(1, positions[1]);
+  tracker.commit();
+  EXPECT_TRUE(tracker.adjacency().has_edge(0, 1));
+  EXPECT_TRUE(tracker.adjacency().has_edge(1, 2));
+  EXPECT_EQ(tracker.adjacency().freeze().edges(),
+            geom::unit_disk_graph(pts, 15.0).edges());
 }
 
-// The scope-lookup lifetime cases run on a sparse 100x100-cell lattice
-// (range 10 over a 1000-unit field) so a growth-2 paint (7x7 cells) stays
-// local: node 0 moves inside cell (50, 50), node 1 shares that cell,
-// node 2 sits at (90, 90) and node 3 at (10, 10).
+// The scope-lookup lifetime cases run four named nodes at range 10 over
+// a 1000-unit field. 96 fillers stacked in the far corner (0, 1000)
+// bring n to 100, so the lattice keeps ceil(sqrt(400)) + 1 = 21 cells a
+// side (47.6 units each) and a growth-2 paint (7x7 cells) stays local:
+// node 0 moves inside cell (10, 10), node 1 shares that cell, node 2
+// sits in (18, 18), node 3 in (2, 2) and the fillers in (0, 20), which
+// no paint below reaches.
+constexpr NodeId kNamedNodes = 4;
+
 std::vector<geom::Point> lifetime_layout() {
-  return {{500, 500}, {505, 500}, {900, 900}, {100, 100}};
+  std::vector<geom::Point> pts{{500, 500}, {505, 500}, {900, 900}, {100, 100}};
+  pts.resize(100, geom::Point{0, 1000});
+  return pts;
 }
 
 DeltaTracker lifetime_tracker() {
-  return DeltaTracker(lifetime_layout(), 10.0, 1000, 1000,
-                      geom::GridIndex::kSparse);
+  DeltaTracker tracker(lifetime_layout(), 10.0, 1000, 1000);
+  EXPECT_EQ(tracker.cols(), 21u);
+  EXPECT_EQ(tracker.rows(), 21u);
+  return tracker;
 }
 
 TEST(DeltaTrackerTest, ScopeLookupIsEmptyUntilACommitBuildsRegions) {
@@ -833,18 +846,19 @@ TEST(DeltaTrackerTest, StagingChangesNoScopeAnswerBeforeTheNextCommit) {
   std::vector<std::uint32_t> before;
   for (NodeId v = 0; v < tracker.size(); ++v)
     before.push_back(tracker.scope_region(v));
+  before.resize(kNamedNodes);
   EXPECT_EQ(before, (std::vector<std::uint32_t>{0, 0, kNoRegion, kNoRegion}));
   // Node 2 into the painted cells, node 0 out of them: the lookup reads
   // committed cells, so neither answer moves yet.
   tracker.stage_move(2, {501, 501});
   tracker.stage_move(0, {100, 105});
-  for (NodeId v = 0; v < tracker.size(); ++v)
+  for (NodeId v = 0; v < kNamedNodes; ++v)
     EXPECT_EQ(tracker.scope_region(v), before[v]) << "node " << v;
   // The commit paints both movers' old and new blocks, which overlap at
-  // cell (50, 50): one region holding all four nodes.
+  // cell (10, 10): one region holding all four named nodes.
   tracker.commit(&parts);
   ASSERT_EQ(parts.count, 1u);
-  for (NodeId v = 0; v < tracker.size(); ++v)
+  for (NodeId v = 0; v < kNamedNodes; ++v)
     EXPECT_EQ(tracker.scope_region(v), 0u) << "node " << v;
 }
 

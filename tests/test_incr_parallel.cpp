@@ -544,16 +544,12 @@ TEST(PipelinedDeterminismTest, ChurnPipelinedHashAndMetricsIdentical) {
   }
 }
 
-TEST(ParallelDeterminismTest, SparseIndexChurnHashMatchesDense) {
-  // The million-node machinery (sparse cell index + streaming cold
-  // build + sharded settling) must land on the same final state hash as
-  // the dense sequential engine, at every thread count. This is the
-  // equivalence the bench's --scale verify stage gates on. cell_order
-  // stays off: the relabeling permutation depends on the chosen grid's
-  // lattice (dense clamping coarsens it), so cross-mode comparisons
-  // need the original labels on both sides.
-  const auto run_at = [](geom::GridIndex grid, bool streaming,
-                         std::size_t threads) {
+TEST(ParallelDeterminismTest, StreamingBuildChurnHashMatchesEdgeListBuild) {
+  // The million-node machinery (streaming cold build + sharded settling)
+  // must land on the same final state hash as the edge-list build on the
+  // sequential engine, at every thread count. This is the equivalence
+  // the bench's --scale verify stage gates on.
+  const auto run_at = [](bool streaming, std::size_t threads) {
     exp::ChurnConfig config;
     config.nodes = 1000;
     config.degree = 6.0;
@@ -561,19 +557,17 @@ TEST(ParallelDeterminismTest, SparseIndexChurnHashMatchesDense) {
     config.move_fraction = 0.02;
     config.seed = 77;
     config.rebuild_baseline = false;
-    config.grid = grid;
     config.streaming_build = streaming;
     config.threads = threads;
     return exp::run_churn(config);
   };
-  const exp::ChurnResult dense = run_at(geom::GridIndex::kDense, false, 1);
-  EXPECT_NE(dense.state_hash, 0u);
+  const exp::ChurnResult edge_list = run_at(false, 1);
+  EXPECT_NE(edge_list.state_hash, 0u);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{8}}) {
-    const exp::ChurnResult sparse =
-        run_at(geom::GridIndex::kSparse, true, threads);
-    EXPECT_EQ(sparse.state_hash, dense.state_hash)
-        << "sparse engine diverged at threads=" << threads;
+    const exp::ChurnResult streamed = run_at(true, threads);
+    EXPECT_EQ(streamed.state_hash, edge_list.state_hash)
+        << "streaming build diverged at threads=" << threads;
   }
 }
 

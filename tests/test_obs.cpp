@@ -115,7 +115,7 @@ TEST(ObsRegistryTest, DeterministicDropsSchedulingPlaneMetrics) {
   reg.counter("incr.lane.3.jobs").add(9);
   reg.gauge("incr.pool.queue_depth").set(2);
   reg.gauge("incr.pool.pipeline_depth").set(2);
-  reg.gauge("incr.slot_compactions").set(4);
+  reg.gauge("net.quiescence_round").set(4);
   reg.histogram("incr.region_size", {1, 2, 4}).record(3);
   const obs::MetricsSnapshot snap = reg.snapshot();
   const obs::MetricsSnapshot det = snap.deterministic();
@@ -129,7 +129,7 @@ TEST(ObsRegistryTest, DeterministicDropsSchedulingPlaneMetrics) {
   // ...and everything deterministic survives untouched.
   EXPECT_EQ(det.counter_or("incr.ticks"), 7u);
   ASSERT_EQ(det.gauges.size(), 1u);
-  EXPECT_EQ(det.gauges[0].name, "incr.slot_compactions");
+  EXPECT_EQ(det.gauges[0].name, "net.quiescence_round");
   EXPECT_EQ(det.gauges[0].value, 4);
   ASSERT_EQ(det.histograms.size(), 1u);
   EXPECT_EQ(det.histograms[0].count, 1u);

@@ -25,18 +25,20 @@ std::vector<Point> random_points(Rng& rng, std::size_t n, double width,
 }
 
 void expect_same_edges(const std::vector<Point>& pts, double range) {
-  // Every construction path — builder and streaming, dense and sparse
-  // cell index — must reproduce the reference pair scan exactly.
+  // Both construction paths — builder and streaming — must reproduce the
+  // reference pair scan exactly.
   const auto ref = unit_disk_graph_reference(pts, range);
-  for (const auto index : {GridIndex::kAuto, GridIndex::kDense,
-                           GridIndex::kSparse}) {
-    const auto grid = unit_disk_graph(pts, range, index);
-    ASSERT_EQ(grid.order(), ref.order());
-    EXPECT_EQ(grid.edges(), ref.edges());
-    const auto streamed = unit_disk_graph_streaming(pts, range, index);
-    ASSERT_EQ(streamed.order(), ref.order());
-    EXPECT_EQ(streamed.edges(), ref.edges());
-  }
+  const auto grid = unit_disk_graph(pts, range);
+  ASSERT_EQ(grid.order(), ref.order());
+  EXPECT_EQ(grid.edges(), ref.edges());
+  const auto streamed = unit_disk_graph_streaming(pts, range);
+  ASSERT_EQ(streamed.order(), ref.order());
+  EXPECT_EQ(streamed.edges(), ref.edges());
+}
+
+// The lattice's O(n) bound: at most max(64, 4n) cells.
+void expect_order_n_cells(const SpatialGrid& grid, std::size_t n) {
+  EXPECT_LE(grid.cols() * grid.rows(), std::max<std::size_t>(64, 4 * n));
 }
 
 TEST(SpatialGridTest, BucketsEveryNodeExactlyOnce) {
@@ -77,11 +79,10 @@ TEST(SpatialGridTest, TinyCellSizeStaysOrderN) {
   Rng rng(13);
   const std::size_t n = 50;
   const auto pts = random_points(rng, n, 100.0, 100.0);
-  // A microscopic cell over a huge area: kAuto must switch to the sparse
-  // index (storage proportional to occupied cells, not the lattice)...
+  // A microscopic cell over a huge area: the lattice coarsens until the
+  // cell count is O(n), and still buckets every node once.
   const SpatialGrid grid(pts, 1e-7);
-  EXPECT_TRUE(grid.sparse());
-  EXPECT_LE(grid.occupied_cells(), n);
+  expect_order_n_cells(grid, n);
   std::size_t bucketed = 0;
   grid.for_each_occupied(
       [&](std::size_t, std::size_t, std::size_t begin, std::size_t end) {
@@ -89,39 +90,6 @@ TEST(SpatialGridTest, TinyCellSizeStaysOrderN) {
         bucketed += end - begin;
       });
   EXPECT_EQ(bucketed, n);
-  // ...while an explicit dense request falls back to coarsening the
-  // lattice until the cell count is O(n), as before.
-  const SpatialGrid dense(pts, 1e-7, GridIndex::kDense);
-  EXPECT_FALSE(dense.sparse());
-  EXPECT_LE(dense.cols() * dense.rows(), std::max<std::size_t>(64, 4 * n));
-}
-
-TEST(SpatialGridTest, SparseIndexMatchesDenseBucketing) {
-  // At a lattice small enough for both modes, sparse and dense must put
-  // every node in the same (col, row) cell and enumerate the same
-  // occupied cells in the same row-major order.
-  Rng rng(14);
-  const auto pts = random_points(rng, 120, 100.0, 100.0);
-  const SpatialGrid dense(pts, 10.0, GridIndex::kDense);
-  const SpatialGrid sparse(pts, 10.0, GridIndex::kSparse);
-  ASSERT_EQ(dense.cols(), sparse.cols());
-  ASSERT_EQ(dense.rows(), sparse.rows());
-  EXPECT_FALSE(dense.sparse());
-  EXPECT_TRUE(sparse.sparse());
-  std::vector<std::pair<std::size_t, std::size_t>> dense_cells, sparse_cells;
-  dense.for_each_occupied([&](std::size_t c, std::size_t r, std::size_t,
-                              std::size_t) { dense_cells.push_back({r, c}); });
-  sparse.for_each_occupied([&](std::size_t c, std::size_t r, std::size_t,
-                               std::size_t) { sparse_cells.push_back({r, c}); });
-  EXPECT_EQ(dense_cells, sparse_cells);
-  EXPECT_EQ(sparse.occupied_cells(), sparse_cells.size());
-  for (const auto& [r, c] : sparse_cells) {
-    const auto d = dense.cell(c, r);
-    const auto s = sparse.cell(c, r);
-    EXPECT_TRUE(std::equal(d.begin(), d.end(), s.begin(), s.end()));
-  }
-  // Probing agrees cell for cell whether or not the cell is occupied.
-  EXPECT_EQ(dense.cell(0, 0).size(), sparse.cell(0, 0).size());
 }
 
 TEST(SpatialGridCrossCheckTest, RandomizedConfigsMatchReference) {
@@ -187,9 +155,8 @@ TEST(SpatialGridCrossCheckTest, DegenerateInputsMatchReference) {
 
 TEST(SpatialGridCrossCheckTest, HugeAreaTinyRangeMatchesReference) {
   // Clusters scattered over a 1e6 x 1e6 area with a range of 5: the full
-  // lattice would be 4e10 cells, so kAuto must go sparse — and still
-  // produce the reference edge set (including the lattice-dimension
-  // clamp's fall-back coarsening in the explicit dense mode).
+  // lattice would be 4e10 cells, so the clamp coarsens it to O(n) cells
+  // — and the sweep must still produce the reference edge set.
   Rng rng(15);
   std::vector<Point> pts;
   for (int cluster = 0; cluster < 8; ++cluster) {
@@ -199,9 +166,7 @@ TEST(SpatialGridCrossCheckTest, HugeAreaTinyRangeMatchesReference) {
                      c.y + rng.uniform(-6.0, 6.0)});
   }
   expect_same_edges(pts, 5.0);
-  const SpatialGrid grid(pts, 5.0);
-  EXPECT_TRUE(grid.sparse());
-  EXPECT_LE(grid.occupied_cells(), pts.size());
+  expect_order_n_cells(SpatialGrid(pts, 5.0), pts.size());
 }
 
 }  // namespace

@@ -68,6 +68,24 @@ TEST(FlagsTest, ExplicitFalse) {
   EXPECT_FALSE(f.get_bool("trace", true));
 }
 
+TEST(FlagsTest, BoolsRejectAnythingButTrueFalseOneZero) {
+  const auto f = make_flags({"--scale=flase", "--fast=yes", "--check=true",
+                             "--demo=1", "--random="});
+  EXPECT_TRUE(f.get_bool("check"));
+  EXPECT_TRUE(f.get_bool("demo"));
+  // A typo must not start the run it meant to turn off.
+  for (const char* key : {"scale", "fast", "random"}) {
+    try {
+      f.get_bool(key);
+      ADD_FAILURE() << "--" << key << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + key + " "),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(FlagsTest, PositionalArguments) {
   const auto f = make_flags({"input.txt", "--k=1", "output.txt"});
   ASSERT_EQ(f.positional_count(), 2u);

@@ -7,7 +7,9 @@
 #include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <vector>
 
+#include "geom/spatial_grid.hpp"
 #include "graph/algorithms.hpp"
 #include "stats/running.hpp"
 
@@ -119,18 +121,14 @@ TEST(UnitDiskTest, ConnectedGeneratorReportsAttemptsUsed) {
 
 TEST(UnitDiskTest, StreamingBuildMatchesBuilderAtScale) {
   // The counting-sweep CSR construction is a pure memory optimization:
-  // same graph as the GraphBuilder path on a dense random layout, in
-  // both cell-index modes.
+  // same graph as the GraphBuilder path on a dense random layout.
   Rng rng(17);
   UnitDiskConfig cfg;
   cfg.nodes = 1500;
   cfg.range = range_for_average_degree(8.0, cfg.nodes, cfg.width, cfg.height);
   const auto net = generate_unit_disk(cfg, rng);
-  for (const auto index : {GridIndex::kDense, GridIndex::kSparse}) {
-    const auto streamed =
-        unit_disk_graph_streaming(net.positions, cfg.range, index);
-    EXPECT_EQ(streamed.edges(), net.graph.edges());
-  }
+  const auto streamed = unit_disk_graph_streaming(net.positions, cfg.range);
+  EXPECT_EQ(streamed.edges(), net.graph.edges());
 }
 
 TEST(UnitDiskTest, CellOrderLayoutIsIdentityOnRegrid) {
@@ -142,23 +140,21 @@ TEST(UnitDiskTest, CellOrderLayoutIsIdentityOnRegrid) {
   cfg.nodes = 700;
   cfg.range = range_for_average_degree(6.0, cfg.nodes, cfg.width, cfg.height);
   const auto net = generate_unit_disk(cfg, rng);
-  for (const auto index : {GridIndex::kDense, GridIndex::kSparse}) {
-    const auto layout = cell_order_layout(net.positions, cfg.range, index);
-    ASSERT_EQ(layout.size(), net.positions.size());
-    auto original = net.positions;
-    auto permuted = layout;
-    const auto lt = [](const Point& a, const Point& b) {
-      return a.x != b.x ? a.x < b.x : a.y < b.y;
-    };
-    std::sort(original.begin(), original.end(), lt);
-    std::sort(permuted.begin(), permuted.end(), lt);
-    EXPECT_EQ(original, permuted);
+  const auto layout = cell_order_layout(net.positions, cfg.range);
+  ASSERT_EQ(layout.size(), net.positions.size());
+  auto original = net.positions;
+  auto permuted = layout;
+  const auto lt = [](const Point& a, const Point& b) {
+    return a.x != b.x ? a.x < b.x : a.y < b.y;
+  };
+  std::sort(original.begin(), original.end(), lt);
+  std::sort(permuted.begin(), permuted.end(), lt);
+  EXPECT_EQ(original, permuted);
 
-    const SpatialGrid regrid(layout, cfg.range, index);
-    const auto slots = regrid.slots();
-    for (std::size_t k = 0; k < slots.size(); ++k)
-      ASSERT_EQ(slots[k], static_cast<NodeId>(k));
-  }
+  const SpatialGrid regrid(layout, cfg.range);
+  const auto slots = regrid.slots();
+  for (std::size_t k = 0; k < slots.size(); ++k)
+    ASSERT_EQ(slots[k], static_cast<NodeId>(k));
 }
 
 TEST(UnitDiskTest, CellOrderGeneratorMatchesDrawStreamAndOrder) {
@@ -205,25 +201,39 @@ TEST(UnitDiskTest, CellOrderGeneratorMatchesDrawStreamAndOrder) {
 }
 
 TEST(UnitDiskTest, UnionFindConnectivityMatchesGraphCheck) {
-  // unit_disk_connected must agree with the materialized-graph check on
-  // both connected and fragmented layouts, in both index modes.
+  // unit_disk_largest_component must agree with the materialized graph's
+  // components on both connected and fragmented layouts: connected
+  // exactly when it spans every node, and the largest component's size
+  // on the fragmented degree-2 layouts.
   Rng rng(29);
   UnitDiskConfig cfg;
   cfg.nodes = 300;
+  std::size_t fragmented = 0;
   for (const double degree : {2.0, 6.0, 12.0}) {
     cfg.range =
         range_for_average_degree(degree, cfg.nodes, cfg.width, cfg.height);
     for (int round = 0; round < 10; ++round) {
       const auto net = generate_unit_disk(cfg, rng);
-      const bool expect = graph::is_connected(net.graph);
-      for (const auto index : {GridIndex::kDense, GridIndex::kSparse})
-        EXPECT_EQ(unit_disk_connected(net.positions, cfg.range, index),
-                  expect)
-            << "degree " << degree << " round " << round;
+      const std::size_t largest =
+          unit_disk_largest_component(net.positions, cfg.range);
+      EXPECT_EQ(largest == cfg.nodes, graph::is_connected(net.graph))
+          << "degree " << degree << " round " << round;
+      if (degree != 2.0) continue;
+      const auto [label, count] = graph::components(net.graph);
+      std::vector<std::size_t> size(count, 0);
+      for (const std::uint32_t c : label) ++size[c];
+      EXPECT_EQ(largest, *std::max_element(size.begin(), size.end()))
+          << "round " << round;
+      if (largest < cfg.nodes) ++fragmented;
     }
   }
-  EXPECT_TRUE(unit_disk_connected({{5.0, 5.0}}, 1.0));
-  EXPECT_FALSE(unit_disk_connected({{0.0, 0.0}, {99.0, 99.0}}, 1.0));
+  EXPECT_GT(fragmented, 0u);
+  EXPECT_EQ(unit_disk_largest_component({}, 1.0), 0u);
+  EXPECT_EQ(unit_disk_largest_component({{5.0, 5.0}}, 1.0), 1u);
+  EXPECT_EQ(unit_disk_largest_component({{0.0, 0.0}, {99.0, 99.0}}, 1.0), 1u);
+  EXPECT_EQ(unit_disk_largest_component(
+                {{0.0, 0.0}, {0.5, 0.0}, {99.0, 99.0}}, 1.0),
+            2u);
 }
 
 TEST(UnitDiskTest, AchievedDegreeTracksCalibration) {
