@@ -1,6 +1,7 @@
 #include "geom/layout_io.hpp"
 
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <stdexcept>
 
@@ -8,8 +9,13 @@ namespace manet::geom {
 
 void write_positions(std::ostream& out,
                      const std::vector<Point>& positions) {
+  // Enough digits that every coordinate reads back bit for bit, so a
+  // reloaded layout induces the same unit-disk graph.
+  const auto precision =
+      out.precision(std::numeric_limits<double>::max_digits10);
   out << positions.size() << '\n';
   for (const auto& p : positions) out << p.x << ' ' << p.y << '\n';
+  out.precision(precision);
 }
 
 std::vector<Point> read_positions(std::istream& in) {

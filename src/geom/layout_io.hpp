@@ -10,7 +10,8 @@
 
 namespace manet::geom {
 
-/// Writes the count followed by one "x y" line per node.
+/// Writes the count followed by one "x y" line per node, with enough
+/// digits that read_positions returns the same doubles bit for bit.
 void write_positions(std::ostream& out, const std::vector<Point>& positions);
 
 /// Parses the write_positions format; throws std::invalid_argument on

@@ -49,20 +49,6 @@ class SpatialGrid {
   /// Node ids bucketed in cell (col, row), in increasing id order.
   std::span<const NodeId> cell(std::size_t col, std::size_t row) const;
 
-  /// Calls `fn(NodeId)` for every node in the 3x3 cell block around
-  /// (col, row) — the candidate set for a range query of radius
-  /// <= cell_size anchored in that cell.
-  template <typename Fn>
-  void for_each_in_block(std::size_t col, std::size_t row, Fn&& fn) const {
-    const std::size_t c0 = col > 0 ? col - 1 : 0;
-    const std::size_t c1 = col + 1 < cols_ ? col + 1 : cols_ - 1;
-    const std::size_t r0 = row > 0 ? row - 1 : 0;
-    const std::size_t r1 = row + 1 < rows_ ? row + 1 : rows_ - 1;
-    for (std::size_t r = r0; r <= r1; ++r)
-      for (std::size_t c = c0; c <= c1; ++c)
-        for (NodeId v : cell(c, r)) fn(v);
-  }
-
   /// Calls `fn(col, row, slot_begin, slot_end)` for every *occupied*
   /// cell in row-major order — the sweep unit_disk_graph iterates.
   template <typename Fn>

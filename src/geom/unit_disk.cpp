@@ -6,6 +6,7 @@
 #include <numbers>
 
 #include "common/assert.hpp"
+#include "geom/cell_lattice.hpp"
 #include "geom/spatial_grid.hpp"
 #include "graph/algorithms.hpp"
 
@@ -129,50 +130,18 @@ std::vector<Point> cell_order_layout(const std::vector<Point>& positions,
 std::vector<Point> generate_unit_disk_cell_order(const UnitDiskConfig& config,
                                                  Rng& rng) {
   MANET_REQUIRE(config.nodes > 0, "network size must be positive");
-  MANET_REQUIRE(config.range > 0.0, "transmission range must be positive");
-  MANET_REQUIRE(config.width > 0.0 && config.height > 0.0,
-                "area must be positive");
   const std::size_t n = config.nodes;
-
-  // Square cells of side >= range, row-major over the working space.
-  // Capping the cell count at O(n) only widens cells — the order is a
-  // valid cell-major order at any resolution — and keeps the offset
-  // table from outgrowing the points it is ordering.
-  const std::size_t cell_cap = std::max<std::size_t>(64, n);
-  const auto dim = [&](double extent) {
-    const double cells = extent / config.range;
-    if (!(cells > 1.0)) return std::size_t{1};
-    if (cells >= static_cast<double>(cell_cap)) return cell_cap;
-    return std::max<std::size_t>(1, static_cast<std::size_t>(cells));
-  };
-  std::size_t cols = dim(config.width);
-  std::size_t rows = dim(config.height);
-  while (cols * rows > cell_cap) {
-    if (cols >= rows)
-      cols = (cols + 1) / 2;
-    else
-      rows = (rows + 1) / 2;
-  }
-  const double inv_x = static_cast<double>(cols) / config.width;
-  const double inv_y = static_cast<double>(rows) / config.height;
-  const auto cell_of = [&](double x, double y) {
-    const std::size_t c =
-        x <= 0.0 ? 0
-                 : std::min(cols - 1, static_cast<std::size_t>(x * inv_x));
-    const std::size_t r =
-        y <= 0.0 ? 0
-                 : std::min(rows - 1, static_cast<std::size_t>(y * inv_y));
-    return r * cols + c;
-  };
+  // The engines' lattice, so the layout is cell-major where they bucket.
+  const CellLattice lattice(n, config.range, config.width, config.height);
 
   // Pass 1 on a copy of the rng: per-cell occupancy, then exclusive
   // prefix sums so offsets[c] is cell c's first slot.
-  std::vector<std::uint64_t> offsets(cols * rows + 1, 0);
+  std::vector<std::uint64_t> offsets(lattice.cells() + 1, 0);
   Rng replay = rng;
   for (std::size_t i = 0; i < n; ++i) {
     const double x = replay.uniform(0.0, config.width);
     const double y = replay.uniform(0.0, config.height);
-    ++offsets[cell_of(x, y) + 1];
+    ++offsets[lattice.key({x, y}) + 1];
   }
   for (std::size_t c = 1; c < offsets.size(); ++c)
     offsets[c] += offsets[c - 1];
@@ -184,7 +153,7 @@ std::vector<Point> generate_unit_disk_cell_order(const UnitDiskConfig& config,
   for (std::size_t i = 0; i < n; ++i) {
     const double x = rng.uniform(0.0, config.width);
     const double y = rng.uniform(0.0, config.height);
-    out[offsets[cell_of(x, y)]++] = {x, y};
+    out[offsets[lattice.key({x, y})]++] = {x, y};
   }
   return out;
 }

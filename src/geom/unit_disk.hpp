@@ -69,13 +69,13 @@ std::vector<Point> cell_order_layout(const std::vector<Point>& positions,
 
 /// Streaming cell-major placement: draws the exact same uniform point
 /// stream as generate_unit_disk (`rng` is advanced identically) but
-/// writes each point straight into its row-major lattice-cell slot —
-/// square cells of side >= range over [0, width] x [0, height], cell
-/// count capped at O(n) like SpatialGrid's. Two passes over a replayed
-/// copy of the rng (count per-cell occupancy, prefix-sum, re-draw and
-/// scatter), so the only working memory beyond the returned vector is
-/// the per-cell offset table: no intermediate layout copy, no
-/// SpatialGrid, no graph. The result is a cell-major relabeling of an
+/// writes each point straight into its row-major cell slot on
+/// geom::CellLattice(nodes, range, width, height) — the lattice
+/// incr::DeltaTracker buckets the same field on, so the layout is
+/// cell-major there at every density. Two passes over a replayed copy of
+/// the rng (count per-cell occupancy, prefix-sum, re-draw and scatter),
+/// so the only working memory beyond the returned vector is the per-cell
+/// offset table: no intermediate layout copy, no SpatialGrid, no graph. The result is a cell-major relabeling of an
 /// i.i.d. uniform placement — the distribution cell_order_layout
 /// produces, without ever materializing the unordered layout.
 std::vector<Point> generate_unit_disk_cell_order(const UnitDiskConfig& config,

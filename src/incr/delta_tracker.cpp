@@ -11,27 +11,6 @@
 namespace manet::incr {
 namespace {
 
-// splitmix64 finalizer — the probe hash of the paint map. A pure
-// function of the key, so probing is deterministic across runs.
-std::uint64_t mix64(std::uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return x;
-}
-
-// floor(extent / cell) clamped into [1, max_dim], computed in double so
-// degenerate huge-area / tiny-range inputs cannot overflow the integer
-// cast.
-std::size_t lattice_dim(double extent, double cell, std::size_t max_dim) {
-  const double cells = extent / cell;
-  if (!(cells > 1.0)) return 1;
-  if (cells >= static_cast<double>(max_dim)) return max_dim;
-  return static_cast<std::size_t>(cells);
-}
-
 // A NaN or infinite coordinate has no cell (its cast to an index would
 // be undefined), so positions are checked on the way in.
 void require_finite(const geom::Point& p) {
@@ -44,23 +23,8 @@ std::vector<geom::Point> require_finite(std::vector<geom::Point> positions) {
   return positions;
 }
 
-// floor(scaled) clamped into [0, dim), in double before the integer
-// cast, so a far but finite position lands on a border cell.
-std::size_t clamp_cell(double scaled, std::size_t dim) {
-  if (!(scaled > 0.0)) return 0;
-  if (scaled >= static_cast<double>(dim - 1)) return dim - 1;
-  return static_cast<std::size_t>(scaled);
-}
-
-std::size_t pow2_at_least(std::size_t n) {
-  std::size_t cap = 16;
-  while (cap < n) cap <<= 1;
-  return cap;
-}
-
 // Folds sorted per-chunk vectors into one sorted vector (stable k-way
-// merge, so cross-chunk duplicates stay adjacent for a later unique).
-// Done iteratively because k is a handful of chunks per lane.
+// merge). Done iteratively because k is a handful of chunks per lane.
 template <typename T>
 std::vector<T> merge_sorted(std::vector<std::vector<T>>& parts) {
   std::vector<T> merged;
@@ -90,39 +54,20 @@ DeltaTracker::DeltaTracker(std::vector<geom::Point> positions, double range,
                      : geom::unit_disk_graph(positions_, range)),
       range_(range),
       range_sq_(range * range),
-      width_(width),
-      height_(height) {
+      lattice_(positions_.size(), range, width, height) {
   MANET_REQUIRE(!positions_.empty(), "tracker needs at least one node");
-  MANET_REQUIRE(range_ > 0.0, "transmission range must be positive");
-  MANET_REQUIRE(width_ > 0.0 && height_ > 0.0, "area must be positive");
 
-  // Square cells of side >= range (so any in-range pair sits in the same
-  // or an adjacent cell), with the per-dimension cell count clamped to
-  // keep the bucket array O(n) even for a tiny range over a huge area.
   const std::size_t n = positions_.size();
-  const auto cap = static_cast<std::size_t>(
-                       std::ceil(std::sqrt(4.0 * static_cast<double>(n)))) +
-                   1;
-  cols_ = lattice_dim(width_, range_, cap);
-  rows_ = lattice_dim(height_, range_, cap);
-  inv_cell_x_ = static_cast<double>(cols_) / width_;
-  inv_cell_y_ = static_cast<double>(rows_) / height_;
-
-  cells_.resize(cols_ * rows_);
+  cells_.resize(lattice_.cells());
+  cell_stamp_.assign(lattice_.cells(), 0);
+  cell_label_.resize(lattice_.cells());
   cell_of_node_.resize(n);
   is_staged_.assign(n, 0);
   for (NodeId v = 0; v < n; ++v) {
-    const std::uint32_t key = cell_key(positions_[v]);
+    const std::uint32_t key = lattice_.key(positions_[v]);
     cell_of_node_[v] = key;
     cells_[key].push_back(v);
   }
-}
-
-std::uint32_t DeltaTracker::cell_key(const geom::Point& p) const {
-  // Out-of-box positions clamp onto the border cells, like SpatialGrid.
-  const std::size_t col = clamp_cell(p.x * inv_cell_x_, cols_);
-  const std::size_t row = clamp_cell(p.y * inv_cell_y_, rows_);
-  return static_cast<std::uint32_t>(row * cols_ + col);
 }
 
 void DeltaTracker::stage_move(NodeId v, geom::Point p) {
@@ -142,8 +87,7 @@ EdgeDelta DeltaTracker::commit(RegionPartition* regions) {
 }
 
 void DeltaTracker::scan_chunk(std::size_t begin, std::size_t end,
-                              EdgeDelta& delta,
-                              std::vector<std::uint64_t>& keys) const {
+                              EdgeDelta& delta) const {
   // Diff against the *frozen* pre-commit adjacency. The classic serial
   // commit mutated the overlay mid-scan so each changed edge fell out of
   // exactly one endpoint's symmetric difference; against a frozen
@@ -158,22 +102,12 @@ void DeltaTracker::scan_chunk(std::size_t begin, std::size_t end,
   for (std::size_t i = begin; i < end; ++i) {
     const NodeId v = staged_[i];
     const geom::Point p = positions_[v];
-    const std::size_t key = cell_of_node_[v];
-    const std::size_t col = key % cols_;
-    const std::size_t row = key / cols_;
-    const std::size_t c0 = col > 0 ? col - 1 : 0;
-    const std::size_t c1 = col + 1 < cols_ ? col + 1 : cols_ - 1;
-    const std::size_t r0 = row > 0 ? row - 1 : 0;
-    const std::size_t r1 = row + 1 < rows_ ? row + 1 : rows_ - 1;
     now.clear();
-    for (std::size_t r = r0; r <= r1; ++r)
-      for (std::size_t c = c0; c <= c1; ++c) {
-        const std::size_t k = r * cols_ + c;
-        keys.push_back(k);
-        for (const NodeId w : cells_[k])
-          if (w != v && geom::distance_sq(p, positions_[w]) < range_sq_)
-            now.push_back(w);
-      }
+    lattice_.for_each_in_block(cell_of_node_[v], 1, [&](std::uint32_t k) {
+      for (const NodeId w : cells_[k])
+        if (w != v && geom::distance_sq(p, positions_[w]) < range_sq_)
+          now.push_back(w);
+    });
     std::sort(now.begin(), now.end());
 
     const auto nb = adjacency_.neighbors(v);
@@ -195,8 +129,13 @@ void DeltaTracker::scan_chunk(std::size_t begin, std::size_t end,
   // k-way merges, so the serial tail is O(changes), not O(changes log).
   std::sort(delta.added.begin(), delta.added.end());
   std::sort(delta.removed.begin(), delta.removed.end());
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+}
+
+void DeltaTracker::bump_epoch() {
+  if (++epoch_ != 0) return;
+  // uint32 wrap: clear every stale stamp once, then restart at 1.
+  std::fill(cell_stamp_.begin(), cell_stamp_.end(), 0u);
+  epoch_ = 1;
 }
 
 EdgeDelta DeltaTracker::commit(const CommitOptions& opts) {
@@ -209,8 +148,8 @@ EdgeDelta DeltaTracker::commit(const CommitOptions& opts) {
     opts.regions->count = 0;
     opts.regions->deltas.clear();
     opts.regions->core_cells.clear();
-    opts.regions->cols = cols_;
-    opts.regions->rows = rows_;
+    opts.regions->cols = lattice_.cols();
+    opts.regions->rows = lattice_.rows();
   }
   if (staged_.empty()) return delta;
 
@@ -221,7 +160,7 @@ EdgeDelta DeltaTracker::commit(const CommitOptions& opts) {
   std::vector<std::uint32_t> old_cells(staged_.size());
   for (std::size_t i = 0; i < staged_.size(); ++i) {
     const NodeId v = staged_[i];
-    const std::uint32_t key = cell_key(positions_[v]);
+    const std::uint32_t key = lattice_.key(positions_[v]);
     const std::uint32_t old_key = cell_of_node_[v];
     old_cells[i] = old_key;
     if (key == old_key) continue;
@@ -243,11 +182,10 @@ EdgeDelta DeltaTracker::commit(const CommitOptions& opts) {
   const std::size_t n_chunks =
       lanes <= 1 ? 1 : std::min(staged_.size(), lanes * 4);
   std::vector<EdgeDelta> chunk_deltas(n_chunks);
-  std::vector<std::vector<std::uint64_t>> chunk_keys(n_chunks);
   const auto scan_job = [&](std::size_t job, std::size_t /*lane*/) {
     const std::size_t begin = job * staged_.size() / n_chunks;
     const std::size_t end = (job + 1) * staged_.size() / n_chunks;
-    scan_chunk(begin, end, chunk_deltas[job], chunk_keys[job]);
+    scan_chunk(begin, end, chunk_deltas[job]);
   };
   if (opts.pool && n_chunks > 1) {
     opts.pool->run(n_chunks, scan_job);
@@ -265,11 +203,14 @@ EdgeDelta DeltaTracker::commit(const CommitOptions& opts) {
     delta.removed = merge_sorted(parts);
   }
   // Overlapping dirty blocks count once, whether or not their cells are
-  // occupied (key dedup, without O(cells) per-commit state).
-  scanned_keys_ = merge_sorted(chunk_keys);
-  last_cells_scanned_ = static_cast<std::size_t>(
-      std::unique(scanned_keys_.begin(), scanned_keys_.end()) -
-      scanned_keys_.begin());
+  // occupied: only a cell's first stamp this commit counts.
+  bump_epoch();
+  for (const NodeId v : staged_)
+    lattice_.for_each_in_block(cell_of_node_[v], 1, [&](std::uint32_t k) {
+      if (cell_stamp_[k] == epoch_) return;
+      cell_stamp_[k] = epoch_;
+      ++last_cells_scanned_;
+    });
 
   for (const NodeId v : staged_) is_staged_[v] = 0;
 
@@ -302,57 +243,12 @@ void DeltaTracker::apply_delta(const EdgeDelta& delta) {
   }
 }
 
-void DeltaTracker::paint_reset(std::size_t expected) {
-  const std::size_t cap = pow2_at_least(2 * expected);
-  if (paint_keys_.size() < cap) {
-    paint_keys_.assign(cap, ~std::uint64_t{0});
-    paint_labels_.resize(cap);
-  } else {
-    std::fill(paint_keys_.begin(), paint_keys_.end(), ~std::uint64_t{0});
-  }
-  paint_count_ = 0;
-}
-
-std::uint32_t DeltaTracker::paint_insert(std::uint64_t key,
-                                         std::uint32_t label) {
-  if (2 * paint_count_ >= paint_keys_.size()) {
-    // Rehash in place to 2x: stash live pairs, reset, reinsert.
-    std::vector<std::pair<std::uint64_t, std::uint32_t>> live;
-    live.reserve(paint_count_);
-    for (std::size_t h = 0; h < paint_keys_.size(); ++h)
-      if (paint_keys_[h] != ~std::uint64_t{0})
-        live.emplace_back(paint_keys_[h], paint_labels_[h]);
-    const std::size_t cap = paint_keys_.size() * 2;
-    paint_keys_.assign(cap, ~std::uint64_t{0});
-    paint_labels_.resize(cap);
-    paint_count_ = 0;
-    for (const auto& [k, l] : live) paint_insert(k, l);
-  }
-  const std::size_t mask = paint_keys_.size() - 1;
-  for (std::size_t h = mix64(key) & mask;; h = (h + 1) & mask) {
-    if (paint_keys_[h] == key) return paint_labels_[h];
-    if (paint_keys_[h] != ~std::uint64_t{0}) continue;
-    paint_keys_[h] = key;
-    paint_labels_[h] = label;
-    ++paint_count_;
-    return kNoSlot;
-  }
-}
-
-std::uint32_t DeltaTracker::paint_find(std::uint64_t key) const {
-  const std::size_t mask = paint_keys_.size() - 1;
-  for (std::size_t h = mix64(key) & mask;; h = (h + 1) & mask) {
-    if (paint_keys_[h] == key) return paint_labels_[h];
-    if (paint_keys_[h] == ~std::uint64_t{0}) return kNoSlot;
-  }
-}
-
 std::uint32_t DeltaTracker::scope_region(NodeId v) const {
-  // Empty until a commit builds regions, which also sizes the paint map
-  // (an empty map has no probe mask).
+  // Empty until a commit builds regions; only then does epoch_ name the
+  // paint rather than some other cell set.
   if (paint_region_.empty()) return kNoRegion;
-  const std::uint32_t label = paint_find(cell_of_node_[v]);
-  return label == kNoSlot ? kNoRegion : paint_region_[label];
+  const std::uint32_t k = cell_of_node_[v];
+  return cell_stamp_[k] == epoch_ ? paint_region_[cell_label_[k]] : kNoRegion;
 }
 
 void DeltaTracker::build_regions(const EdgeDelta& delta,
@@ -420,32 +316,20 @@ void DeltaTracker::build_regions(const EdgeDelta& delta,
   // blocks that land on an already-painted cell merge with its label.
   // Non-overlap of grown blocks then guarantees core cells of distinct
   // regions are >= g_a + g_b + 1 apart (Chebyshev) for the two movers'
-  // tiers. The paint map is keyed by cell key, so unoccupied cells
-  // paint (and merge) like occupied ones.
-  //
-  // Sized for the common heavily-overlapping case (a few cells per
-  // mover); paint_insert doubles on demand up to the true worst case of
-  // 2 * (2*reach+1)^2 distinct cells per mover.
-  paint_reset(4 * staged_.size() + 64);
-  for (std::size_t i = 0; i < staged_.size(); ++i) {
-    const std::size_t kReach =
-        1 + (tiered ? growth_of[i] : opts.growth_cells);
+  // tiers. Unoccupied cells paint (and merge) like occupied ones.
+  bump_epoch();
+  for (std::uint32_t i = 0; i < staged_.size(); ++i) {
+    const std::size_t reach = 1 + (tiered ? growth_of[i] : opts.growth_cells);
     const std::uint32_t centers[2] = {old_cells[i], cell_of_node_[staged_[i]]};
-    for (int which = 0; which < (centers[0] == centers[1] ? 1 : 2);
-         ++which) {
-      const std::size_t col = centers[which] % cols_;
-      const std::size_t row = centers[which] / cols_;
-      const std::size_t c0 = col > kReach ? col - kReach : 0;
-      const std::size_t c1 = std::min(col + kReach, cols_ - 1);
-      const std::size_t r0 = row > kReach ? row - kReach : 0;
-      const std::size_t r1 = std::min(row + kReach, rows_ - 1);
-      for (std::size_t r = r0; r <= r1; ++r)
-        for (std::size_t c = c0; c <= c1; ++c) {
-          const std::uint32_t prev =
-              paint_insert(r * cols_ + c, static_cast<std::uint32_t>(i));
-          if (prev != kNoSlot) unite(static_cast<std::uint32_t>(i), prev);
+    for (int which = 0; which < (centers[0] == centers[1] ? 1 : 2); ++which)
+      lattice_.for_each_in_block(centers[which], reach, [&](std::uint32_t k) {
+        if (cell_stamp_[k] == epoch_) {
+          unite(i, cell_label_[k]);
+        } else {
+          cell_stamp_[k] = epoch_;
+          cell_label_[k] = i;
         }
-    }
+      });
   }
 
   // Dense region ids in first-seen staged order (deterministic). A
@@ -462,22 +346,15 @@ void DeltaTracker::build_regions(const EdgeDelta& delta,
 
   // Core cells (the ungrown 3x3 blocks), attributed to their final
   // region and deduped per region at the end. Movers sharing a core cell
-  // always share a region (their grown blocks overlap), so per-region
-  // dedup equals the global dedup the dense stamps used to do.
+  // always share a region (their grown blocks overlap), so no cell is
+  // listed by two regions.
   for (std::size_t i = 0; i < staged_.size(); ++i) {
     const std::uint32_t centers[2] = {old_cells[i], cell_of_node_[staged_[i]]};
-    for (int which = 0; which < (centers[0] == centers[1] ? 1 : 2);
-         ++which) {
-      const std::size_t col = centers[which] % cols_;
-      const std::size_t row = centers[which] / cols_;
-      const std::size_t c0 = col > 0 ? col - 1 : 0;
-      const std::size_t c1 = std::min(col + 1, cols_ - 1);
-      const std::size_t r0 = row > 0 ? row - 1 : 0;
-      const std::size_t r1 = std::min(row + 1, rows_ - 1);
-      for (std::size_t r = r0; r <= r1; ++r)
-        for (std::size_t c = c0; c <= c1; ++c)
-          out.core_cells[paint_region_[i]].push_back(r * cols_ + c);
-    }
+    auto& cells = out.core_cells[paint_region_[i]];
+    for (int which = 0; which < (centers[0] == centers[1] ? 1 : 2); ++which)
+      lattice_.for_each_in_block(centers[which], 1, [&](std::uint32_t k) {
+        cells.push_back(k);
+      });
   }
   for (auto& cells : out.core_cells) {
     std::sort(cells.begin(), cells.end());
@@ -497,10 +374,9 @@ void DeltaTracker::build_regions(const EdgeDelta& delta,
   // blocks overlap), so any endpoint names the edge's region; iterating
   // the globally sorted lists keeps every per-region slice sorted.
   const auto region_of_cell = [&](std::uint32_t key) {
-    const std::uint32_t label = paint_find(key);
-    MANET_ASSERT(label != kNoSlot,
+    MANET_ASSERT(cell_stamp_[key] == epoch_,
                  "delta endpoint outside the painted dirty region");
-    return paint_region_[label];
+    return paint_region_[cell_label_[key]];
   };
   for (const auto& e : delta.added) {
     const std::uint32_t r0 = region_of_cell(cell_of_node_[e.first]);

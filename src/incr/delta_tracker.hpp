@@ -13,15 +13,15 @@
 // edge-identical to a from-scratch unit_disk_graph over the current
 // positions (the pipeline's oracle mode asserts exactly that).
 //
-// Cell storage is one bucket per lattice cell, indexed by the cell's
-// row-major key, with the per-dimension cell count clamped to
-// ceil(sqrt(4n)) + 1 so the bucket array stays O(n). A degree-calibrated
-// layout (mean degree >= pi/4 over the working space) never reaches the
-// clamp; a tiny range over a huge field gets coarser cells instead,
-// which widens rescan blocks and repair regions but never loses a link.
-// The maintained adjacency and deltas are pure functions of positions
-// and range; region partitions and scopes are pure functions of those
-// and the lattice.
+// Cell storage is one bucket per cell of the field lattice
+// (geom::CellLattice: at most ceil(sqrt(4n)) + 1 cells a side, so O(n)),
+// indexed by the cell's row-major key. A degree-calibrated layout (mean
+// degree >= pi/4 over the working space) never reaches the clamp; a tiny
+// range over a huge field gets coarser cells instead, which widens
+// rescan blocks and repair regions but never loses a link. The
+// maintained adjacency and deltas are pure functions of positions and
+// range; region partitions and scopes are pure functions of those and
+// the lattice.
 #pragma once
 
 #include <cstddef>
@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "common/ids.hpp"
+#include "geom/cell_lattice.hpp"
 #include "geom/point.hpp"
 #include "geom/spatial_grid.hpp"
 #include "graph/dynamic_adjacency.hpp"
@@ -61,7 +62,7 @@ inline constexpr std::uint32_t kNoRegion = 0xffffffffu;
 /// region-parallel repair stage can never observe another region's
 /// writes (the S30 independence argument, pinned by property tests).
 /// A region's node scope is not listed here: DeltaTracker::scope_region
-/// looks it up in the commit's paint map.
+/// reads it off the commit's paint stamps.
 struct RegionPartition {
   std::size_t count = 0;           ///< number of regions this commit
   std::vector<EdgeDelta> deltas;   ///< per-region slice of the delta
@@ -69,7 +70,7 @@ struct RegionPartition {
   /// 3x3 blocks around each staged node's old and new cells, before
   /// growth): the region size metric and the separation the property
   /// tests assert.
-  std::vector<std::vector<std::uint64_t>> core_cells;
+  std::vector<std::vector<std::uint32_t>> core_cells;
   std::size_t cols = 1;            ///< grid shape, for cell geometry
   std::size_t rows = 1;
 };
@@ -140,8 +141,8 @@ class DeltaTracker {
   const std::vector<geom::Point>& positions() const { return positions_; }
 
   /// Lattice shape: cells per side, at most ceil(sqrt(4n)) + 1 each.
-  std::size_t cols() const { return cols_; }
-  std::size_t rows() const { return rows_; }
+  std::size_t cols() const { return lattice_.cols(); }
+  std::size_t rows() const { return lattice_.rows(); }
 
   /// The maintained adjacency overlay (always consistent with the last
   /// committed positions).
@@ -177,11 +178,11 @@ class DeltaTracker {
   /// grown blocks of its movers) covers. Scopes are disjoint, and a node
   /// outside every scope sits at least (g - 1) cells — hence at least
   /// that many unit-disk hops — from any changed edge painted with
-  /// growth g, for every growth tier in play. The answer is one probe of
-  /// the paint map and holds until the next commit: a commit that builds
-  /// no regions (no RegionPartition, or nothing staged) answers
-  /// kNoRegion for every node, and stage_move changes no answer. Safe to
-  /// call concurrently; `v` must be < size().
+  /// growth g, for every growth tier in play. The answer is a few array
+  /// reads (v's cell's paint stamp and painter) and holds until the next
+  /// commit: a commit that builds no regions (no RegionPartition, or
+  /// nothing staged) answers kNoRegion for every node, and stage_move
+  /// changes no answer. Safe to call concurrently; `v` must be < size().
   std::uint32_t scope_region(NodeId v) const;
 
   /// Replays a delta returned by a defer_adjacency commit onto the
@@ -190,30 +191,16 @@ class DeltaTracker {
   void apply_delta(const EdgeDelta& delta);
 
  private:
-  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
-
-  /// Row-major cell key of `p` (row * cols + col): the index of its
-  /// bucket in cells_.
-  std::uint32_t cell_key(const geom::Point& p) const;
-
   /// Diffs staged_[i], i in [begin, end), against the frozen adjacency
-  /// and appends normalized changed edges plus scanned cell keys to the
-  /// chunk outputs; sorts all three on return. An edge between two
-  /// staged nodes is recorded only by its smaller endpoint, so the
-  /// concatenation over chunks has no duplicates.
-  void scan_chunk(std::size_t begin, std::size_t end, EdgeDelta& delta,
-                  std::vector<std::uint64_t>& keys) const;
+  /// and appends normalized changed edges to the chunk output, sorted on
+  /// return. An edge between two staged nodes is recorded only by its
+  /// smaller endpoint, so the concatenation over chunks has no
+  /// duplicates.
+  void scan_chunk(std::size_t begin, std::size_t end, EdgeDelta& delta) const;
 
-  /// Prepares the per-commit paint map for ~`expected` distinct cells.
-  void paint_reset(std::size_t expected);
-
-  /// Records `label` as the painter of cell `key`. Returns the previous
-  /// painter's label if the cell was already painted this commit, else
-  /// kNoSlot. Grows on demand.
-  std::uint32_t paint_insert(std::uint64_t key, std::uint32_t label);
-
-  /// Label of the painter of `key`, or kNoSlot if the cell is unpainted.
-  std::uint32_t paint_find(std::uint64_t key) const;
+  /// Starts a new per-commit cell set: every stamp from an older set
+  /// reads as unset from here on.
+  void bump_epoch();
 
   /// Paints the grown dirty blocks (per-mover growth per CommitOptions'
   /// tiering), unions overlapping labels, maps every label to its
@@ -228,27 +215,23 @@ class DeltaTracker {
   graph::DynamicAdjacency adjacency_;
   double range_;
   double range_sq_;
-  double width_;
-  double height_;
-  std::size_t cols_ = 1;
-  std::size_t rows_ = 1;
-  double inv_cell_x_ = 0.0;  // cols / width
-  double inv_cell_y_ = 0.0;  // rows / height
+  geom::CellLattice lattice_;
   std::vector<std::vector<NodeId>> cells_;    // per-cell id buckets
   std::vector<std::uint32_t> cell_of_node_;   // node -> cell key
   std::vector<NodeId> staged_;                // dirty node ids
   std::vector<char> is_staged_;               // dedup flag per node
   std::size_t last_cells_scanned_ = 0;        // dirty-block cells, last commit
 
-  // Per-commit scratch (allocated once, O(staged) per tick): dirty-block
-  // keys for the cells-scanned count, the open-addressing paint map of
-  // the region builder, and the union-find over staged indices. The
-  // paint map and paint_region_ outlive the commit: scope_region reads
-  // them until the next one, which empties paint_region_ first.
-  std::vector<std::uint64_t> scanned_keys_;
-  std::vector<std::uint64_t> paint_keys_;     // pow2, UINT64_MAX = empty
-  std::vector<std::uint32_t> paint_labels_;   // painter's staged index
-  std::size_t paint_count_ = 0;
+  // Per-commit cell sets, one at a time: a cell belongs to the current
+  // set iff its stamp equals epoch_. A commit stamps its scanned cells,
+  // then, when it builds regions, its painted cells, each painted cell's
+  // label naming the staged index of its first painter. The paint and
+  // paint_region_ outlive the commit: scope_region reads them until the
+  // next one, which empties paint_region_ first. Allocated once; a
+  // commit touches O(staged) cells.
+  std::vector<std::uint32_t> cell_stamp_;
+  std::vector<std::uint32_t> cell_label_;
+  std::uint32_t epoch_ = 0;
   std::vector<std::uint32_t> union_parent_;   // DSU over staged indices
   std::vector<std::uint32_t> paint_region_;   // staged index -> region id
 };

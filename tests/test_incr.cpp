@@ -428,8 +428,8 @@ void region_partition_soak(double degree, std::uint64_t seed) {
     for (std::size_t i = 0; i < parts.count; ++i) {
       EXPECT_FALSE(parts.core_cells[i].empty());
       for (std::size_t j = i + 1; j < parts.count; ++j) {
-        for (const std::uint64_t a : parts.core_cells[i]) {
-          for (const std::uint64_t b : parts.core_cells[j]) {
+        for (const std::uint32_t a : parts.core_cells[i]) {
+          for (const std::uint32_t b : parts.core_cells[j]) {
             const auto dc = std::max(a % parts.cols, b % parts.cols) -
                             std::min(a % parts.cols, b % parts.cols);
             const auto dr = std::max(a / parts.cols, b / parts.cols) -
@@ -705,6 +705,105 @@ TEST(DeltaTrackerPropertyTest, ScopeLookupMatchesReferenceSparseUniform) {
 
 TEST(DeltaTrackerPropertyTest, ScopeLookupMatchesReferenceSparseTiered) {
   scope_lookup_reference_soak(kSparseDegree, true, 914);
+}
+
+enum class ScanMoves { kLocal, kBorder, kPileUp, kTeleportAll };
+
+void cells_scanned_reference_soak(double degree, ScanMoves moves,
+                                  std::uint64_t seed) {
+  // last_cells_scanned() against a count from the lattice shape and the
+  // positions alone: the size of the union of the clipped 3x3 blocks
+  // around each staged node's committed cell. Every other commit also
+  // paints regions, whose stamps share the cells' stamp array.
+  const std::size_t n = 300;
+  const double side = 100;
+  const double range = geom::range_for_average_degree(degree, n, side, side);
+  const bool everyone =
+      moves == ScanMoves::kPileUp || moves == ScanMoves::kTeleportAll;
+  WorkerPool pool(4);
+  for (WorkerPool* lanes : {static_cast<WorkerPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(lanes ? "4-lane pool" : "no pool");
+    Rng rng(seed);
+    auto positions = random_layout(n, rng);
+    DeltaTracker tracker(positions, range, side, side);
+    expect_clamped_iff_sparse(tracker, degree, side);
+    RegionPartition parts;
+    CommitOptions opts;
+    opts.pool = lanes;
+    for (int round = 0; round < 20; ++round) {
+      opts.regions = round % 2 == 1 ? &parts : nullptr;
+      std::vector<NodeId> movers;
+      std::vector<char> staged(n, 0);
+      const std::size_t count = everyone ? n : 1 + rng.index(40);
+      for (std::size_t j = 0; j < count; ++j) {
+        const auto v = static_cast<NodeId>(everyone ? j : rng.index(n));
+        geom::Point& p = positions[v];
+        switch (moves) {
+          case ScanMoves::kLocal:
+            p.x = std::clamp(p.x + rng.uniform(-8, 8), 0.0, side);
+            p.y = std::clamp(p.y + rng.uniform(-8, 8), 0.0, side);
+            break;
+          case ScanMoves::kBorder: {
+            // On the field's edges and corners, or just outside them
+            // (clamped onto the border cells).
+            const double edge[] = {0.0, side, -3.0, side + 3.0};
+            p = {edge[rng.index(4)], rng.index(3) == 0 ? edge[rng.index(4)]
+                                                      : rng.uniform(0, side)};
+            if (rng.index(2) == 0) std::swap(p.x, p.y);
+            break;
+          }
+          case ScanMoves::kPileUp:  // into one cell, then scattered
+            p = {rng.uniform(0, side), rng.uniform(0, side)};
+            if (round % 2 == 0) p = {55 + p.x / side, 55 + p.y / side};
+            break;
+          case ScanMoves::kTeleportAll:
+            p = {rng.uniform(0, side), rng.uniform(0, side)};
+            break;
+        }
+        tracker.stage_move(v, p);
+        if (!staged[v]) {
+          staged[v] = 1;
+          movers.push_back(v);
+        }
+      }
+      tracker.commit(opts);
+
+      std::set<Cell> scanned;
+      for (const NodeId v : movers) {
+        const auto [col, row] = cell_of(tracker, positions[v], side);
+        for (std::size_t r = row > 0 ? row - 1 : 0;
+             r <= std::min(row + 1, tracker.rows() - 1); ++r)
+          for (std::size_t c = col > 0 ? col - 1 : 0;
+               c <= std::min(col + 1, tracker.cols() - 1); ++c)
+            scanned.insert({c, r});
+      }
+      ASSERT_EQ(tracker.last_cells_scanned(), scanned.size())
+          << "round " << round;
+    }
+  }
+}
+
+TEST(DeltaTrackerPropertyTest, CellsScannedMatchesBlockUnionReference) {
+  {
+    SCOPED_TRACE("local steps");
+    cells_scanned_reference_soak(6.0, ScanMoves::kLocal, 921);
+  }
+  {
+    SCOPED_TRACE("border cells");
+    cells_scanned_reference_soak(6.0, ScanMoves::kBorder, 922);
+  }
+  {
+    SCOPED_TRACE("one-cell pile-up");
+    cells_scanned_reference_soak(6.0, ScanMoves::kPileUp, 923);
+  }
+  {
+    SCOPED_TRACE("mass teleports");
+    cells_scanned_reference_soak(6.0, ScanMoves::kTeleportAll, 924);
+  }
+  {
+    SCOPED_TRACE("clamped lattice");
+    cells_scanned_reference_soak(kSparseDegree, ScanMoves::kLocal, 925);
+  }
 }
 
 TEST(DeltaTrackerPropertyTest, TeleportOldAndNewBlocksShareOneRegion) {

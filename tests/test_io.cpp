@@ -90,15 +90,33 @@ namespace manet::geom {
 namespace {
 
 TEST(LayoutIoTest, RoundTripsPositions) {
-  const std::vector<Point> pts{{1.5, 2.25}, {0, 0}, {99.875, 42.0}};
-  std::stringstream buffer;
-  write_positions(buffer, pts);
-  const auto back = read_positions(buffer);
-  ASSERT_EQ(back.size(), pts.size());
-  for (std::size_t i = 0; i < pts.size(); ++i) {
-    EXPECT_DOUBLE_EQ(back[i].x, pts[i].x);
-    EXPECT_DOUBLE_EQ(back[i].y, pts[i].y);
+  // A reloaded layout is the same layout: every coordinate comes back
+  // bit for bit, so it induces the same unit-disk graph. The generated
+  // input has coordinates that need all 17 significant digits.
+  Rng rng(41);
+  UnitDiskConfig cfg;
+  cfg.nodes = 20000;
+  cfg.range = range_for_average_degree(6.0, cfg.nodes, cfg.width, cfg.height);
+  const auto net = generate_unit_disk(cfg, rng);
+  const std::vector<Point> short_pts{{1.5, 2.25}, {0, 0}, {99.875, 42.0}};
+  for (const auto* pts : {&short_pts, &net.positions}) {
+    SCOPED_TRACE(pts->size());
+    std::stringstream buffer;
+    write_positions(buffer, *pts);
+    const auto back = read_positions(buffer);
+    ASSERT_EQ(back.size(), pts->size());
+    for (std::size_t i = 0; i < pts->size(); ++i) {
+      ASSERT_EQ(back[i].x, (*pts)[i].x) << "node " << i;
+      ASSERT_EQ(back[i].y, (*pts)[i].y) << "node " << i;
+    }
+    EXPECT_EQ(unit_disk_graph(back, cfg.range).edges(),
+              unit_disk_graph(*pts, cfg.range).edges());
   }
+  // The stream's own precision is left as it was.
+  std::stringstream buffer;
+  buffer.precision(3);
+  write_positions(buffer, short_pts);
+  EXPECT_EQ(buffer.precision(), 3);
 }
 
 TEST(LayoutIoTest, RejectsTruncatedInput) {

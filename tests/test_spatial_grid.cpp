@@ -1,15 +1,19 @@
 // Cross-check of the spatial-grid unit_disk_graph against the O(n^2)
 // reference pair scan, plus unit tests of the SpatialGrid bucketing
-// itself. The grid rewrite must be invisible: identical edge sets on
-// every configuration, including the degenerate ones.
+// itself and of the field lattice's key range. The grid rewrite must be
+// invisible: identical edge sets on every configuration, including the
+// degenerate ones.
 #include "geom/spatial_grid.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "geom/cell_lattice.hpp"
 #include "geom/unit_disk.hpp"
 
 namespace manet::geom {
@@ -63,9 +67,16 @@ TEST(SpatialGridTest, BlockContainsAllInRangeCandidates) {
   const auto pts = random_points(rng, 300, 100.0, 100.0);
   const SpatialGrid grid(pts, range);
   for (NodeId i = 0; i < pts.size(); ++i) {
+    // The candidate set of a range query anchored in i's cell: every node
+    // of the 3x3 cell block around it, clipped to the grid.
     std::vector<bool> candidate(pts.size(), false);
-    grid.for_each_in_block(grid.col_of(pts[i]), grid.row_of(pts[i]),
-                           [&](NodeId v) { candidate[v] = true; });
+    const std::size_t col = grid.col_of(pts[i]);
+    const std::size_t row = grid.row_of(pts[i]);
+    for (std::size_t r = row > 0 ? row - 1 : 0;
+         r <= std::min(row + 1, grid.rows() - 1); ++r)
+      for (std::size_t c = col > 0 ? col - 1 : 0;
+           c <= std::min(col + 1, grid.cols() - 1); ++c)
+        for (const NodeId v : grid.cell(c, r)) candidate[v] = true;
     EXPECT_TRUE(candidate[i]);  // a node is its own block member
     for (NodeId j = 0; j < pts.size(); ++j)
       if (distance_sq(pts[i], pts[j]) < range * range) {
@@ -167,6 +178,24 @@ TEST(SpatialGridCrossCheckTest, HugeAreaTinyRangeMatchesReference) {
   }
   expect_same_edges(pts, 5.0);
   expect_order_n_cells(SpatialGrid(pts, 5.0), pts.size());
+}
+
+TEST(CellLatticeTest, RejectsMoreThanTwoToThe32Cells) {
+  // 2^31 nodes with a 1e-9 cell over the paper's field: the per-side cap
+  // ceil(sqrt(2^33)) + 1 = 92,683 gives about 8.6e9 cells, too many for
+  // 32-bit keys. The lattice computes its shape only, so nothing here
+  // allocates.
+  EXPECT_THROW(CellLattice(std::size_t{1} << 31, 1e-9, 100, 100),
+               std::invalid_argument);
+  // 1,073,709,056 nodes cap each side at 65,536 cells: exactly 2^32, the
+  // most whose keys fit, up to the far corner's 2^32 - 1. One node more
+  // and the cap is 65,537.
+  const CellLattice largest(1073709056, 1e-9, 100, 100);
+  EXPECT_EQ(largest.cols(), 65536u);
+  EXPECT_EQ(largest.cells(), std::size_t{1} << 32);
+  EXPECT_EQ(largest.key({100, 100}), UINT32_MAX);
+  EXPECT_THROW(CellLattice(1073709057, 1e-9, 100, 100),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include "geom/spatial_grid.hpp"
 #include "graph/algorithms.hpp"
+#include "incr/delta_tracker.hpp"
 #include "stats/running.hpp"
 
 namespace manet::geom {
@@ -161,43 +162,51 @@ TEST(UnitDiskTest, CellOrderGeneratorMatchesDrawStreamAndOrder) {
   // generate_unit_disk_cell_order's contract: (a) it places the exact
   // multiset of points generate_unit_disk draws from the same rng state,
   // (b) the caller's rng advances identically, and (c) the output is
-  // sorted by row-major cell of its own lattice with draw order
-  // preserved within a cell.
-  Rng plain_rng(23), stream_rng(23);
-  UnitDiskConfig cfg;
-  cfg.nodes = 900;
-  cfg.range = range_for_average_degree(6.0, cfg.nodes, cfg.width, cfg.height);
-  const auto net = generate_unit_disk(cfg, plain_rng);
-  const auto layout = generate_unit_disk_cell_order(cfg, stream_rng);
-  ASSERT_EQ(layout.size(), net.positions.size());
+  // sorted by row-major cell of the lattice incr::DeltaTracker builds
+  // over the same field, with draw order preserved within a cell. Mean
+  // degrees 1 and 2 need more cells than the node count, which a cap
+  // below the tracker's would coarsen into a different order.
+  for (const double degree : {6.0, 1.0, 2.0}) {
+    SCOPED_TRACE(degree);
+    Rng plain_rng(23), stream_rng(23);
+    UnitDiskConfig cfg;
+    cfg.nodes = 900;
+    cfg.range =
+        range_for_average_degree(degree, cfg.nodes, cfg.width, cfg.height);
+    const auto net = generate_unit_disk(cfg, plain_rng);
+    const auto layout = generate_unit_disk_cell_order(cfg, stream_rng);
+    ASSERT_EQ(layout.size(), net.positions.size());
 
-  auto original = net.positions;
-  auto streamed = layout;
-  const auto lt = [](const Point& a, const Point& b) {
-    return a.x != b.x ? a.x < b.x : a.y < b.y;
-  };
-  std::sort(original.begin(), original.end(), lt);
-  std::sort(streamed.begin(), streamed.end(), lt);
-  EXPECT_EQ(original, streamed);
+    auto original = net.positions;
+    auto streamed = layout;
+    const auto lt = [](const Point& a, const Point& b) {
+      return a.x != b.x ? a.x < b.x : a.y < b.y;
+    };
+    std::sort(original.begin(), original.end(), lt);
+    std::sort(streamed.begin(), streamed.end(), lt);
+    EXPECT_EQ(original, streamed);
 
-  // Both generators consumed the same number of draws.
-  EXPECT_EQ(plain_rng(), stream_rng());
+    // Both generators consumed the same number of draws.
+    EXPECT_EQ(plain_rng(), stream_rng());
 
-  // Cell-major: keys over the [0,width]x[0,height] lattice at cell side
-  // >= range are nondecreasing along the layout.
-  const auto cols = static_cast<std::size_t>(cfg.width / cfg.range);
-  const auto rows = static_cast<std::size_t>(cfg.height / cfg.range);
-  const auto key = [&](const Point& p) {
-    const std::size_t c = std::min(
-        cols - 1, static_cast<std::size_t>(
-                      p.x * (static_cast<double>(cols) / cfg.width)));
-    const std::size_t r = std::min(
-        rows - 1, static_cast<std::size_t>(
-                      p.y * (static_cast<double>(rows) / cfg.height)));
-    return r * cols + c;
-  };
-  for (std::size_t i = 1; i < layout.size(); ++i)
-    ASSERT_GE(key(layout[i]), key(layout[i - 1])) << "slot " << i;
+    // Cell-major: keys on the tracker's lattice are nondecreasing along
+    // the layout.
+    const incr::DeltaTracker tracker(layout, cfg.range, cfg.width,
+                                     cfg.height);
+    const std::size_t cols = tracker.cols();
+    const std::size_t rows = tracker.rows();
+    const auto key = [&](const Point& p) {
+      const std::size_t c = std::min(
+          cols - 1, static_cast<std::size_t>(
+                        p.x * (static_cast<double>(cols) / cfg.width)));
+      const std::size_t r = std::min(
+          rows - 1, static_cast<std::size_t>(
+                        p.y * (static_cast<double>(rows) / cfg.height)));
+      return r * cols + c;
+    };
+    for (std::size_t i = 1; i < layout.size(); ++i)
+      ASSERT_GE(key(layout[i]), key(layout[i - 1])) << "slot " << i;
+  }
 }
 
 TEST(UnitDiskTest, UnionFindConnectivityMatchesGraphCheck) {
